@@ -92,17 +92,23 @@ impl EngineCheckpoint {
     /// Computes the seal this checkpoint should carry when chained after a
     /// predecessor whose seal is `prev`: the predecessor's seal folded with
     /// this checkpoint's canonical bytes (everything except `chain_seal`).
+    /// Self-contained checkpoints restart the seal chain: `prev` is ignored
+    /// for them and [`StateHash::ZERO`] folded in its place.
     pub fn seal_over(&self, prev: &StateHash) -> StateHash {
         let mut h = StateHasher::new();
-        h.update_hash(prev);
+        h.update_hash(if self.is_self_contained() {
+            &StateHash::ZERO
+        } else {
+            prev
+        });
         let mut buf = BytesMut::new();
         self.encode_sans_seal(&mut buf);
         h.update(&buf);
         h.finish()
     }
 
-    /// Stamps `chain_seal` in place. Self-contained checkpoints restart the
-    /// seal chain; pass [`StateHash::ZERO`] for them.
+    /// Stamps `chain_seal` in place, chained after `prev` (see
+    /// [`EngineCheckpoint::seal_over`]).
     pub fn seal(&mut self, prev: &StateHash) {
         self.chain_seal = self.seal_over(prev);
     }
@@ -214,27 +220,42 @@ impl fmt::Display for ChainDefect {
 ///
 /// Returns the first [`ChainDefect`] encountered, oldest member first.
 pub fn verify_chain(chain: &[EngineCheckpoint]) -> Result<(), ChainDefect> {
-    let mut prev_seal = StateHash::ZERO;
+    let mut prev = None;
     for (index, ckpt) in chain.iter().enumerate() {
-        let expected_prev = if ckpt.is_self_contained() {
-            StateHash::ZERO
-        } else if index == 0 {
-            return Err(ChainDefect::DeltaWithoutBase {
-                index,
-                seq: ckpt.seq,
-            });
-        } else {
-            prev_seal
-        };
-        if ckpt.seal_over(&expected_prev) != ckpt.chain_seal {
-            return Err(ChainDefect::BrokenSeal {
-                index,
-                seq: ckpt.seq,
-            });
-        }
-        prev_seal = ckpt.chain_seal;
+        prev = Some(seal_step(prev, index, ckpt)?);
     }
     Ok(())
+}
+
+/// The seal rule, one member at a time — the only place it is written down.
+/// `ckpt` sits at position `index` of its chain and `prev` is the seal of
+/// the member before it (`None` when `ckpt` opens the chain). Returns the
+/// seal the next member chains from.
+///
+/// Every consumer of a chain steps through this: [`verify_chain`], the
+/// restore pipeline's unabsorbed tail, the warm standby as it pre-applies,
+/// and the durable store's loaders. Fulls and deltas get the identical
+/// check, so no consumer can absorb a member another would have truncated.
+///
+/// # Errors
+///
+/// [`ChainDefect::DeltaWithoutBase`] for a delta with no predecessor,
+/// [`ChainDefect::BrokenSeal`] when the stored seal does not recompute.
+pub(crate) fn seal_step(
+    prev: Option<StateHash>,
+    index: usize,
+    ckpt: &EngineCheckpoint,
+) -> Result<StateHash, ChainDefect> {
+    let seq = ckpt.seq;
+    let base = match prev {
+        Some(seal) => seal,
+        None if ckpt.is_self_contained() => StateHash::ZERO,
+        None => return Err(ChainDefect::DeltaWithoutBase { index, seq }),
+    };
+    if ckpt.seal_over(&base) != ckpt.chain_seal {
+        return Err(ChainDefect::BrokenSeal { index, seq });
+    }
+    Ok(ckpt.chain_seal)
 }
 
 /// Raised when state recomputed at a replay horizon disagrees with the
@@ -282,8 +303,9 @@ impl std::error::Error for DivergenceFault {}
 /// logged determinism faults, does no processing until promoted (§I.B,
 /// §II.F.3).
 ///
-/// Shared between the active engine (writer) and the failover manager
-/// (reader) behind a mutex; checkpoint shipping is "asynchronous" in the
+/// Shared between the active engine (writer), the failover manager and —
+/// when one runs — the warm standby, which tails the chain by cursor
+/// (readers) behind a mutex; checkpoint shipping is "asynchronous" in the
 /// sense that the engine never waits for the replica to apply anything.
 #[derive(Clone, Default)]
 pub struct ReplicaStore {
@@ -293,7 +315,8 @@ pub struct ReplicaStore {
 #[derive(Default)]
 struct ReplicaInner {
     /// Checkpoint chain in seq order: one full head + incremental tail.
-    chain: Vec<EngineCheckpoint>,
+    /// Members are immutable once shipped, so readers share them.
+    chain: Vec<Arc<EngineCheckpoint>>,
     /// Determinism faults logged synchronously (§II.G.4), per component.
     faults: Vec<(ComponentId, DeterminismFault)>,
 }
@@ -308,7 +331,7 @@ impl ReplicaStore {
     /// numbers (possible when a promoted engine restarts the sequence) are
     /// appended regardless; order of arrival is the order of application.
     pub fn push_checkpoint(&self, ckpt: EngineCheckpoint) {
-        self.inner.lock().chain.push(ckpt);
+        self.inner.lock().chain.push(Arc::new(ckpt));
     }
 
     /// Synchronously logs a determinism fault. Must complete before the
@@ -319,7 +342,15 @@ impl ReplicaStore {
 
     /// The checkpoint chain, oldest first.
     pub fn chain(&self) -> Vec<EngineCheckpoint> {
-        self.inner.lock().chain.clone()
+        self.tail(0).iter().map(|c| (**c).clone()).collect()
+    }
+
+    /// The chain from position `from` on, oldest first, sharing the members
+    /// rather than copying them. The lock is released before returning, so
+    /// a reader can take as long as it likes over what it got.
+    pub(crate) fn tail(&self, from: usize) -> Vec<Arc<EngineCheckpoint>> {
+        let inner = self.inner.lock();
+        inner.chain.get(from..).unwrap_or_default().to_vec()
     }
 
     /// All logged determinism faults, oldest first.
@@ -335,23 +366,6 @@ impl ReplicaStore {
     /// Returns `true` if no checkpoint has ever been shipped.
     pub fn is_empty(&self) -> bool {
         self.inner.lock().chain.is_empty()
-    }
-
-    /// Drops everything (used when re-arming a replica after promotion).
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.chain.clear();
-        inner.faults.clear();
-    }
-
-    /// Serialized size of the whole chain, for overhead accounting.
-    pub fn total_bytes(&self) -> usize {
-        self.inner
-            .lock()
-            .chain
-            .iter()
-            .map(|c| c.to_bytes().len())
-            .sum()
     }
 }
 
@@ -417,9 +431,8 @@ mod tests {
         let chain = store.chain();
         assert_eq!(chain[0].seq, 0);
         assert_eq!(chain[1].seq, 1);
-        assert!(store.total_bytes() > 0);
-        store.clear();
-        assert!(store.is_empty());
+        assert_eq!(store.tail(1)[0].seq, 1, "readers share members by position");
+        assert!(store.tail(2).is_empty() && store.tail(9).is_empty());
     }
 
     #[test]

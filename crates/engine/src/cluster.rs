@@ -16,7 +16,7 @@ use tart_model::{AppSpec, Value};
 use tart_vtime::{ComponentId, EngineId, VirtualTime, WireId};
 
 use crate::chaos::{ChaosHandle, ChaosPlan};
-use crate::checkpoint::{verify_chain, ChainDefect};
+use crate::checkpoint::seal_step;
 use crate::core::{EngineCore, Flow};
 use crate::router::{EXTERNAL_ENGINE, SUPERVISOR_ENGINE};
 use crate::standby::{StandbyPlane, StandbyStatus, WarmCandidate};
@@ -36,8 +36,6 @@ const BATCH_LIMIT: usize = 128;
 pub enum DeployError {
     /// The placement does not assign every component.
     IncompletePlacement,
-    /// The configured log file could not be created.
-    LogUnavailable,
     /// [`Cluster::deploy`] with durability found prior on-disk state in the
     /// durability directory. Starting fresh over old state would silently
     /// orphan a recoverable run — use [`Cluster::recover_from_disk`], or
@@ -56,12 +54,6 @@ impl fmt::Display for DeployError {
         match self {
             DeployError::IncompletePlacement => {
                 write!(f, "placement does not cover every component")
-            }
-            DeployError::LogUnavailable => {
-                write!(
-                    f,
-                    "the configured external-input log file could not be created"
-                )
             }
             DeployError::DurabilityDirNotEmpty => {
                 write!(
@@ -264,10 +256,19 @@ pub(crate) struct EngineHost {
     /// checkpoint store record into it. Ops-plane only; nothing here ever
     /// feeds back into checkpointed state.
     pub(crate) obs: Arc<tart_obs::ObsHub>,
-    /// Warm-standby plane ([`ClusterConfig::with_warm_standby`]): receives
-    /// every engine's checkpoint/input stream and pre-applies it in the
-    /// background so promotion only replays the unapplied tail.
+    /// Warm-standby plane ([`ClusterConfig::with_warm_standby`]): tails
+    /// every engine's replica chain and pre-applies it in the background
+    /// so promotion only replays the unapplied tail.
     pub(crate) standby: Option<StandbyPlane>,
+}
+
+/// What [`EngineHost::restore_verified`] hands back.
+struct Restored {
+    core: EngineCore,
+    /// Verification forced a shorter chain than the caller supplied.
+    fell_back: bool,
+    /// The core started from a warm standby's pre-applied prefix.
+    warm: bool,
 }
 
 /// Dumps the engine's flight recorder if its thread unwinds — the timeline
@@ -346,44 +347,72 @@ impl EngineHost {
         tier
     }
 
-    /// Wires the checkpoint store into a core per the engine's resolved
-    /// tier: Strict (and legacy) persist-and-fsync before shipping,
-    /// Buffered persists without the fsync, InMemory skips the store
-    /// entirely — its only recovery sources are the passive replica and
-    /// peer replay, so a whole-process crash restarts it from scratch.
-    fn attach_durability(&self, engine: EngineId, core: &mut EngineCore) {
-        let Some(store) = &self.durable else { return };
-        match self.engine_tier(engine) {
-            Some(DurabilityPolicy::InMemory) => {}
-            Some(DurabilityPolicy::Buffered { .. }) => {
-                core.set_durable(Arc::clone(store));
-                core.set_durable_sync(false);
+    /// The one place an [`EngineCore`] is assembled — fresh starts, every
+    /// restore attempt and the standby's passive cores all come through
+    /// here, so none of them can drift apart in wiring. The checkpoint
+    /// store is attached per the engine's resolved tier: Strict (and
+    /// legacy) persist-and-fsync before shipping, Buffered persists without
+    /// the fsync, InMemory skips the store entirely — its only recovery
+    /// sources are the passive replica and peer replay, so a whole-process
+    /// crash restarts it from scratch.
+    pub(crate) fn build_core(&self, engine: EngineId, replica: ReplicaStore) -> EngineCore {
+        let mut core = EngineCore::new(
+            engine,
+            &self.spec,
+            &self.placement,
+            &self.config,
+            self.router.clone(),
+            replica,
+            self.outputs_tx.clone(),
+        );
+        if let Some(store) = &self.durable {
+            match self.engine_tier(engine) {
+                Some(DurabilityPolicy::InMemory) => {}
+                Some(DurabilityPolicy::Buffered { .. }) => {
+                    core.set_durable(Arc::clone(store));
+                    core.set_durable_sync(false);
+                }
+                Some(DurabilityPolicy::Strict) | None => core.set_durable(Arc::clone(store)),
             }
-            Some(DurabilityPolicy::Strict) | None => core.set_durable(Arc::clone(store)),
         }
+        core.set_obs(self.obs.engine(engine));
+        core
+    }
+
+    /// Points the warm standby (when one runs) at `engine`'s new
+    /// incarnation, whose checkpoints will land in `replica`. Returns the
+    /// head start the standby built from the previous incarnation's chain,
+    /// if it holds one.
+    fn attach_standby(&self, engine: EngineId, replica: &ReplicaStore) -> Option<WarmCandidate> {
+        self.standby.as_ref()?.attach(engine, replica.clone())
     }
 
     fn start_engine(&self, id: EngineId) {
         let (tx, rx) = unbounded::<Envelope>();
         self.router.register(id, tx.clone());
-        let replica = ReplicaStore::default();
-        let mut core = EngineCore::new(
-            id,
-            &self.spec,
-            &self.placement,
-            &self.config,
-            self.router.clone(),
-            replica.clone(),
-            self.outputs_tx.clone(),
-        );
-        self.attach_durability(id, &mut core);
-        core.set_obs(self.obs.engine(id));
+        let replica = ReplicaStore::new();
+        self.attach_standby(id, &replica);
+        let core = self.build_core(id, replica.clone());
+        self.launch(id, core, tx, rx, replica, false);
+    }
+
+    /// Starts `core`'s loop as `engine`'s live incarnation, reading the
+    /// already-registered inbox `sender` feeds.
+    fn launch(
+        &self,
+        engine: EngineId,
+        core: EngineCore,
+        sender: Sender<Envelope>,
+        rx: Receiver<Envelope>,
+        replica: ReplicaStore,
+        restored: bool,
+    ) {
         let metrics = core.metrics_handle();
-        let thread = self.spawn_engine_loop(id, core, rx, false);
+        let thread = self.spawn_engine_loop(engine, core, rx, restored);
         self.engines.lock().insert(
-            id,
+            engine,
             EngineSlot {
-                sender: tx,
+                sender,
                 thread: Some(thread),
                 replica,
                 metrics,
@@ -489,19 +518,24 @@ impl EngineHost {
         }
     }
 
-    /// Builds a fresh core for `engine` and restores `chain` into it with
-    /// hash verification (DESIGN.md §15). A chain-seal defect truncates the
-    /// chain at the defective member before anything is restored; a
-    /// post-restore state-hash divergence discards the tainted core, drops
-    /// the chain's newest member, and retries — an empty chain restores
-    /// vacuously, so the loop always terminates. Discarding a core is safe
-    /// because `EngineCore::restore` verifies *before* its first router
-    /// send: a failed attempt is invisible to peers. Each rejection dumps
-    /// the flight ring for forensics (the divergence counter and timeline
-    /// event are recorded inside `restore` itself).
+    /// The restore pipeline: restores `chain` into a core for `engine` with
+    /// hash verification (DESIGN.md §15). With a `head_start` — a warm
+    /// standby's core that already absorbed and verified the chain's first
+    /// `applied` members — only the tail after it is seal-checked and
+    /// applied, O(tail) rather than O(chain): the seal at the cursor
+    /// commits to the whole prefix. Without one, a fresh core takes the
+    /// whole chain.
     ///
-    /// Returns the restored core and whether verification forced a shorter
-    /// chain than the caller supplied.
+    /// A chain-seal defect truncates the chain at the defective member
+    /// before anything is restored; a post-restore state-hash divergence
+    /// discards the tainted core and retries — a diverged head start
+    /// impeaches the standby, not the chain, so the same chain is retried
+    /// from scratch; a diverged from-scratch attempt drops the chain's
+    /// newest member. An empty chain restores vacuously, so the loop always
+    /// terminates. Discarding a core is safe because the core verifies
+    /// *before* its first router send: a failed attempt is invisible to
+    /// peers. Each rejection dumps the flight ring for forensics (the
+    /// divergence counter and timeline event are recorded inside the core).
     ///
     /// # Errors
     ///
@@ -519,15 +553,22 @@ impl EngineHost {
         replica: &ReplicaStore,
         mut chain: Vec<EngineCheckpoint>,
         faults: &[(ComponentId, tart_estimator::DeterminismFault)],
-    ) -> Result<(EngineCore, bool), usize> {
+        mut head_start: Option<WarmCandidate>,
+    ) -> Result<Restored, usize> {
         let original_len = chain.len();
         let mut fell_back = false;
-        if let Err(defect) = verify_chain(&chain) {
-            dump_flight(&self.obs, &format!("chain defect for {engine}: {defect}"));
-            let (ChainDefect::BrokenSeal { index, .. }
-            | ChainDefect::DeltaWithoutBase { index, .. }) = defect;
-            chain.truncate(index);
-            fell_back = true;
+        let verified = head_start.as_ref().map_or(0, |c| c.applied);
+        let mut prev = verified.checked_sub(1).map(|i| chain[i].chain_seal);
+        for index in verified..chain.len() {
+            match seal_step(prev, index, &chain[index]) {
+                Ok(seal) => prev = Some(seal),
+                Err(defect) => {
+                    dump_flight(&self.obs, &format!("chain defect for {engine}: {defect}"));
+                    chain.truncate(index);
+                    fell_back = true;
+                    break;
+                }
+            }
         }
         loop {
             if chain.is_empty() && original_len > 0 {
@@ -539,26 +580,34 @@ impl EngineHost {
                 );
                 return Err(original_len);
             }
-            let mut core = EngineCore::new(
-                engine,
-                &self.spec,
-                &self.placement,
-                &self.config,
-                self.router.clone(),
-                replica.clone(),
-                self.outputs_tx.clone(),
-            );
-            self.attach_durability(engine, &mut core);
-            core.set_obs(self.obs.engine(engine));
-            match core.restore(&chain, faults) {
-                Ok(()) => return Ok((core, fell_back)),
+            let (mut core, applied) = match head_start.take() {
+                Some(cand) => {
+                    // The standby built its core before this incarnation's
+                    // replica existed.
+                    let mut core = cand.core;
+                    core.set_replica(replica.clone());
+                    (core, cand.applied)
+                }
+                None => (self.build_core(engine, replica.clone()), 0),
+            };
+            let warm = applied > 0;
+            match core.restore_from(&chain, applied, faults) {
+                Ok(()) => {
+                    return Ok(Restored {
+                        core,
+                        fell_back,
+                        warm,
+                    })
+                }
                 Err(fault) => {
                     dump_flight(
                         &self.obs,
-                        &format!("state divergence for {engine}: {fault}"),
+                        &format!("state divergence for {engine} (warm: {warm}): {fault}"),
                     );
-                    chain.pop();
-                    fell_back = true;
+                    if !warm {
+                        chain.pop();
+                        fell_back = true;
+                    }
                 }
             }
         }
@@ -570,12 +619,8 @@ impl EngineHost {
     /// from the message log for external wires (§II.F.3–4).
     ///
     /// With a warm standby ([`ClusterConfig::with_warm_standby`]) whose
-    /// slot is anchored and undemoted, only the chain tail the standby has
-    /// not yet absorbed is seal-checked and applied before activation —
-    /// the sub-horizon promotion path, O(tail) rather than O(chain). The
-    /// warm core is discarded and promotion falls back to the cold drill
-    /// whenever the candidate is stale, the unabsorbed tail fails its seal
-    /// check, or the tail digests diverge. Cold promotion is
+    /// slot is anchored, the restore starts from its pre-applied core — the
+    /// sub-horizon promotion path. Warm or cold, the restore is
     /// hash-verified the same way ([`EngineHost::restore_verified`]): a
     /// corrupted or divergent suffix is discarded and the promotion
     /// restores from the longest verified prefix instead of resuming
@@ -603,108 +648,24 @@ impl EngineHost {
 
         let fresh_replica = ReplicaStore::new();
         self.obs.failover(engine);
-
-        // Taking the candidate resets the slot either way: the next
-        // incarnation re-anchors at its first (full) checkpoint, and a
-        // demotion verdict applies only to the incarnation that earned it.
-        let warm = self.standby.as_ref().and_then(|p| p.take(engine));
+        let warm = self.attach_standby(engine, &fresh_replica);
 
         // Register the new inbox FIRST so the replay responses triggered by
         // restore (and live traffic) reach the restored engine.
         let (tx, rx) = unbounded::<Envelope>();
         self.router.register(engine, tx.clone());
 
-        // Warm path first; any mismatch falls through to the cold drill,
-        // which restores the longest verified chain prefix from scratch.
-        let (core, warm_used) =
-            match self.warm_restore(engine, &fresh_replica, &chain, &faults, warm) {
-                Some(core) => (core, true),
-                None => match self.restore_verified(engine, &fresh_replica, chain, &faults) {
-                    Ok((core, _fell_back)) => (core, false),
-                    Err(discarded) => {
-                        self.router.deregister(engine);
-                        return Err(PromoteError::ChainExhausted { engine, discarded });
-                    }
-                },
-            };
-
-        let metrics = core.metrics_handle();
-        let thread = self.spawn_engine_loop(engine, core, rx, true);
-        self.engines.lock().insert(
-            engine,
-            EngineSlot {
-                sender: tx,
-                thread: Some(thread),
-                replica: fresh_replica,
-                metrics,
-                alive: true,
-            },
-        );
+        let restored = match self.restore_verified(engine, &fresh_replica, chain, &faults, warm) {
+            Ok(restored) => restored,
+            Err(discarded) => {
+                self.router.deregister(engine);
+                return Err(PromoteError::ChainExhausted { engine, discarded });
+            }
+        };
+        self.launch(engine, restored.core, tx, rx, fresh_replica, true);
         self.obs
-            .promotion_complete(engine, warm_used, t0.elapsed().as_nanos() as u64);
+            .promotion_complete(engine, restored.warm, t0.elapsed().as_nanos() as u64);
         Ok(())
-    }
-
-    /// The warm-promotion attempt: locate the standby's last absorbed
-    /// member in the authoritative chain by `(seq, chain_seal)`, apply only
-    /// the tail after it, and run the ordinary activation (which verifies
-    /// the tail digests before any output escapes). Returns `None` — fall
-    /// back to cold — when there is no candidate, the candidate is stale,
-    /// the unabsorbed tail fails its seal check, or activation diverges.
-    fn warm_restore(
-        &self,
-        engine: EngineId,
-        fresh_replica: &ReplicaStore,
-        chain: &[EngineCheckpoint],
-        faults: &[(ComponentId, tart_estimator::DeterminismFault)],
-        warm: Option<WarmCandidate>,
-    ) -> Option<EngineCore> {
-        let cand = warm?;
-        let idx = chain
-            .iter()
-            .position(|c| c.seq == cand.applied_seq && c.chain_seal == cand.applied_seal)?;
-        // Seal-check only the tail the standby never absorbed. The prefix
-        // needs no re-hash: the standby verified every member it applied
-        // (seal continuity and state digests), and `chain_seal` at `idx`
-        // commits to the entire prefix through the seal chain, so the
-        // `(seq, chain_seal)` match above vouches for it transitively.
-        // This keeps warm promotion O(tail), not O(chain) — the whole
-        // point of the standby. A defective tail goes cold, where
-        // restore_verified owns the truncate-and-retry discipline.
-        let mut prev_seal = cand.applied_seal;
-        for member in &chain[idx + 1..] {
-            let expected_prev = if member.is_self_contained() {
-                tart_model::StateHash::ZERO
-            } else {
-                prev_seal
-            };
-            if member.seal_over(&expected_prev) != member.chain_seal {
-                dump_flight(
-                    &self.obs,
-                    &format!("standby for {engine} unusable: tail seal defect; going cold"),
-                );
-                return None;
-            }
-            prev_seal = member.chain_seal;
-        }
-        let mut core = cand.core;
-        core.set_replica(fresh_replica.clone());
-        self.attach_durability(engine, &mut core);
-        core.set_obs(self.obs.engine(engine));
-        for ckpt in &chain[idx + 1..] {
-            core.apply_member_snapshots(ckpt);
-        }
-        core.apply_faults(faults);
-        match core.finish_restore(chain) {
-            Ok(()) => Some(core),
-            Err(fault) => {
-                dump_flight(
-                    &self.obs,
-                    &format!("warm restore for {engine} diverged ({fault}); going cold"),
-                );
-                None
-            }
-        }
     }
 
     fn engine_metrics(&self, engine: EngineId) -> Option<EngineMetrics> {
@@ -739,7 +700,6 @@ impl EngineHost {
 pub struct Cluster {
     host: Arc<EngineHost>,
     injectors: HashMap<String, Injector>,
-    sources: HashMap<WireId, Arc<Mutex<SourceState>>>,
     log: Arc<Mutex<MessageLog>>,
     outputs_rx: Receiver<OutputRecord>,
     replay_service: Option<JoinHandle<()>>,
@@ -763,97 +723,18 @@ impl Cluster {
         if !placement.covers(&spec) {
             return Err(DeployError::IncompletePlacement);
         }
-        let router = Router::new(config.faults.clone());
-        let (outputs_tx, outputs_rx) = unbounded();
-        let obs = Arc::new(tart_obs::ObsHub::new());
         let (log, durable) = match &config.durability {
             Some(d) => {
-                let (mut log, store) = open_fresh_durability(d)?;
-                apply_wire_tiers(&spec, &placement, d, &mut log);
-                (Arc::new(Mutex::new(log)), Some(store))
+                let (log, store) = open_fresh_durability(d)?;
+                (log, Some(store))
             }
-            None => {
-                let log = match &config.log_path {
-                    Some(path) => Arc::new(Mutex::new(
-                        MessageLog::file_backed(path).map_err(|_| DeployError::LogUnavailable)?,
-                    )),
-                    None => Arc::new(Mutex::new(MessageLog::in_memory())),
-                };
-                (log, None)
-            }
+            None => (MessageLog::in_memory(), None),
         };
-        log.lock().set_obs(Arc::clone(&obs));
-        if let Some(store) = &durable {
-            store.set_obs(Arc::clone(&obs));
+        let mut cluster = Cluster::assemble(spec, placement, config, log, durable);
+        for engine in cluster.host.placement.engines() {
+            cluster.host.start_engine(engine);
         }
-        let standby = config.standby.clone().map(|s| {
-            StandbyPlane::start(
-                s,
-                spec.clone(),
-                placement.clone(),
-                config.clone(),
-                router.clone(),
-                outputs_tx.clone(),
-                Arc::clone(&obs),
-            )
-        });
-        let host = Arc::new(EngineHost {
-            spec,
-            placement,
-            config,
-            router,
-            outputs_tx,
-            engines: Mutex::new(HashMap::new()),
-            durable,
-            obs,
-            standby,
-        });
-        let mut cluster = Cluster {
-            host: Arc::clone(&host),
-            injectors: HashMap::new(),
-            sources: HashMap::new(),
-            log,
-            outputs_rx,
-            replay_service: None,
-            supervisor: None,
-        };
-        for engine in host.placement.engines() {
-            host.start_engine(engine);
-        }
-        // External producers.
-        for w in host.spec.external_inputs() {
-            let name = match w.from() {
-                tart_model::Endpoint::External { name } => name.clone(),
-                _ => unreachable!("external input wires start externally"),
-            };
-            let target_component = w.to().component().expect("external inputs feed components");
-            let target = host
-                .placement
-                .engine_of(target_component)
-                .expect("placement covers the app");
-            let state = Arc::new(Mutex::new(SourceState {
-                wire: w.id(),
-                target,
-                watermark: None,
-                last_data: None,
-                finished: false,
-            }));
-            cluster.sources.insert(w.id(), Arc::clone(&state));
-            cluster.injectors.insert(
-                name.clone(),
-                Injector {
-                    name,
-                    state,
-                    log: Arc::clone(&cluster.log),
-                    router: host.router.clone(),
-                    clock: Arc::clone(&host.config.clock),
-                },
-            );
-        }
-        cluster.spawn_replay_service();
-        if let Some(supervision) = host.config.supervision.clone() {
-            cluster.supervisor = Some(Supervisor::start(Arc::clone(&host), supervision));
-        }
+        cluster.start_supervisor();
         Ok(cluster)
     }
 
@@ -888,120 +769,34 @@ impl Cluster {
         let Some(d) = config.durability.clone() else {
             return Err(DeployError::DurabilityNotConfigured);
         };
-        let (mut log, wal_recovery) =
+        let unavailable = |e: &dyn fmt::Display| DeployError::DurabilityUnavailable(e.to_string());
+        let (log, wal_recovery) =
             MessageLog::durable(d.dir.join("wal"), d.wal_segment_bytes, d.policy)
-                .map_err(|e| DeployError::DurabilityUnavailable(e.to_string()))?;
-        apply_wire_tiers(&spec, &placement, &d, &mut log);
-        let store = Arc::new(
-            CheckpointStore::open(d.dir.join("ckpt"))
-                .map_err(|e| DeployError::DurabilityUnavailable(e.to_string()))?,
-        );
+                .map_err(|e| unavailable(&e))?;
+        let store =
+            Arc::new(CheckpointStore::open(d.dir.join("ckpt")).map_err(|e| unavailable(&e))?);
         // Read every engine's restart point from disk BEFORE starting any
         // thread: all fallible work happens while the cluster is still
         // inert, so an error cannot strand half-started engines.
-        let mut restored = Vec::new();
+        let mut restart_points = Vec::new();
         for engine in placement.engines() {
-            let loaded = store
-                .load_chain(engine)
-                .map_err(|e| DeployError::DurabilityUnavailable(e.to_string()))?;
-            let faults = store
-                .faults(engine)
-                .map_err(|e| DeployError::DurabilityUnavailable(e.to_string()))?;
-            let (chain, generation, fell_back) = match loaded {
-                Some(l) => (l.chain, Some(l.generation), l.fell_back),
-                None => (Vec::new(), None, false),
-            };
-            restored.push((engine, chain, faults, generation, fell_back));
+            let loaded = store.load_chain(engine).map_err(|e| unavailable(&e))?;
+            let faults = store.faults(engine).map_err(|e| unavailable(&e))?;
+            restart_points.push((engine, loaded, faults));
         }
-        // Continue the original timeline: every timestamp the clock hands
-        // out from here on must exceed everything already logged.
-        if let Some(max_logged) = spec
-            .external_inputs()
+        let mut cluster = Cluster::assemble(spec, placement, config, log, Some(store));
+        let host = Arc::clone(&cluster.host);
+        // Phase 1: register EVERY inbox (the log-replay service already is)
+        // before any restore runs — restore sends replay requests to peers,
+        // which must queue in live channels rather than vanish.
+        let inboxes: Vec<_> = restart_points
             .iter()
-            .filter_map(|w| log.last_vt(w.id()))
-            .max()
-        {
-            config.clock.advance_to(max_logged);
-        }
-        let router = Router::new(config.faults.clone());
-        let (outputs_tx, outputs_rx) = unbounded();
-        let obs = Arc::new(tart_obs::ObsHub::new());
-        log.set_obs(Arc::clone(&obs));
-        store.set_obs(Arc::clone(&obs));
-        let standby = config.standby.clone().map(|s| {
-            StandbyPlane::start(
-                s,
-                spec.clone(),
-                placement.clone(),
-                config.clone(),
-                router.clone(),
-                outputs_tx.clone(),
-                Arc::clone(&obs),
-            )
-        });
-        let host = Arc::new(EngineHost {
-            spec,
-            placement,
-            config,
-            router,
-            outputs_tx,
-            engines: Mutex::new(HashMap::new()),
-            durable: Some(Arc::clone(&store)),
-            obs,
-            standby,
-        });
-        let mut cluster = Cluster {
-            host: Arc::clone(&host),
-            injectors: HashMap::new(),
-            sources: HashMap::new(),
-            log: Arc::new(Mutex::new(log)),
-            outputs_rx,
-            replay_service: None,
-            supervisor: None,
-        };
-        // Phase 1: register EVERY inbox (and the log-replay service) before
-        // any restore runs — restore sends replay requests to peers, which
-        // must queue in live channels rather than vanish.
-        let mut inboxes = Vec::new();
-        for engine in host.placement.engines() {
-            let (tx, rx) = unbounded::<Envelope>();
-            host.router.register(engine, tx.clone());
-            inboxes.push((engine, tx, rx));
-        }
-        for w in host.spec.external_inputs() {
-            let name = match w.from() {
-                tart_model::Endpoint::External { name } => name.clone(),
-                _ => unreachable!("external input wires start externally"),
-            };
-            let target_component = w.to().component().expect("external inputs feed components");
-            let target = host
-                .placement
-                .engine_of(target_component)
-                .expect("placement covers the app");
-            // Producers resume exactly where the log ends: the watermark
-            // floor guarantees post-restart sends continue the `prev_vt`
-            // chain past everything already durable.
-            let logged = cluster.log.lock().last_vt(w.id());
-            let state = Arc::new(Mutex::new(SourceState {
-                wire: w.id(),
-                target,
-                watermark: logged,
-                last_data: logged,
-                finished: false,
-            }));
-            cluster.sources.insert(w.id(), Arc::clone(&state));
-            cluster.injectors.insert(
-                name.clone(),
-                Injector {
-                    name,
-                    state,
-                    log: Arc::clone(&cluster.log),
-                    router: host.router.clone(),
-                    clock: Arc::clone(&host.config.clock),
-                },
-            );
-        }
-        cluster.spawn_replay_service();
+            .map(|(engine, ..)| {
+                let (tx, rx) = unbounded::<Envelope>();
+                host.router.register(*engine, tx.clone());
+                (tx, rx)
+            })
+            .collect();
         // Phase 2: restore each engine and start its loop.
         let components = component_recoveries(&host.spec, &host.placement, &d, &cluster.log.lock());
         let mut report = RecoveryReport {
@@ -1011,23 +806,21 @@ impl Cluster {
             engines: Vec::new(),
             components,
         };
-        for (engine, tx, rx) in inboxes {
-            let (chain, faults, generation, fell_back) = {
-                let idx = restored
-                    .iter()
-                    .position(|(e, ..)| *e == engine)
-                    .expect("restored covers every placed engine");
-                let (_, chain, faults, generation, fell_back) = restored.swap_remove(idx);
-                (chain, faults, generation, fell_back)
+        for ((engine, loaded, faults), (tx, rx)) in restart_points.into_iter().zip(inboxes) {
+            let (chain, generation, fell_back) = match loaded {
+                Some(l) => (l.chain, Some(l.generation), l.fell_back),
+                None => (Vec::new(), None, false),
             };
             let replica = ReplicaStore::new();
+            let head_start = host.attach_standby(engine, &replica);
             // Hash-verified cold restart: the loaded chain passed the
             // store's CRC and seal checks, and restore re-derives the live
             // state hash against the recorded one — a divergent suffix is
             // discarded rather than resumed. A chain discarded to nothing
             // is terminal: tear down whatever already started and report,
             // rather than resuming an engine with its history erased.
-            let (core, diverged) = match host.restore_verified(engine, &replica, chain, &faults) {
+            let restored = match host.restore_verified(engine, &replica, chain, &faults, head_start)
+            {
                 Ok(restored) => restored,
                 Err(discarded) => {
                     for started in host.engine_ids() {
@@ -1035,67 +828,130 @@ impl Cluster {
                     }
                     host.router.send(EXTERNAL_ENGINE, Envelope::Die);
                     return Err(DeployError::DurabilityUnavailable(format!(
-                        "engine {engine}: all {discarded} restored checkpoint generations failed verification"
-                    )));
+                            "engine {engine}: all {discarded} restored checkpoint generations failed verification"
+                        )));
                 }
             };
-            let fell_back = fell_back || diverged;
-            let metrics = core.metrics_handle();
-            let thread = host.spawn_engine_loop(engine, core, rx, true);
-            host.engines.lock().insert(
-                engine,
-                EngineSlot {
-                    sender: tx,
-                    thread: Some(thread),
-                    replica,
-                    metrics,
-                    alive: true,
-                },
-            );
+            host.launch(engine, restored.core, tx, rx, replica, true);
             report.engines.push(EngineRecovery {
                 engine,
                 generation,
-                fell_back,
+                fell_back: fell_back || restored.fell_back,
             });
         }
-        if let Some(supervision) = host.config.supervision.clone() {
-            cluster.supervisor = Some(Supervisor::start(Arc::clone(&host), supervision));
-        }
+        cluster.start_supervisor();
         Ok((cluster, report))
+    }
+
+    /// Everything [`Cluster::deploy`] and [`Cluster::recover_from_disk`]
+    /// share: router, obs hub, standby plane, host, one injector per
+    /// external producer and the log-replay service, around whichever `log`
+    /// and checkpoint store the caller opened. No engine runs yet. Producers
+    /// resume exactly where the log ends — nowhere, for a fresh one — so
+    /// after a cold restart the watermark floor continues the `prev_vt`
+    /// chain, and the clock the timeline, past everything already durable.
+    fn assemble(
+        spec: AppSpec,
+        placement: Placement,
+        config: ClusterConfig,
+        mut log: MessageLog,
+        durable: Option<Arc<CheckpointStore>>,
+    ) -> Cluster {
+        let router = Router::new(config.faults.clone());
+        let (outputs_tx, outputs_rx) = unbounded();
+        let obs = Arc::new(tart_obs::ObsHub::new());
+        if let Some(d) = &config.durability {
+            apply_wire_tiers(&spec, &placement, d, &mut log);
+        }
+        log.set_obs(Arc::clone(&obs));
+        if let Some(store) = &durable {
+            store.set_obs(Arc::clone(&obs));
+        }
+        let mut sources = HashMap::new();
+        let mut injectors = HashMap::new();
+        let log = Arc::new(Mutex::new(log));
+        for w in spec.external_inputs() {
+            let name = match w.from() {
+                tart_model::Endpoint::External { name } => name.clone(),
+                _ => unreachable!("external input wires start externally"),
+            };
+            let target_component = w.to().component().expect("external inputs feed components");
+            let target = placement
+                .engine_of(target_component)
+                .expect("placement covers the app");
+            let logged = log.lock().last_vt(w.id());
+            if let Some(vt) = logged {
+                config.clock.advance_to(vt);
+            }
+            let state = Arc::new(Mutex::new(SourceState {
+                wire: w.id(),
+                target,
+                watermark: logged,
+                last_data: logged,
+                finished: false,
+            }));
+            sources.insert(w.id(), Arc::clone(&state));
+            injectors.insert(
+                name.clone(),
+                Injector {
+                    name,
+                    state,
+                    log: Arc::clone(&log),
+                    router: router.clone(),
+                    clock: Arc::clone(&config.clock),
+                },
+            );
+        }
+        let host = Arc::new_cyclic(|host| EngineHost {
+            standby: config
+                .standby
+                .clone()
+                .map(|cfg| StandbyPlane::start(cfg, router.clone(), host.clone())),
+            spec,
+            placement,
+            config,
+            router,
+            outputs_tx,
+            engines: Mutex::new(HashMap::new()),
+            durable,
+            obs,
+        });
+        let mut cluster = Cluster {
+            host,
+            injectors,
+            log,
+            outputs_rx,
+            replay_service: None,
+            supervisor: None,
+        };
+        cluster.spawn_replay_service(sources);
+        cluster
+    }
+
+    fn start_supervisor(&mut self) {
+        if let Some(supervision) = self.host.config.supervision.clone() {
+            self.supervisor = Some(Supervisor::start(Arc::clone(&self.host), supervision));
+        }
     }
 
     /// The replay service answers replay requests for external wires from
     /// the message log (§II.F.4: external messages "are re-sent from the
     /// log").
-    fn spawn_replay_service(&mut self) {
+    fn spawn_replay_service(&mut self, sources: HashMap<WireId, Arc<Mutex<SourceState>>>) {
         let (tx, rx) = unbounded::<Envelope>();
         self.host.router.register(EXTERNAL_ENGINE, tx);
         let router = self.host.router.clone();
         let log = Arc::clone(&self.log);
-        let sources: HashMap<WireId, Arc<Mutex<SourceState>>> = self
-            .sources
-            .iter()
-            .map(|(w, s)| (*w, Arc::clone(s)))
-            .collect();
-        let targets: HashMap<WireId, EngineId> = self
-            .host
-            .spec
-            .external_inputs()
-            .iter()
-            .filter_map(|w| {
-                let c = w.to().component()?;
-                Some((w.id(), self.host.placement.engine_of(c)?))
-            })
-            .collect();
         let thread = std::thread::Builder::new()
             .name("tart-log-replay".into())
             .spawn(move || {
                 while let Ok(env) = rx.recv() {
                     match env {
                         Envelope::ReplayRequest { wire, from } => {
-                            let Some(&target) = targets.get(&wire) else {
+                            let Some(source) = sources.get(&wire) else {
                                 continue;
                             };
+                            let target = source.lock().target;
                             let frames = log.lock().replay_from(wire, from);
                             let count = frames.len() as u64;
                             let mut prev = VirtualTime::ZERO;
@@ -1111,17 +967,14 @@ impl Cluster {
                                 );
                                 prev = vt;
                             }
-                            let through = sources
-                                .get(&wire)
-                                .map(|s| {
-                                    let s = s.lock();
-                                    if s.finished {
-                                        VirtualTime::MAX
-                                    } else {
-                                        s.watermark.unwrap_or(VirtualTime::ZERO)
-                                    }
-                                })
-                                .unwrap_or(VirtualTime::ZERO);
+                            let through = {
+                                let s = source.lock();
+                                if s.finished {
+                                    VirtualTime::MAX
+                                } else {
+                                    s.watermark.unwrap_or(VirtualTime::ZERO)
+                                }
+                            };
                             router.send(
                                 target,
                                 Envelope::ReplayDone {
@@ -1211,7 +1064,7 @@ impl Cluster {
     }
 
     /// The warm-standby slot view for `engine`: `None` when no standby
-    /// plane is configured or no stream member has arrived yet.
+    /// plane is configured or `engine` was never deployed.
     pub fn standby_status(&self, engine: EngineId) -> Option<StandbyStatus> {
         self.host.standby.as_ref().and_then(|p| p.status(engine))
     }
@@ -1573,5 +1426,118 @@ impl fmt::Debug for Cluster {
             .field("injectors", &self.injectors.len())
             .field("supervised", &self.supervisor.is_some())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::StandbyConfig;
+    use tart_model::reference::fan_in_app;
+
+    const SENTENCES: &[(&str, &str)] = &[
+        ("client1", "alpha beta gamma"),
+        ("client2", "beta gamma delta"),
+        ("client1", "gamma delta epsilon"),
+        ("client2", "delta epsilon alpha"),
+        ("client1", "epsilon alpha beta"),
+        ("client2", "alpha beta gamma delta"),
+    ];
+    const ENGINE: EngineId = EngineId::new(0);
+
+    /// One engine, a checkpoint per message, a one-tick warm standby.
+    fn deploy() -> Cluster {
+        let spec = fan_in_app(2).expect("valid app");
+        let config = ClusterConfig::logical_time()
+            .with_checkpoint_every(1)
+            .with_warm_standby(StandbyConfig {
+                trailing_horizon_ticks: 1,
+                apply_interval: Duration::from_millis(1),
+            });
+        Cluster::deploy(spec.clone(), Placement::single_engine(&spec), config).expect("deploys")
+    }
+
+    fn send(cluster: &Cluster, sentences: &[(&str, &str)]) {
+        for (client, sentence) in sentences {
+            let injector = cluster.injector(client).expect("injector");
+            injector.send(Value::from(*sentence));
+        }
+    }
+
+    fn await_standby(cluster: &Cluster, pred: impl Fn(&StandbyStatus) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !cluster.standby_status(ENGINE).is_some_and(|s| pred(&s)) {
+            let status = cluster.standby_status(ENGINE);
+            assert!(Instant::now() < deadline, "standby stuck at {status:?}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    fn finish(cluster: Cluster) -> Vec<(VirtualTime, String)> {
+        cluster.finish_inputs();
+        Cluster::dedup_outputs(cluster.shutdown())
+            .into_iter()
+            .map(|o| (o.vt, o.payload.to_string()))
+            .collect()
+    }
+
+    /// The seal covers `retention`, which a restore replays from every
+    /// chain member, and the state digests do not. A full generation whose
+    /// retention was rewritten after sealing therefore passes every digest
+    /// check; only the seal catches it. The cold path truncates the chain
+    /// there, so the standby must refuse to carry its core past it.
+    #[test]
+    fn standby_refuses_a_full_generation_with_a_broken_seal() {
+        let reference = {
+            let cluster = deploy();
+            send(&cluster, SENTENCES);
+            finish(cluster)
+        };
+
+        let mut cluster = deploy();
+        send(&cluster, &SENTENCES[..4]);
+        await_standby(&cluster, |s| s.anchored && s.applied >= 1);
+
+        let replica = cluster.host.engines.lock()[&ENGINE].replica.clone();
+        let chain = replica.chain();
+        let newest = chain.last().expect("anchored on something");
+        let mut forged = chain[0].clone();
+        assert!(forged.is_self_contained(), "chains open with a full");
+        forged.seq = newest.seq + 1;
+        let bogus = (VirtualTime::from_ticks(1), Value::from("never sent"));
+        forged
+            .retention
+            .entry(WireId::new(0))
+            .or_default()
+            .push(bogus);
+        assert!(seal_step(None, 0, &forged).is_err(), "seal is now stale");
+        replica.push_checkpoint(forged);
+        // A later capture, so everything before it leaves the horizon.
+        let mut later = newest.clone();
+        for clock in later.clocks.values_mut() {
+            *clock = VirtualTime::from_ticks(clock.as_ticks() + 1_000);
+        }
+        replica.push_checkpoint(later);
+
+        await_standby(&cluster, |s| !s.anchored);
+        let status = cluster.standby_status(ENGINE).expect("slot exists");
+        assert!(!status.demoted, "a refused member is not divergence");
+        assert!(status.pending >= 2, "the cursor parks at the forged member");
+
+        cluster.kill(ENGINE);
+        cluster.promote(ENGINE).expect("cold promotion succeeds");
+        send(&cluster, &SENTENCES[4..]);
+        let snap = cluster.obs_snapshot();
+        assert_eq!(
+            (snap.warm_promotions, snap.cold_promotions),
+            (0, 1),
+            "a parked standby is no head start"
+        );
+        assert_eq!(snap.standby_demotions, 0);
+        assert_eq!(
+            finish(cluster),
+            reference,
+            "the cold path truncated the forged member and replayed around it"
+        );
     }
 }

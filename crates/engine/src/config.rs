@@ -136,9 +136,9 @@ impl SupervisionConfig {
 
 /// Warm-standby (hot-failover) tuning.
 ///
-/// Enabled via [`ClusterConfig::with_warm_standby`]. Each supervised engine
-/// streams its soft checkpoints and external-input head to a passive
-/// standby plane (LLFT-style leader-follower replication); the standby
+/// Enabled via [`ClusterConfig::with_warm_standby`]. A passive standby
+/// plane tails each engine's replica chain and hears its external-input
+/// head (LLFT-style leader-follower replication); the standby
 /// pre-applies checkpoints in the background once they trail the primary's
 /// virtual-time head by `trailing_horizon_ticks`, verifying every applied
 /// checkpoint against its recorded state hash. Promotion then replays only
@@ -148,7 +148,7 @@ impl SupervisionConfig {
 #[derive(Clone, Debug)]
 pub struct StandbyConfig {
     /// How far (in virtual-time ticks ≈ ns) the standby trails the
-    /// primary's head before pre-applying a streamed checkpoint. The
+    /// primary's head before pre-applying a shipped checkpoint. The
     /// margin keeps the standby from racing ahead of retention trims while
     /// bounding the replay tail a promotion must cover.
     pub trailing_horizon_ticks: u64,
@@ -288,10 +288,6 @@ pub struct ClusterConfig {
     /// How long an engine blocks on an empty inbox before re-evaluating
     /// (also the re-probe period after lost probes), in microseconds.
     pub idle_poll_micros: u64,
-    /// Persist the external-input log to this CRC-protected append-only
-    /// file (the paper's "stable storage" flavour, §II.E); `None` keeps the
-    /// log in memory only (the "backup machine" flavour).
-    pub log_path: Option<std::path::PathBuf>,
     /// Dynamic re-tuning (§II.G.4): after this many measured handler
     /// executions, a component's estimator is re-fitted by linear
     /// regression on block 0 and installed as a determinism fault.
@@ -303,11 +299,10 @@ pub struct ClusterConfig {
     pub supervision: Option<SupervisionConfig>,
     /// Crash-safe durability: segmented WAL + on-disk checkpoint store.
     /// `None` (the default) keeps all recovery state in memory, where a
-    /// whole-process crash is unrecoverable. Supersedes `log_path` when
-    /// both are set.
+    /// whole-process crash is unrecoverable.
     pub durability: Option<DurabilityConfig>,
-    /// Warm-standby failover: stream checkpoints to a passive replica that
-    /// pre-applies them up to a trailing horizon, so promotion replays only
+    /// Warm-standby failover: a passive plane pre-applies each engine's
+    /// checkpoint chain up to a trailing horizon, so promotion replays only
     /// the unapplied tail. `None` (the default) keeps promotion on the cold
     /// path (full chain replay through `restore_verified`).
     pub standby: Option<StandbyConfig>,
@@ -336,7 +331,6 @@ impl ClusterConfig {
             clock: Arc::new(RealClock::new()),
             faults: FaultPlan::none(),
             idle_poll_micros: 200,
-            log_path: None,
             auto_recalibrate_after: None,
             supervision: None,
             durability: None,
@@ -376,12 +370,6 @@ impl ClusterConfig {
     /// Sets the fault plan (builder style).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
-        self
-    }
-
-    /// Persists the external-input log to `path` (builder style).
-    pub fn with_log_file(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.log_path = Some(path.into());
         self
     }
 
@@ -489,8 +477,8 @@ impl ClusterConfig {
         self
     }
 
-    /// Enables warm-standby failover (builder style): checkpoints stream
-    /// to a passive standby plane that pre-applies them up to the
+    /// Enables warm-standby failover (builder style): a passive standby
+    /// plane pre-applies each engine's checkpoint chain up to the
     /// configured trailing horizon, bounding promotion latency (see
     /// [`StandbyConfig`]).
     ///

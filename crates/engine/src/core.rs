@@ -543,10 +543,10 @@ impl EngineCore {
             // Heartbeats are addressed to the supervisor inbox, never to an
             // engine; one arriving here (a mis-route) is ignored.
             Envelope::Heartbeat { .. } => Flow::Continue,
-            // Standby replication streams are addressed to the standby
-            // plane's sentinel inbox, never to an engine; one arriving here
-            // (a mis-route) is ignored.
-            Envelope::StandbyCheckpoint { .. } | Envelope::StandbyInput { .. } => Flow::Continue,
+            // Input-head advances are addressed to the standby plane's
+            // sentinel inbox, never to an engine; one arriving here (a
+            // mis-route) is ignored.
+            Envelope::StandbyInput { .. } => Flow::Continue,
             Envelope::Die => Flow::Die,
             Envelope::Drain => Flow::Drain,
         }
@@ -1407,12 +1407,7 @@ impl EngineCore {
             &ckpt.consumed,
             &ckpt.sent,
         );
-        let prev_seal = if ckpt.is_self_contained() {
-            StateHash::ZERO
-        } else {
-            self.last_chain_seal
-        };
-        ckpt.seal(&prev_seal);
+        ckpt.seal(&self.last_chain_seal);
         self.last_chain_seal = ckpt.chain_seal;
         self.obs
             .state_hashes_computed(ckpt.component_hashes.len() as u64 + 1);
@@ -1438,18 +1433,7 @@ impl EngineCore {
             Some(store) => store.persist_with(&ckpt, self.durable_sync).is_ok(),
             None => true,
         };
-        // Warm standby: stream the checkpoint to the standby plane so the
-        // passive side can pre-apply it in the background. Fire-and-forget;
-        // the `ReplicaStore` push below remains the correctness path, so a
-        // lost or ignored stream member costs warmth, never recoverability.
-        if self.config.standby.is_some() {
-            self.router.send(
-                crate::router::STANDBY_ENGINE,
-                Envelope::StandbyCheckpoint {
-                    ckpt: Box::new(ckpt.clone()),
-                },
-            );
-        }
+        // Shipped once: a warm standby tails this same chain by cursor.
         self.replica.push_checkpoint(ckpt);
         if !persisted {
             // The disk refused the new generation: upstream retention must
@@ -1511,12 +1495,26 @@ impl EngineCore {
         chain: &[EngineCheckpoint],
         faults: &[(ComponentId, DeterminismFault)],
     ) -> Result<(), DivergenceFault> {
+        self.restore_from(chain, 0, faults)
+    }
+
+    /// [`EngineCore::restore`] for a core that already carries the chain's
+    /// first `applied` members — a warm standby's head start; a fresh core
+    /// passes 0. Only the snapshots after them are applied; bookkeeping,
+    /// retention, the tail digests and replay arming then run over the
+    /// whole chain exactly as a from-scratch restore runs them.
+    pub(crate) fn restore_from(
+        &mut self,
+        chain: &[EngineCheckpoint],
+        applied: usize,
+        faults: &[(ComponentId, DeterminismFault)],
+    ) -> Result<(), DivergenceFault> {
         // Apply snapshots in shipped order.
-        for ckpt in chain {
+        for ckpt in &chain[applied..] {
             self.apply_member_snapshots(ckpt);
         }
         self.apply_faults(faults);
-        if chain.last().is_none() {
+        if chain.is_empty() {
             // No checkpoint ever shipped: restart from scratch; replay
             // everything from the beginning.
             let wires: Vec<WireId> = self.wire_source.keys().copied().collect();
@@ -1551,7 +1549,7 @@ impl EngineCore {
     /// (§II.G.4), whether or not a checkpoint was ever shipped — replay
     /// must use the old estimator up to each logged switch point and the
     /// new one after (the paper's time-100,000,000 example).
-    pub(crate) fn apply_faults(&mut self, faults: &[(ComponentId, DeterminismFault)]) {
+    fn apply_faults(&mut self, faults: &[(ComponentId, DeterminismFault)]) {
         for (cid, fault) in faults {
             if let Some(schedule) = self.estimators.get_mut(cid) {
                 schedule
@@ -1619,10 +1617,7 @@ impl EngineCore {
     /// Completes a restore whose component snapshots are already applied:
     /// scheduler bookkeeping and retention from the chain, digest
     /// verification at the tail, re-emission of retained external outputs,
-    /// and replay-request arming for every input wire. Factored out of
-    /// [`EngineCore::restore`] so a warm promotion — whose standby core
-    /// pre-applied most of the chain in the background — runs the same
-    /// activation over a chain it mostly already carries.
+    /// and replay-request arming for every input wire.
     ///
     /// # Errors
     ///
@@ -1631,11 +1626,8 @@ impl EngineCore {
     /// # Panics
     ///
     /// Panics on an empty chain (the empty case restores vacuously in
-    /// [`EngineCore::restore`] and never reaches here).
-    pub(crate) fn finish_restore(
-        &mut self,
-        chain: &[EngineCheckpoint],
-    ) -> Result<(), DivergenceFault> {
+    /// [`EngineCore::restore_from`] and never reaches here).
+    fn finish_restore(&mut self, chain: &[EngineCheckpoint]) -> Result<(), DivergenceFault> {
         let last = chain
             .last()
             .expect("finish_restore requires a non-empty chain");

@@ -8,8 +8,6 @@ use tart_silence::SilencePolicy;
 use tart_vtime::ComponentId;
 use tart_vtime::{EngineId, VirtualTime, WireId};
 
-use crate::checkpoint::EngineCheckpoint;
-
 /// Everything that travels between engines (and from injectors into
 /// engines).
 ///
@@ -126,16 +124,6 @@ pub enum Envelope {
         /// after failover, letting the supervisor spot the new incarnation).
         seq: u64,
     },
-    /// A soft checkpoint streamed from a primary engine to its warm
-    /// standby (LLFT-style leader-follower replication). Travels the
-    /// reliable control plane; the standby pre-applies it in the background
-    /// once it trails the primary's virtual-time head by the configured
-    /// horizon, verifying its recorded `state_hash` as it goes.
-    StandbyCheckpoint {
-        /// The streamed checkpoint (boxed: checkpoints are large relative
-        /// to every other envelope kind).
-        ckpt: Box<EngineCheckpoint>,
-    },
     /// The primary's virtual-time head advancing: one logged external
     /// input was delivered at `vt` on `wire`. The standby uses the head to
     /// compute its trailing horizon and its replication lag; the payload
@@ -186,7 +174,10 @@ const TAG_RECALIBRATE: u8 = 9;
 const TAG_EOS: u8 = 10;
 const TAG_SET_SILENCE: u8 = 11;
 const TAG_HEARTBEAT: u8 = 12;
-const TAG_STANDBY_CHECKPOINT: u8 = 13;
+// 13 is retired (it carried a second copy of every checkpoint to the warm
+// standby, which now tails the replica chain instead). Never reassign it: a
+// peer still speaking the old protocol must get an unknown-tag error, not a
+// misparse.
 const TAG_STANDBY_INPUT: u8 = 14;
 
 impl Encode for Envelope {
@@ -264,10 +255,6 @@ impl Encode for Envelope {
                 engine.encode(buf);
                 seq.encode(buf);
             }
-            Envelope::StandbyCheckpoint { ckpt } => {
-                buf.put_u8(TAG_STANDBY_CHECKPOINT);
-                ckpt.encode(buf);
-            }
             Envelope::StandbyInput { engine, wire, vt } => {
                 buf.put_u8(TAG_STANDBY_INPUT);
                 engine.encode(buf);
@@ -326,9 +313,6 @@ impl Decode for Envelope {
             TAG_HEARTBEAT => Ok(Envelope::Heartbeat {
                 engine: EngineId::decode(r)?,
                 seq: u64::decode(r)?,
-            }),
-            TAG_STANDBY_CHECKPOINT => Ok(Envelope::StandbyCheckpoint {
-                ckpt: Box::new(EngineCheckpoint::decode(r)?),
             }),
             TAG_STANDBY_INPUT => Ok(Envelope::StandbyInput {
                 engine: EngineId::decode(r)?,
@@ -401,9 +385,6 @@ mod tests {
                 engine: EngineId::new(5),
                 seq: u64::MAX,
             },
-            Envelope::StandbyCheckpoint {
-                ckpt: Box::new(EngineCheckpoint::new(EngineId::new(2), 7)),
-            },
             Envelope::StandbyInput {
                 engine: EngineId::new(2),
                 wire: w,
@@ -475,25 +456,24 @@ mod tests {
             "the failure detector must not be confused by injected link faults"
         );
         assert!(
-            !Envelope::StandbyCheckpoint {
-                ckpt: Box::new(EngineCheckpoint::new(EngineId::new(0), 0))
+            !Envelope::StandbyInput {
+                engine: EngineId::new(0),
+                wire: w,
+                vt: vt(1)
             }
             .faultable(),
             "standby replication rides the reliable control plane"
         );
-        assert!(!Envelope::StandbyInput {
-            engine: EngineId::new(0),
-            wire: w,
-            vt: vt(1)
-        }
-        .faultable());
     }
 
     #[test]
-    fn junk_tag_rejected() {
-        assert!(matches!(
-            Envelope::from_bytes(&[42]),
-            Err(DecodeError::InvalidTag { tag: 42, .. })
-        ));
+    fn junk_and_retired_tags_rejected() {
+        // 13 once streamed checkpoints to the standby; it stays unknown.
+        for tag in [13, 42] {
+            assert!(matches!(
+                Envelope::from_bytes(&[tag]),
+                Err(DecodeError::InvalidTag { tag: t, .. }) if t == tag
+            ));
+        }
     }
 }

@@ -10,7 +10,7 @@
 //!   silence; data envelopes chain their predecessor's virtual time so a
 //!   receiver can detect losses.
 //! * **Logging** — only messages from *external producers* are logged
-//!   ([`MessageLog`], in memory or in a CRC-protected append-only file);
+//!   ([`MessageLog`], in memory or in the segmented, CRC-framed [`Wal`]);
 //!   inter-component traffic is never logged.
 //! * **Soft checkpointing** — engines periodically capture incremental
 //!   [`EngineCheckpoint`]s and ship them asynchronously to a passive

@@ -8,12 +8,10 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{BufReader, Read, Write};
 use std::path::Path;
 
 use bytes::BytesMut;
-use tart_codec::{crc32, Decode, DecodeError, Encode};
+use tart_codec::{Decode, DecodeError, Encode};
 use tart_model::Value;
 use tart_vtime::{VirtualTime, WireId};
 
@@ -22,8 +20,6 @@ use crate::wal::{DurabilityPolicy, FsyncPolicy, Wal, WalError, WalRecovery};
 /// Errors from the message log.
 #[derive(Debug)]
 pub enum LogError {
-    /// Underlying file I/O failed.
-    Io(std::io::Error),
     /// A persisted record failed its CRC or decode check.
     Corrupt(DecodeError),
     /// The segmented-WAL backend failed.
@@ -40,7 +36,6 @@ pub enum LogError {
 impl fmt::Display for LogError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LogError::Io(e) => write!(f, "log i/o failed: {e}"),
             LogError::Corrupt(e) => write!(f, "log record corrupt: {e}"),
             LogError::Storage(e) => write!(f, "log storage failed: {e}"),
             LogError::NonMonotonic { wire, got } => {
@@ -56,17 +51,10 @@ impl fmt::Display for LogError {
 impl std::error::Error for LogError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            LogError::Io(e) => Some(e),
             LogError::Corrupt(e) => Some(e),
             LogError::Storage(e) => Some(e),
             LogError::NonMonotonic { .. } => None,
         }
-    }
-}
-
-impl From<std::io::Error> for LogError {
-    fn from(e: std::io::Error) -> Self {
-        LogError::Io(e)
     }
 }
 
@@ -109,7 +97,7 @@ impl Decode for LogRecord {
 }
 
 /// An append-only log of timestamped external messages, indexed by wire,
-/// optionally persisted to a CRC-protected file.
+/// optionally persisted to the segmented [`Wal`].
 ///
 /// # Example
 ///
@@ -159,8 +147,6 @@ pub struct LogCrash {
 enum Backend {
     /// Nowhere: in-memory only (the "backup machine" flavour).
     Memory,
-    /// A single flat file, flushed but never fsynced (legacy flavour).
-    File(File),
     /// The segmented WAL with fsync policy (the durable flavour).
     Wal(Wal),
 }
@@ -175,25 +161,6 @@ impl MessageLog {
             window: VecDeque::new(),
             memory_only: BTreeMap::new(),
         }
-    }
-
-    /// Creates (or truncates) a file-backed log (the "stable storage"
-    /// flavour). Each record is length-prefixed and CRC-protected.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Io`] if the file cannot be created.
-    pub fn file_backed(path: impl AsRef<Path>) -> Result<Self, LogError> {
-        let file = OpenOptions::new()
-            // tart-lint: allow(TAINT-FLOW) -- identifier collision: `OpenOptions::create`, not `Wal::create` (chained receivers are untyped, DESIGN.md §17)
-            .create(true)
-            .write(true)
-            .truncate(true)
-            // tart-lint: allow(TAINT-FLOW) -- identifier collision: `OpenOptions::open`, see above
-            .open(path)?;
-        let mut log = MessageLog::in_memory();
-        log.backend = Backend::File(file);
-        Ok(log)
     }
 
     /// Opens (or creates) a log backed by the segmented [`Wal`] in `dir`,
@@ -222,7 +189,7 @@ impl MessageLog {
     }
 
     /// Attaches the observability hub to the WAL backend (no-op for the
-    /// in-memory and flat-file flavours): group-commit window occupancy and
+    /// in-memory flavour): group-commit window occupancy and
     /// per-tier fsync latency are recorded at every sync.
     pub fn set_obs(&mut self, hub: std::sync::Arc<tart_obs::ObsHub>) {
         if let Backend::Wal(wal) = &mut self.backend {
@@ -238,58 +205,6 @@ impl MessageLog {
     /// Unpinned wires keep the legacy policy-driven path.
     pub fn set_wire_tier(&mut self, wire: WireId, tier: DurabilityPolicy) {
         self.wire_tiers.insert(wire, tier);
-    }
-
-    /// Recovers a log from a previously written flat file, verifying every
-    /// record's CRC. A torn **or corrupt** final record (partial write or
-    /// bit-rot at the moment of the crash) is physically truncated away so
-    /// later appends land cleanly; corruption before the final record is an
-    /// error — that is stable storage decaying, not a crash artifact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Io`] on read failure or [`LogError::Corrupt`] on
-    /// mid-file CRC/decode mismatch.
-    pub fn recover(path: impl AsRef<Path>) -> Result<Self, LogError> {
-        let path = path.as_ref();
-        let mut reader = BufReader::new(File::open(path)?); // tart-lint: allow(AMBIENT-ENV) -- recovery reads the message log itself: the log IS the logged input channel
-        let mut bytes = Vec::new();
-        reader.read_to_end(&mut bytes)?;
-        let mut log = MessageLog::in_memory();
-        let mut pos = 0;
-        while pos < bytes.len() {
-            // Frame: u32 length (BE) | u32 crc (BE) | record bytes.
-            if pos + 8 > bytes.len() {
-                break; // torn header
-            }
-            let len = u32::from_be_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            let crc = u32::from_be_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-            if pos + 8 + len > bytes.len() {
-                break; // torn body
-            }
-            let body = &bytes[pos + 8..pos + 8 + len];
-            if crc32(body) != crc {
-                if pos + 8 + len == bytes.len() {
-                    break; // corrupt *final* record: a crash artifact
-                }
-                return Err(LogError::Corrupt(DecodeError::ChecksumMismatch));
-            }
-            let record = LogRecord::from_bytes(body)?;
-            log.insert(record)?;
-            pos += 8 + len;
-        }
-        if (pos as u64) < bytes.len() as u64 {
-            // Truncate the torn tail in place so the append cursor starts
-            // at the last valid record, not after garbage.
-            // tart-lint: allow(TAINT-FLOW) -- identifier collision: `OpenOptions::open`, not `CheckpointStore::open` (chained receiver, DESIGN.md §17)
-            let f = OpenOptions::new().write(true).open(path)?;
-            f.set_len(pos as u64)?;
-            f.sync_all()?;
-        }
-        // Re-open for appending.
-        // tart-lint: allow(TAINT-FLOW) -- identifier collision: `OpenOptions::append`/`open` builder methods, not the WAL's (chained receiver, DESIGN.md §17)
-        log.backend = Backend::File(OpenOptions::new().append(true).open(path)?);
-        Ok(log)
     }
 
     fn insert(&mut self, record: LogRecord) -> Result<(), LogError> {
@@ -311,7 +226,7 @@ impl MessageLog {
     /// # Errors
     ///
     /// Returns [`LogError::NonMonotonic`] if `vt` does not exceed the wire's
-    /// last logged timestamp, or [`LogError::Io`] if persistence fails.
+    /// last logged timestamp, or [`LogError::Storage`] if persistence fails.
     pub fn append(
         &mut self,
         wire: WireId,
@@ -333,14 +248,6 @@ impl MessageLog {
         }
         match &mut self.backend {
             Backend::Memory => {}
-            Backend::File(file) => {
-                let mut frame = Vec::with_capacity(body.len() + 8);
-                frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
-                frame.extend_from_slice(&crc32(&body).to_be_bytes());
-                frame.extend_from_slice(&body);
-                file.write_all(&frame)?;
-                file.flush()?;
-            }
             Backend::Wal(wal) => match tier {
                 // tart-lint: allow(TAINT-FLOW) -- durable append: the WAL ack carries no clock reading; record bytes, not group-commit times, enter the log
                 None => wal.append(&body)?,
@@ -365,9 +272,8 @@ impl MessageLog {
     /// Simulates a hard crash of the logging process: the WAL's open flush
     /// window is dropped on the floor (closed windows already queued for
     /// the flusher still drain to the kernel) and the per-wire cost is
-    /// reported. In-memory and flat-file backends lose nothing extra — the
-    /// flat file is flushed on every append — but memory-only wires are
-    /// still reported.
+    /// reported. The in-memory backend loses nothing extra, but memory-only
+    /// wires are still reported.
     ///
     /// After this call the log refuses further appends on the WAL backend;
     /// it exists for crash drills, not production shutdown.
@@ -392,14 +298,10 @@ impl MessageLog {
     ///
     /// # Errors
     ///
-    /// Returns [`LogError::Io`]/[`LogError::Storage`] if the fsync fails.
+    /// Returns [`LogError::Storage`] if the fsync fails.
     pub fn sync(&mut self) -> Result<(), LogError> {
         match &mut self.backend {
             Backend::Memory => Ok(()),
-            Backend::File(file) => {
-                file.flush()?;
-                file.sync_all().map_err(LogError::from)
-            }
             Backend::Wal(wal) => wal.sync().map_err(LogError::from),
         }
     }
@@ -439,7 +341,6 @@ impl fmt::Debug for MessageLog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let backend = match &self.backend {
             Backend::Memory => "memory",
-            Backend::File(_) => "file",
             Backend::Wal(_) => "wal",
         };
         f.debug_struct("MessageLog")
@@ -493,112 +394,6 @@ mod tests {
         assert!(log.append(w(0), vt(5), &Value::Unit).is_err());
         // Other wires are independent timelines.
         log.append(w(1), vt(5), &Value::Unit).unwrap();
-    }
-
-    #[test]
-    fn file_round_trip_with_crc() {
-        let dir = std::env::temp_dir().join(format!("tart-log-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("round_trip.log");
-        {
-            let mut log = MessageLog::file_backed(&path).unwrap();
-            log.append(w(0), vt(100), &Value::from("first")).unwrap();
-            log.append(w(0), vt(200), &Value::from("second")).unwrap();
-            log.append(w(2), vt(150), &Value::I64(-5)).unwrap();
-        }
-        let recovered = MessageLog::recover(&path).unwrap();
-        assert_eq!(recovered.len(), 3);
-        assert_eq!(
-            recovered.replay_from(w(0), VirtualTime::ZERO),
-            vec![
-                (vt(100), Value::from("first")),
-                (vt(200), Value::from("second"))
-            ]
-        );
-        assert_eq!(recovered.replay_from(w(2), vt(150)).len(), 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn recovered_log_accepts_further_appends() {
-        let dir = std::env::temp_dir().join(format!("tart-log-test2-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("append.log");
-        {
-            let mut log = MessageLog::file_backed(&path).unwrap();
-            log.append(w(0), vt(1), &Value::I64(1)).unwrap();
-        }
-        {
-            let mut log = MessageLog::recover(&path).unwrap();
-            log.append(w(0), vt(2), &Value::I64(2)).unwrap();
-        }
-        let log = MessageLog::recover(&path).unwrap();
-        assert_eq!(log.len(), 2);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn torn_tail_is_discarded_corrupt_middle_is_error() {
-        let dir = std::env::temp_dir().join(format!("tart-log-test3-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-
-        // Torn tail: truncate the file mid-record.
-        let path = dir.join("torn.log");
-        {
-            let mut log = MessageLog::file_backed(&path).unwrap();
-            log.append(w(0), vt(1), &Value::from("keep")).unwrap();
-            log.append(w(0), vt(2), &Value::from("torn")).unwrap();
-        }
-        let full_len = std::fs::metadata(&path).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(full_len - 3).unwrap();
-        drop(f);
-        {
-            let mut log = MessageLog::recover(&path).unwrap();
-            assert_eq!(log.len(), 1, "torn final record discarded");
-            // The file was physically truncated: appending after recovery
-            // produces a clean log, not garbage mid-file.
-            log.append(w(0), vt(3), &Value::from("after")).unwrap();
-        }
-        let log = MessageLog::recover(&path).unwrap();
-        assert_eq!(
-            log.replay_from(w(0), VirtualTime::ZERO),
-            vec![(vt(1), Value::from("keep")), (vt(3), Value::from("after"))]
-        );
-
-        // Bit flip in the *final* record: a crash artifact — truncated, not
-        // fatal (regression for the whole-log Corrupt bug).
-        let path2 = dir.join("flip-tail.log");
-        {
-            let mut log = MessageLog::file_backed(&path2).unwrap();
-            log.append(w(0), vt(1), &Value::from("solid")).unwrap();
-            log.append(w(0), vt(2), &Value::from("rotten")).unwrap();
-        }
-        let mut bytes = std::fs::read(&path2).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        std::fs::write(&path2, &bytes).unwrap();
-        let log = MessageLog::recover(&path2).unwrap();
-        assert_eq!(log.len(), 1, "corrupt final record truncated");
-        assert_eq!(log.last_vt(w(0)), Some(vt(1)));
-
-        // Bit flip in a *mid-file* record: stable storage decay — an error.
-        let path3 = dir.join("flip-mid.log");
-        let first_len;
-        {
-            let mut log = MessageLog::file_backed(&path3).unwrap();
-            log.append(w(0), vt(1), &Value::from("early")).unwrap();
-            first_len = std::fs::metadata(&path3).unwrap().len() as usize;
-            log.append(w(0), vt(2), &Value::from("later")).unwrap();
-        }
-        let mut bytes = std::fs::read(&path3).unwrap();
-        bytes[first_len - 1] ^= 0xff; // last byte of the FIRST record
-        std::fs::write(&path3, &bytes).unwrap();
-        assert!(matches!(
-            MessageLog::recover(&path3),
-            Err(LogError::Corrupt(DecodeError::ChecksumMismatch))
-        ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -72,7 +72,7 @@ use tart_vtime::EngineId;
 use crate::{Envelope, Router};
 
 /// Maximum accepted frame body, guarding against corrupt length prefixes.
-pub(crate) const MAX_FRAME: u32 = 64 * 1024 * 1024;
+const MAX_FRAME: u32 = 64 * 1024 * 1024;
 
 /// Cap on envelopes coalesced into one batch frame, bounding frame size
 /// and the blast radius of a torn batch.
@@ -150,32 +150,69 @@ pub fn write_batch(
     w.write_all(scratch)
 }
 
-/// Reads the `len | crc | body` envelope of one frame; `Ok(None)` is a
-/// clean EOF at a frame boundary. Shared by the single and batch readers.
-fn read_verified_body(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut header = [0u8; 8];
-    // Distinguish clean EOF (no bytes) from a torn header.
-    match r.read(&mut header[..1])? {
-        0 => return Ok(None),
-        _ => r.read_exact(&mut header[1..])?,
-    }
+/// Body length a frame header declares, refused above [`MAX_FRAME`] —
+/// checked before anything is allocated or awaited on its say-so.
+fn declared_len(header: &[u8]) -> io::Result<usize> {
     let len = u32::from_be_bytes(header[..4].try_into().expect("4 bytes"));
-    let crc = u32::from_be_bytes(header[4..].try_into().expect("4 bytes"));
     if len > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
         ));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    if crc32(&body) != crc {
+    Ok(len as usize)
+}
+
+/// The one `len | crc | body` validator, incremental: the CRC-verified
+/// body of the frame at the front of `buf` (which spans `8 + body.len()`
+/// bytes), or `Ok(None)` while `buf` holds only a prefix of it.
+fn front_frame(buf: &[u8]) -> io::Result<Option<&[u8]>> {
+    if buf.len() < 8 {
+        return Ok(None);
+    }
+    let total = 8 + declared_len(buf)?;
+    if buf.len() < total {
+        return Ok(None);
+    }
+    let crc = u32::from_be_bytes(buf[4..8].try_into().expect("4 bytes"));
+    let body = &buf[8..total];
+    if crc32(body) != crc {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "frame checksum mismatch",
         ));
     }
     Ok(Some(body))
+}
+
+/// Consumes one complete batch frame from the front of `buf`, or returns
+/// `Ok(None)` if the buffer holds only a prefix (a frame may arrive split
+/// across any number of reads). The reactor's inbound parser, and — fed
+/// exactly one frame's bytes — the blocking [`read_batch`].
+pub(crate) fn pop_frame(buf: &mut Vec<u8>) -> io::Result<Option<Vec<(EngineId, Envelope)>>> {
+    let Some(body) = front_frame(buf)? else {
+        return Ok(None);
+    };
+    let total = 8 + body.len();
+    let batch = decode_batch_body(body)?;
+    buf.drain(..total);
+    Ok(Some(batch))
+}
+
+/// Blocks for exactly one frame's bytes — the header, then the body length
+/// it declares; `Ok(None)` is a clean EOF at a frame boundary. Validation
+/// is left to the parser the bytes are handed to.
+fn read_frame_bytes(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+    let mut buf = vec![0u8; 8];
+    // Distinguish clean EOF (no bytes) from a torn header.
+    match r.read(&mut buf[..1])? {
+        0 => return Ok(None),
+        _ => r.read_exact(&mut buf[1..])?,
+    }
+    let len = declared_len(&buf)?;
+    buf.resize(8 + len, 0);
+    r.read_exact(&mut buf[8..])?;
+    Ok(Some(buf))
 }
 
 /// Reads one frame; `Ok(None)` signals a clean EOF at a frame boundary.
@@ -186,10 +223,11 @@ fn read_verified_body(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 /// body; `UnexpectedEof` on a mid-frame disconnect; and propagates other
 /// I/O failures.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(EngineId, Envelope)>> {
-    let Some(body) = read_verified_body(r)? else {
+    let Some(buf) = read_frame_bytes(r)? else {
         return Ok(None);
     };
-    <(EngineId, Envelope)>::from_bytes(&body)
+    let body = front_frame(&buf)?.expect("read_frame_bytes returns whole frames");
+    <(EngineId, Envelope)>::from_bytes(body)
         .map(Some)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
@@ -202,16 +240,14 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(EngineId, Envelope)>>
 ///
 /// Same contract as [`read_frame`].
 pub fn read_batch(r: &mut impl Read) -> io::Result<Option<Vec<(EngineId, Envelope)>>> {
-    let Some(body) = read_verified_body(r)? else {
-        return Ok(None);
-    };
-    decode_batch_body(&body).map(Some)
+    match read_frame_bytes(r)? {
+        Some(mut buf) => pop_frame(&mut buf),
+        None => Ok(None),
+    }
 }
 
 /// Decodes a CRC-verified batch body into its `(target, envelope)` pairs.
-/// Shared by the blocking [`read_batch`] and the reactor's incremental
-/// frame parser (`crate::reactor`).
-pub(crate) fn decode_batch_body(body: &[u8]) -> io::Result<Vec<(EngineId, Envelope)>> {
+fn decode_batch_body(body: &[u8]) -> io::Result<Vec<(EngineId, Envelope)>> {
     let invalid =
         |e: tart_codec::DecodeError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
     let mut rd = Reader::new(body);

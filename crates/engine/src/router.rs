@@ -38,11 +38,10 @@ pub(crate) const EXTERNAL_ENGINE: EngineId = EngineId::new(u32::MAX);
 pub(crate) const SUPERVISOR_ENGINE: EngineId = EngineId::new(u32::MAX - 1);
 
 /// Sentinel engine id under which the warm-standby plane registers: the
-/// inbox that collects [`Envelope::StandbyCheckpoint`] and
-/// [`Envelope::StandbyInput`] streams from every supervised primary. When
-/// no standby plane is running, streamed envelopes to this id vanish
-/// silently — replication is best-effort; the [`crate::ReplicaStore`]
-/// remains the correctness path.
+/// inbox that collects every primary's [`Envelope::StandbyInput`] head
+/// advances (the checkpoints themselves are read from each engine's
+/// [`crate::ReplicaStore`] chain, not sent). When no standby plane is
+/// running, envelopes to this id vanish silently.
 pub(crate) const STANDBY_ENGINE: EngineId = EngineId::new(u32::MAX - 2);
 
 use crate::Envelope;

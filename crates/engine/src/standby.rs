@@ -1,56 +1,61 @@
-//! The warm-standby plane: background pre-apply of streamed checkpoints.
+//! The warm-standby plane: background pre-apply of each engine's replica
+//! chain.
 //!
-//! With [`crate::StandbyConfig`] enabled, every engine streams its soft
-//! checkpoints ([`Envelope::StandbyCheckpoint`]) and external-input head
-//! advances ([`Envelope::StandbyInput`]) to the sentinel inbox this plane
-//! owns ([`crate::router::STANDBY_ENGINE`]). A single background thread
-//! keeps one passive [`EngineCore`] per streaming engine and pre-applies
-//! each checkpoint's component snapshots once it is at least
-//! [`crate::StandbyConfig::trailing_horizon_ticks`] of virtual time behind
-//! the engine's observed input head — verifying every applied member
-//! against its recorded state digests ([`EngineCore::verify_member`]).
+//! With [`crate::StandbyConfig`] enabled, a single background thread keeps
+//! one passive [`EngineCore`] per engine and **tails that engine's
+//! authoritative [`ReplicaStore`] chain by cursor** — the same chain a cold
+//! promotion restores from; there is no second checkpoint channel. The only
+//! thing an engine sends the plane is its external-input head
+//! ([`Envelope::StandbyInput`], to the sentinel inbox
+//! [`crate::router::STANDBY_ENGINE`]). A member is pre-applied once it is at
+//! least [`crate::StandbyConfig::trailing_horizon_ticks`] of virtual time
+//! behind the engine's observed head, after passing the same seal rule the
+//! cold path applies ([`seal_step`]) and being verified against its
+//! recorded state digests ([`EngineCore::verify_member`]).
 //!
 //! A hash mismatch **demotes** the slot: the tainted core is dropped and
-//! the slot refuses further stream members, so promotion falls back to the
-//! cold `restore_verified` path instead of taking over with bad state
-//! (LLFT's leader/follower discipline, hardened by DESIGN.md §15's
-//! verified replay). A stream gap — a delta whose base was never applied —
-//! merely de-anchors the slot until the next self-contained generation;
-//! gaps cost warmth, never correctness, because the authoritative
-//! [`crate::ReplicaStore`] chain is untouched by any of this.
+//! the slot stops absorbing, so promotion falls back to the cold restore
+//! instead of taking over with bad state (LLFT's leader/follower
+//! discipline, hardened by DESIGN.md §15's verified replay). A member that
+//! fails its seal parks the slot the same way without counting as
+//! divergence: the cold path will truncate the chain at that member, so
+//! nothing past it may be absorbed either.
 //!
-//! At promotion, [`StandbyPlane::take`] hands the pre-applied core (plus
-//! the `(seq, chain_seal)` coordinates of the last member it absorbed) to
-//! `EngineHost::promote`, which applies only the unapplied chain tail and
-//! runs the ordinary tail-digest activation.
+//! At promotion, [`StandbyPlane::attach`] hands over the pre-applied core
+//! and how many chain members it reflects; `EngineHost::promote` applies
+//! only the chain tail after that and runs the ordinary tail-digest
+//! activation.
 
 // Ops-plane module (tart-lint tier: Ops): the standby plane runs on wall-clock pacing and never feeds state back into the replayable core until promotion swaps a verified core in; the interprocedural TAINT-FLOW pass fences the boundary, so raw reads need no per-line allows here.
 #![allow(clippy::disallowed_methods, clippy::disallowed_types)]
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 
 use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
-use tart_model::{AppSpec, StateHash};
+use tart_model::StateHash;
 use tart_vtime::{EngineId, VirtualTime};
 
-use crate::cluster::dump_flight;
+use crate::checkpoint::seal_step;
+use crate::cluster::{dump_flight, EngineHost};
 use crate::config::StandbyConfig;
-use crate::core::{EngineCore, OutputRecord};
+use crate::core::EngineCore;
 use crate::router::STANDBY_ENGINE;
-use crate::{ClusterConfig, EngineCheckpoint, Envelope, Placement, ReplicaStore, Router};
+use crate::{EngineCheckpoint, Envelope, ReplicaStore, Router};
 
 /// Point-in-time view of one engine's standby slot (test and operator
 /// introspection; see [`crate::Cluster::standby_status`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StandbyStatus {
-    /// Stream members verified and pre-applied so far (across the slot's
+    /// Chain members verified and pre-applied so far (across the slot's
     /// current incarnation).
     pub applied: u64,
-    /// Checkpoints received but still inside the trailing horizon.
+    /// Chain members shipped but not yet absorbed — still inside the
+    /// trailing horizon, or behind a parked cursor. Always the replica
+    /// chain's length minus `applied`.
     pub pending: usize,
     /// Whether the slot currently holds a chain-consistent core (a warm
     /// takeover candidate).
@@ -59,65 +64,36 @@ pub struct StandbyStatus {
     pub demoted: bool,
 }
 
-/// What [`StandbyPlane::take`] hands to a warm promotion.
+/// What [`StandbyPlane::attach`] hands to a warm promotion.
 pub(crate) struct WarmCandidate {
     /// The pre-applied passive core.
     pub(crate) core: EngineCore,
-    /// Sequence number of the last chain member the core absorbed.
-    pub(crate) applied_seq: u64,
-    /// Chain seal of that member — promotion locates it in the
-    /// authoritative replica chain by `(seq, seal)` and applies only what
-    /// follows.
-    pub(crate) applied_seal: StateHash,
+    /// How many members of the replica chain, from its head, the core has
+    /// absorbed (each one seal-stepped and digest-verified).
+    pub(crate) applied: usize,
 }
 
-/// One engine's passive slot.
+/// One engine's passive slot for one incarnation.
 struct StandbySlot {
-    /// The background core; `None` until the first self-contained
-    /// checkpoint anchors it (or after demotion/takeover).
+    /// The chain this slot tails.
+    replica: ReplicaStore,
+    /// Members absorbed so far: `core` reflects `chain[..cursor]`.
+    cursor: usize,
+    /// Seal of member `cursor - 1`, which the next delta must chain from.
+    seal: Option<StateHash>,
+    /// The background core; `None` until the chain's first member anchors
+    /// it, and again once the slot is parked or demoted.
     core: Option<EngineCore>,
-    /// Received checkpoints not yet old enough to apply (trailing horizon).
-    pending: VecDeque<EngineCheckpoint>,
     /// Highest virtual time observed for this engine (checkpoint captures
     /// and external-input arrivals both advance it).
     head: VirtualTime,
-    /// Whether `core` reflects an unbroken seal chain through
-    /// `applied_seq`/`applied_seal`.
-    anchored: bool,
-    applied_seq: u64,
-    applied_seal: StateHash,
-    applied: u64,
+    /// The member at `cursor` failed the seal rule: the cold path truncates
+    /// there, so the cursor is parked for the rest of this incarnation.
+    parked: bool,
     demoted: bool,
     /// Chaos hook: flip a recorded digest on the next member applied, to
     /// drill the demotion path ([`StandbyPlane::corrupt_next`]).
     tamper_next: bool,
-}
-
-impl Default for StandbySlot {
-    fn default() -> Self {
-        StandbySlot {
-            core: None,
-            pending: VecDeque::new(),
-            head: VirtualTime::ZERO,
-            anchored: false,
-            applied_seq: 0,
-            applied_seal: StateHash::ZERO,
-            applied: 0,
-            demoted: false,
-            tamper_next: false,
-        }
-    }
-}
-
-/// Everything the plane thread needs to build a passive core on demand.
-struct PlaneCtx {
-    cfg: StandbyConfig,
-    spec: AppSpec,
-    placement: Placement,
-    config: ClusterConfig,
-    router: Router,
-    outputs_tx: crossbeam::channel::Sender<OutputRecord>,
-    hub: Arc<tart_obs::ObsHub>,
 }
 
 struct PlaneShared {
@@ -126,7 +102,7 @@ struct PlaneShared {
 }
 
 /// The cluster-wide warm-standby plane: one background thread, one slot
-/// per streaming engine. Owned by `EngineHost`; torn down on drop.
+/// per engine. Owned by `EngineHost`; torn down on drop.
 pub(crate) struct StandbyPlane {
     shared: Arc<PlaneShared>,
     router: Router,
@@ -134,15 +110,13 @@ pub(crate) struct StandbyPlane {
 }
 
 impl StandbyPlane {
-    /// Registers the sentinel inbox and starts the pre-apply thread.
+    /// Registers the sentinel inbox and starts the pre-apply thread. `host`
+    /// is where passive cores get built (`EngineHost::build_core`); it is
+    /// weak because the host owns this plane.
     pub(crate) fn start(
         cfg: StandbyConfig,
-        spec: AppSpec,
-        placement: Placement,
-        config: ClusterConfig,
         router: Router,
-        outputs_tx: crossbeam::channel::Sender<OutputRecord>,
-        hub: Arc<tart_obs::ObsHub>,
+        host: Weak<EngineHost>,
     ) -> StandbyPlane {
         let (tx, rx) = unbounded::<Envelope>();
         router.register(STANDBY_ENGINE, tx);
@@ -150,21 +124,12 @@ impl StandbyPlane {
             slots: Mutex::new(BTreeMap::new()),
             stop: AtomicBool::new(false),
         });
-        let ctx = PlaneCtx {
-            cfg,
-            spec,
-            placement,
-            config,
-            router: router.clone(),
-            outputs_tx,
-            hub,
-        };
         let shared_thread = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
             .name("tart-standby".into())
             .spawn(move || {
                 while !shared_thread.stop.load(Ordering::Relaxed) {
-                    match rx.recv_timeout(ctx.cfg.apply_interval) {
+                    match rx.recv_timeout(cfg.apply_interval) {
                         Ok(env) => {
                             on_envelope(&shared_thread, env);
                             for env in rx.try_iter() {
@@ -174,7 +139,7 @@ impl StandbyPlane {
                         Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
                         Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
                     }
-                    apply_eligible(&shared_thread, &ctx);
+                    apply_eligible(&shared_thread, cfg.trailing_horizon_ticks, &host);
                 }
             })
             .expect("spawn standby thread");
@@ -185,35 +150,39 @@ impl StandbyPlane {
         }
     }
 
-    /// Takes the warm candidate for `engine`, if its slot holds an
-    /// anchored, undemoted core. Always resets the slot — the next
-    /// incarnation re-anchors at its first (full) checkpoint, and a
-    /// demoted slot's verdict applies only to the incarnation it watched.
-    pub(crate) fn take(&self, engine: EngineId) -> Option<WarmCandidate> {
-        let mut slots = self.shared.slots.lock();
-        let slot = slots.get_mut(&engine)?;
-        let was = std::mem::take(slot);
-        if was.demoted || !was.anchored {
-            return None;
-        }
+    /// Points `engine`'s slot at a new incarnation's `replica` chain,
+    /// cursor at its head. Returns the warm candidate the previous
+    /// incarnation's slot held, if it was anchored — a parked or demoted
+    /// slot's verdict applies only to the incarnation it watched.
+    pub(crate) fn attach(&self, engine: EngineId, replica: ReplicaStore) -> Option<WarmCandidate> {
+        let fresh = StandbySlot {
+            replica,
+            cursor: 0,
+            seal: None,
+            core: None,
+            head: VirtualTime::ZERO,
+            parked: false,
+            demoted: false,
+            tamper_next: false,
+        };
+        let was = self.shared.slots.lock().insert(engine, fresh)?;
         Some(WarmCandidate {
             core: was.core?,
-            applied_seq: was.applied_seq,
-            applied_seal: was.applied_seal,
+            applied: was.cursor,
         })
     }
 
-    /// The current slot view for `engine` (`None` before any stream member
-    /// arrived).
+    /// The current slot view for `engine` (`None` for an engine this plane
+    /// was never attached to).
     pub(crate) fn status(&self, engine: EngineId) -> Option<StandbyStatus> {
         self.shared
             .slots
             .lock()
             .get(&engine)
             .map(|s| StandbyStatus {
-                applied: s.applied,
-                pending: s.pending.len(),
-                anchored: s.anchored,
+                applied: s.cursor as u64,
+                pending: s.replica.len().saturating_sub(s.cursor),
+                anchored: s.core.is_some(),
                 demoted: s.demoted,
             })
     }
@@ -222,19 +191,22 @@ impl StandbyPlane {
     /// applies, forcing the demotion drill without touching the
     /// authoritative replica chain.
     pub(crate) fn corrupt_next(&self, engine: EngineId) {
-        self.shared
-            .slots
-            .lock()
-            .entry(engine)
-            .or_default()
-            .tamper_next = true;
+        if let Some(slot) = self.shared.slots.lock().get_mut(&engine) {
+            slot.tamper_next = true;
+        }
     }
 
     fn stop(&mut self) {
         self.shared.stop.store(true, Ordering::Relaxed);
         self.router.deregister(STANDBY_ENGINE);
         if let Some(t) = self.thread.take() {
-            let _ = t.join();
+            // The plane thread briefly holds the host while building a
+            // core; if every other owner lets go in that window, the host
+            // — and this plane — drop on the plane thread, which cannot
+            // join itself. It sees the stop flag and exits on its own.
+            if t.thread().id() != std::thread::current().id() {
+                let _ = t.join();
+            }
         }
     }
 }
@@ -256,107 +228,108 @@ fn ckpt_vt(ckpt: &EngineCheckpoint) -> VirtualTime {
 
 fn on_envelope(shared: &PlaneShared, env: Envelope) {
     match env {
-        Envelope::StandbyCheckpoint { ckpt } => {
-            let mut slots = shared.slots.lock();
-            let slot = slots.entry(ckpt.engine).or_default();
-            if slot.demoted {
-                return; // cold-replay mode until the next incarnation
-            }
-            slot.head = slot.head.max_with(ckpt_vt(&ckpt));
-            slot.pending.push_back(*ckpt);
-        }
         Envelope::StandbyInput { engine, vt, .. } => {
-            let mut slots = shared.slots.lock();
-            let slot = slots.entry(engine).or_default();
-            slot.head = slot.head.max_with(vt);
+            if let Some(slot) = shared.slots.lock().get_mut(&engine) {
+                slot.head = slot.head.max_with(vt);
+            }
         }
         Envelope::Die => { /* plane shutdown rides the stop flag */ }
         _ => { /* mis-routed traffic; the data plane never targets us */ }
     }
 }
 
-/// Applies, per slot, every pending checkpoint that has fallen behind the
-/// trailing horizon. Holding the slots lock across the apply is fine: the
-/// only contended operations (`take`, `status`, `corrupt_next`) run at
-/// promotion or test cadence, not per-message.
-fn apply_eligible(shared: &PlaneShared, ctx: &PlaneCtx) {
-    let horizon = ctx.cfg.trailing_horizon_ticks;
+/// Absorbs, per slot, every chain member past the cursor that has fallen
+/// behind the trailing horizon. Holding the slots lock across the apply is
+/// fine: the only contended operations (`attach`, `status`,
+/// `corrupt_next`) run at promotion or test cadence, not per-message. The
+/// replica's own lock is held only long enough to share the tail.
+fn apply_eligible(shared: &PlaneShared, horizon: u64, host: &Weak<EngineHost>) {
     let mut slots = shared.slots.lock();
     for (engine, slot) in slots.iter_mut() {
-        while let Some(front) = slot.pending.front() {
-            if ckpt_vt(front).as_ticks().saturating_add(horizon) > slot.head.as_ticks() {
+        if slot.parked || slot.demoted {
+            continue; // cold-replay mode until the next incarnation
+        }
+        let tail = slot.replica.tail(slot.cursor);
+        if let Some(newest) = tail.last() {
+            slot.head = slot.head.max_with(ckpt_vt(newest));
+        }
+        for ckpt in &tail {
+            if ckpt_vt(ckpt).as_ticks().saturating_add(horizon) > slot.head.as_ticks() {
                 break; // still inside the horizon; stay trailing
             }
-            let ckpt = slot.pending.pop_front().expect("front exists");
-            apply_one(*engine, slot, ckpt, ctx);
-            if slot.demoted {
+            if !apply_one(*engine, slot, ckpt, host) {
                 break;
             }
         }
     }
 }
 
-fn apply_one(engine: EngineId, slot: &mut StandbySlot, mut ckpt: EngineCheckpoint, ctx: &PlaneCtx) {
-    if ckpt.is_self_contained() {
-        // Full generations (re-)anchor the slot: a full restore overwrites
-        // component state completely, exactly as the cold path applies
-        // mid-chain fulls onto already-restored cores.
-        if slot.core.is_none() {
-            let mut core = EngineCore::new(
-                engine,
-                &ctx.spec,
-                &ctx.placement,
-                &ctx.config,
-                ctx.router.clone(),
-                ReplicaStore::new(),
-                ctx.outputs_tx.clone(),
+/// Absorbs the member at the slot's cursor. Returns whether the slot can
+/// take the next one.
+fn apply_one(
+    engine: EngineId,
+    slot: &mut StandbySlot,
+    ckpt: &EngineCheckpoint,
+    host: &Weak<EngineHost>,
+) -> bool {
+    let Some(host) = host.upgrade() else {
+        return false; // cluster tearing down
+    };
+    let seal = match seal_step(slot.seal, slot.cursor, ckpt) {
+        Ok(seal) => seal,
+        Err(defect) => {
+            // Not divergence — nothing was applied — but the cold path
+            // truncates the chain here, so a core carried past this member
+            // would resume from bytes cold promotion refuses.
+            slot.core = None;
+            slot.parked = true;
+            dump_flight(
+                &host.obs,
+                &format!("standby for {engine} parked, promotion will go cold: {defect}"),
             );
-            core.set_obs(ctx.hub.engine(engine));
-            slot.core = Some(core);
+            return false;
         }
-    } else if !(slot.anchored
-        && slot.core.is_some()
-        && ckpt.seq == slot.applied_seq + 1
-        && ckpt.seal_over(&slot.applied_seal) == ckpt.chain_seal)
-    {
-        // A delta whose base we never absorbed (stream gap, or a seal that
-        // does not continue from what we applied). Not divergence — the
-        // authoritative replica chain is intact — so just de-anchor and
-        // wait for the next full generation to restart the seal chain.
-        slot.anchored = false;
-        return;
-    }
-    if slot.tamper_next {
-        slot.tamper_next = false;
-        if let Some(hash) = ckpt.component_hashes.values_mut().next() {
+    };
+    // Only the chain's first member finds no core, and the seal rule just
+    // vouched that it is self-contained. Later full generations restore
+    // over the existing core, exactly as the cold path applies mid-chain
+    // fulls onto already-restored state.
+    let core = slot
+        .core
+        .get_or_insert_with(|| host.build_core(engine, ReplicaStore::new()));
+    core.apply_member_snapshots(ckpt);
+    let verdict = if std::mem::take(&mut slot.tamper_next) {
+        let mut tampered = ckpt.clone();
+        if let Some(hash) = tampered.component_hashes.values_mut().next() {
             hash.0[0] ^= 0xFF;
         }
-    }
-    let vt = ckpt_vt(&ckpt);
-    let core = slot.core.as_mut().expect("anchored slots hold a core");
-    core.apply_member_snapshots(&ckpt);
-    match core.verify_member(&ckpt) {
+        core.verify_member(&tampered)
+    } else {
+        core.verify_member(ckpt)
+    };
+    match verdict {
         Ok(()) => {
-            slot.anchored = true;
-            slot.applied_seq = ckpt.seq;
-            slot.applied_seal = ckpt.chain_seal;
-            slot.applied += 1;
-            ctx.hub
-                .standby_applied(slot.head.as_ticks().saturating_sub(vt.as_ticks()));
+            slot.cursor += 1;
+            slot.seal = Some(seal);
+            let lag = slot
+                .head
+                .as_ticks()
+                .saturating_sub(ckpt_vt(ckpt).as_ticks());
+            host.obs.standby_applied(lag);
+            true
         }
         Err(fault) => {
-            // Demote: drop the tainted core and refuse the rest of this
-            // incarnation's stream. Promotion will go cold, which replays
+            // Demote: drop the tainted core and absorb nothing more of this
+            // incarnation's chain. Promotion will go cold, which replays
             // the verified chain from scratch — slower, never wrong.
             slot.core = None;
-            slot.pending.clear();
-            slot.anchored = false;
             slot.demoted = true;
-            ctx.hub.standby_demotion(engine, fault.vt);
+            host.obs.standby_demotion(engine, fault.vt);
             dump_flight(
-                &ctx.hub,
+                &host.obs,
                 &format!("standby for {engine} diverged, demoted to cold replay: {fault}"),
             );
+            false
         }
     }
 }

@@ -34,9 +34,7 @@ use tart_codec::{crc32, Decode, Encode};
 use tart_estimator::DeterminismFault;
 use tart_vtime::{ComponentId, EngineId};
 
-use tart_model::StateHash;
-
-use crate::checkpoint::EngineCheckpoint;
+use crate::checkpoint::{seal_step, EngineCheckpoint};
 use crate::wal::{scan_segment, sync_dir, FRAME_HEADER};
 
 const MANIFEST: &str = "MANIFEST";
@@ -375,7 +373,7 @@ impl CheckpointStore {
                 // CRC guards the bytes; the seal guards the recorded state
                 // hash itself. A full whose seal does not recompute is as
                 // unusable as a torn one.
-                if checkpoint.seal_over(&StateHash::ZERO) != checkpoint.chain_seal {
+                if seal_step(None, 0, &checkpoint).is_err() {
                     continue;
                 }
                 return Ok(Some(LoadedCheckpoint {
@@ -420,41 +418,32 @@ impl CheckpointStore {
             let Some(full) = read_framed_checkpoint(&head_path) else {
                 continue; // damaged full: fall back to the previous chain
             };
-            if full.seal_over(&StateHash::ZERO) != full.chain_seal {
+            let Ok(mut prev_seal) = seal_step(None, 0, &full) else {
                 continue; // seal-broken full: treated exactly like a torn one
-            }
+            };
             // Deltas that belong to this chain: after this full, before the
             // next-newer full (for the newest chain there is none).
             let upper = if i == 0 { u64::MAX } else { heads[i - 1] };
-            let mut prev_seal = full.chain_seal;
             let mut chain = vec![full];
             let mut top = head;
             for &g in gens.iter().filter(|&&g| g > head && g < upper) {
                 let is_full = fulls.binary_search(&g).is_ok();
                 let path = self.dir.join(ckpt_file_name(engine.raw(), g, is_full));
-                match read_framed_checkpoint(&path) {
-                    Some(c) => {
-                        // The seal chains each member over its predecessor
-                        // and covers the recorded state hash, so a delta
-                        // whose stored hash was rewritten (CRC re-framed and
-                        // all) still fails here and truncates the chain,
-                        // mirroring the bad-CRC path below.
-                        let expected_prev = if c.is_self_contained() {
-                            StateHash::ZERO
-                        } else {
-                            prev_seal
-                        };
-                        if c.seal_over(&expected_prev) != c.chain_seal {
-                            break;
-                        }
-                        prev_seal = c.chain_seal;
-                        chain.push(c);
-                        top = g;
-                    }
-                    // A chain is only valid through its last intact link;
-                    // everything before the damage still restores.
-                    None => break,
-                }
+                // A chain is only valid through its last intact link;
+                // everything before the damage still restores. The seal
+                // chains each member over its predecessor and covers the
+                // recorded state hash, so a delta whose stored hash was
+                // rewritten (CRC re-framed and all) truncates the chain
+                // exactly like a torn one.
+                let Some(c) = read_framed_checkpoint(&path) else {
+                    break;
+                };
+                let Ok(seal) = seal_step(Some(prev_seal), chain.len(), &c) else {
+                    break;
+                };
+                prev_seal = seal;
+                chain.push(c);
+                top = g;
             }
             return Ok(Some(LoadedChain {
                 generation: top,
@@ -640,7 +629,7 @@ fn read_framed_checkpoint(path: &Path) -> Option<EngineCheckpoint> {
 mod tests {
     use super::*;
     use tart_estimator::EstimatorSpec;
-    use tart_model::{BlockId, Snapshot, StateChunk};
+    use tart_model::{BlockId, Snapshot, StateChunk, StateHash};
     use tart_vtime::{VirtualTime, WireId};
 
     fn tmp(name: &str) -> PathBuf {
@@ -671,12 +660,7 @@ mod tests {
     fn seal_chain(chain: &mut [EngineCheckpoint]) {
         let mut prev = StateHash::ZERO;
         for c in chain.iter_mut() {
-            let base = if c.is_self_contained() {
-                StateHash::ZERO
-            } else {
-                prev
-            };
-            c.seal(&base);
+            c.seal(&prev);
             prev = c.chain_seal;
         }
     }

@@ -402,47 +402,6 @@ fn same_engine_can_fail_and_recover_repeatedly() {
 }
 
 #[test]
-fn file_backed_log_survives_a_cold_restart() {
-    let dir = std::env::temp_dir().join(format!("tart-cluster-log-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("external.log");
-
-    // Run a workload with the external log on stable storage.
-    let spec = fan_in_app(2).expect("valid app");
-    let config = paper_config(&spec).with_log_file(&path);
-    let cluster =
-        Cluster::deploy(spec.clone(), two_engine_placement(&spec), config).expect("deploys");
-    let mut stamped = Vec::new();
-    for (client, sentence) in SENTENCES {
-        let vt = cluster
-            .injector(client)
-            .unwrap()
-            .send(Value::from(*sentence));
-        stamped.push(vt);
-    }
-    cluster.finish_inputs();
-    let outs = cluster.shutdown();
-    assert_eq!(outs.len(), SENTENCES.len());
-
-    // Cold restart: the process is gone; the log is recoverable from disk
-    // with every timestamped external message intact (§II.E's stable
-    // storage option).
-    let recovered = tart_engine::MessageLog::recover(&path).expect("log recovers");
-    assert_eq!(recovered.len(), SENTENCES.len());
-    let wires: Vec<_> = spec.external_inputs().iter().map(|w| w.id()).collect();
-    let mut replayed = 0;
-    for wire in wires {
-        for (vt, payload) in recovered.replay_from(wire, tart_vtime::VirtualTime::ZERO) {
-            assert!(stamped.contains(&vt), "recovered stamp {vt} was issued");
-            assert!(payload.as_str().is_some());
-            replayed += 1;
-        }
-    }
-    assert_eq!(replayed, SENTENCES.len());
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn silence_policy_switches_live_without_a_fault() {
     // Start lazy, switch to curiosity mid-run (§II.G.4 allows this with no
     // determinism fault); behaviour must equal an all-curiosity run.

@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use tart_engine::{
     ChaosOptions, ChaosPlan, Cluster, ClusterConfig, DeployError, DurabilityConfig, FsyncPolicy,
-    OutputRecord, Placement,
+    OutputRecord, Placement, StandbyConfig,
 };
 use tart_estimator::EstimatorSpec;
 use tart_model::reference::{self, fan_in_app};
@@ -175,6 +175,72 @@ fn clean_durable_run_is_transparent() {
             .next()
             .is_some(),
         "checkpoint store populated"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Whole-cluster crash, cold restart with a warm standby configured, then a
+/// single-engine failure: the standby plane `recover_from_disk` assembled
+/// must tail the restored incarnation's chain like any other, so the second
+/// failure is a warm promotion.
+#[test]
+fn warm_promotion_after_a_cold_restart_is_byte_identical() {
+    let dir = fresh_dir("restart-warm");
+    let crash_at = 4;
+    let pre = run_and_crash(&dir, crash_at);
+
+    let spec = fan_in_app(2).expect("valid app");
+    let config = paper_config(&spec)
+        .with_durability(&dir, FsyncPolicy::Always)
+        .with_warm_standby(StandbyConfig {
+            trailing_horizon_ticks: 1,
+            apply_interval: Duration::from_millis(1),
+        });
+    let (mut cluster, _report) =
+        Cluster::recover_from_disk(spec.clone(), two_engine_placement(&spec), config)
+            .expect("recovers");
+    let merger = EngineId::new(1);
+    let send = |cluster: &Cluster, range: std::ops::Range<usize>| {
+        for (client, sentence) in &SENTENCES[range] {
+            let injector = cluster.injector(client).expect("injector");
+            injector.send(Value::from(*sentence));
+        }
+    };
+    send(&cluster, crash_at..8);
+    // A restored engine's first checkpoint is a full generation; the slot
+    // anchors on it once a later capture pushes it out of the horizon.
+    let anchored = |cluster: &Cluster| {
+        let status = cluster.standby_status(merger);
+        status.is_some_and(|s| s.anchored && s.applied >= 1)
+    };
+    for _ in 0..1_000 {
+        if anchored(&cluster) {
+            break;
+        }
+        cluster.checkpoint_now(merger);
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(
+        anchored(&cluster),
+        "standby never re-anchored: {:?}",
+        cluster.standby_status(merger)
+    );
+
+    cluster.kill(merger);
+    cluster.promote(merger).expect("promotion succeeds");
+    send(&cluster, 8..SENTENCES.len());
+    cluster.finish_inputs();
+    let snap = cluster.obs_snapshot();
+    assert_eq!(snap.warm_promotions, 1, "the restarted plane was warm");
+    assert_eq!(snap.cold_promotions, 0);
+    assert_eq!(snap.standby_demotions, 0);
+
+    let mut all = pre;
+    all.extend(cluster.shutdown());
+    assert_eq!(
+        normalize(all),
+        failure_free_run(),
+        "cold restart, then warm failover, must equal the never-crashed run"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -105,6 +105,22 @@ fn await_standby(
     }
 }
 
+/// The single-source invariant: the standby has no copy of the chain, only
+/// a cursor into the replica's, so what it has applied plus what it has yet
+/// to is exactly what the replica holds for the current incarnation.
+fn assert_tails_the_replica(cluster: &Cluster, engine: EngineId) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let before = cluster.replica_depth(engine);
+        let status = cluster.standby_status(engine).expect("slot exists");
+        if cluster.replica_depth(engine) == before {
+            assert_eq!(status.applied as usize + status.pending, before);
+            return;
+        }
+        assert!(Instant::now() < deadline, "replica never went quiet");
+    }
+}
+
 #[test]
 fn warm_promotion_takes_over_from_the_standby() {
     let reference_outs = failure_free_run();
@@ -128,6 +144,7 @@ fn warm_promotion_takes_over_from_the_standby() {
         s.anchored && s.applied >= 1
     });
     assert!(!status.demoted);
+    assert_tails_the_replica(&cluster, merger);
 
     cluster.kill(merger);
     cluster
@@ -141,6 +158,9 @@ fn warm_promotion_takes_over_from_the_standby() {
             .send(Value::from(*sentence));
     }
     cluster.finish_inputs();
+    // The slot now tails the promoted incarnation's chain, from its head.
+    await_standby(&cluster, merger, "re-anchored", |s| s.anchored);
+    assert_tails_the_replica(&cluster, merger);
 
     let snap = cluster.obs_snapshot();
     assert_eq!(snap.warm_promotions, 1, "promotion rode the warm path");

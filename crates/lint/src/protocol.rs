@@ -88,8 +88,8 @@ pub const SITES: &[Site] = &[
     Site {
         file_suffix: "engine/src/standby.rs",
         func: "on_envelope",
-        req: Requirement::Only(&["StandbyCheckpoint", "StandbyInput", "Die"]),
-        why: "the warm-standby plane must keep consuming its replication stream",
+        req: Requirement::Only(&["StandbyInput", "Die"]),
+        why: "the warm-standby plane must keep hearing each engine's input head",
     },
     Site {
         file_suffix: "engine/src/supervise.rs",

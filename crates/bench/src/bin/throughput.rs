@@ -10,9 +10,9 @@
 //!    with component state (the classic mistake is an O(state) hash or
 //!    scan on the delivery path) drives it toward zero, while honest
 //!    O(1) per-message work keeps it near 1 regardless of host speed.
-//! 2. **TCP loopback** — envelopes/sec over a real socket, one frame per
-//!    envelope (`write_frame`/`read_frame`) vs the batch frame
-//!    (`write_batch`/`read_batch`, 64 envelopes per `write_all`).
+//! 2. **TCP loopback** — envelopes/sec over a real socket through
+//!    `write_batch`/`read_batch`: one envelope per frame (a `write_all`
+//!    each) vs 64 envelopes per frame.
 //! 3. **WAL appends** — records/sec under `FsyncPolicy::Always` (one
 //!    `sync_all` per record) vs `GroupCommit` (one per 64-record window).
 //! 4. **Checkpoint bytes** — serialized size of a full `CkptMap` snapshot
@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 use tart_bench::{json_f64, print_table, quick_mode};
-use tart_engine::net::{read_batch, read_frame, write_batch, write_frame};
+use tart_engine::net::{read_batch, write_batch};
 use tart_engine::{Cluster, ClusterConfig, Envelope, FsyncPolicy, Placement, Wal};
 use tart_estimator::EstimatorSpec;
 use tart_model::reference::{self, fan_in_app};
@@ -156,7 +156,7 @@ fn main() {
         );
         assert!(
             tcp_speedup >= 2.0,
-            "batched TCP must be ≥2x over per-envelope frames, got {tcp_speedup:.2}x"
+            "batched TCP must be ≥2x over one-envelope batches, got {tcp_speedup:.2}x"
         );
         assert!(
             wal_speedup >= 2.0,
@@ -230,65 +230,50 @@ fn sample_envelope(i: usize) -> Envelope {
     }
 }
 
-/// Envelopes/sec over a loopback socket: per-envelope frames vs batch
-/// frames. The sink thread counts what it decodes; the measurement covers
-/// connect → last byte acknowledged by the reader.
+/// Envelopes/sec over a loopback socket: one envelope per frame vs
+/// [`BATCH`] per frame. The sink thread counts what it decodes; the
+/// measurement covers connect → last byte acknowledged by the reader.
 fn tcp_loopback(envelopes: usize) -> (f64, f64) {
     // Best of three: loopback throughput is at the mercy of the scheduler
     // (one bad core migration can triple a run), and the baseline gate
     // compares ratios of these numbers.
-    let best = |batched: bool, produce: fn(&mut TcpStream, usize)| -> f64 {
+    let best = |per_frame: usize| -> f64 {
         (0..3)
-            .map(|_| tcp_run(envelopes, batched, produce))
+            .map(|_| tcp_run(envelopes, per_frame))
             .fold(0.0f64, f64::max)
     };
-    let unbatched = best(false, |stream, n| {
-        let target = EngineId::new(1);
-        for i in 0..n {
-            write_frame(stream, target, &sample_envelope(i)).expect("frame write");
-        }
-    });
-    let batched = best(true, |stream, n| {
-        let target = EngineId::new(1);
-        let mut scratch = BytesMut::with_capacity(8192);
-        let mut batch = Vec::with_capacity(BATCH);
-        let mut sent = 0;
-        while sent < n {
-            batch.clear();
-            while batch.len() < BATCH && sent + batch.len() < n {
-                batch.push((target, sample_envelope(sent + batch.len())));
-            }
-            sent += batch.len();
-            write_batch(stream, &batch, &mut scratch).expect("batch write");
-        }
-    });
-    (unbatched, batched)
+    (best(1), best(BATCH))
 }
 
-/// Runs one TCP producer/sink pair; returns envelopes/sec. `batched` tells
-/// the sink which framing to decode.
-fn tcp_run(envelopes: usize, batched: bool, produce: impl FnOnce(&mut TcpStream, usize)) -> f64 {
+/// Runs one TCP producer/sink pair sending `per_frame` envelopes per batch
+/// frame (one `write_all` each); returns envelopes/sec.
+fn tcp_run(envelopes: usize, per_frame: usize) -> f64 {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("addr");
     let sink = std::thread::spawn(move || {
         let (mut conn, _) = listener.accept().expect("accept");
         conn.set_nodelay(true).ok();
         let mut seen = 0usize;
-        if batched {
-            while let Ok(Some(batch)) = read_batch(&mut conn) {
-                seen += batch.len();
-            }
-        } else {
-            while let Ok(Some(_)) = read_frame(&mut conn) {
-                seen += 1;
-            }
+        while let Ok(Some(batch)) = read_batch(&mut conn) {
+            seen += batch.len();
         }
         seen
     });
     let mut stream = TcpStream::connect(addr).expect("connect loopback");
     stream.set_nodelay(true).expect("nodelay");
     let start = Instant::now();
-    produce(&mut stream, envelopes);
+    let target = EngineId::new(1);
+    let mut scratch = BytesMut::with_capacity(8192);
+    let mut batch = Vec::with_capacity(per_frame);
+    let mut sent = 0;
+    while sent < envelopes {
+        batch.clear();
+        while batch.len() < per_frame && sent + batch.len() < envelopes {
+            batch.push((target, sample_envelope(sent + batch.len())));
+        }
+        sent += batch.len();
+        write_batch(&mut stream, &batch, &mut scratch).expect("batch write");
+    }
     stream.flush().expect("flush");
     drop(stream);
     let seen = sink.join().expect("sink thread");

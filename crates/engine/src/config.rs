@@ -306,15 +306,6 @@ pub struct ClusterConfig {
     /// the unapplied tail. `None` (the default) keeps promotion on the cold
     /// path (full chain replay through `restore_verified`).
     pub standby: Option<StandbyConfig>,
-    /// Verified-replay hash cadence: additionally digest the engine's
-    /// deterministic bookkeeping (consumed and sent watermarks, component
-    /// clocks) every this many deliveries. Component *state* digests are
-    /// always computed at checkpoint time — `Component::checkpoint` is
-    /// journal-draining, so mid-interval component hashing would corrupt
-    /// the incremental chain — but the bookkeeping digest is pure and can
-    /// run between checkpoints. `None` (the default) keeps the delivery
-    /// hot path hash-free.
-    pub hash_state_every: Option<u64>,
 }
 
 impl ClusterConfig {
@@ -335,7 +326,6 @@ impl ClusterConfig {
             supervision: None,
             durability: None,
             standby: None,
-            hash_state_every: None,
         }
     }
 
@@ -492,19 +482,6 @@ impl ClusterConfig {
             "standby trailing horizon must be positive"
         );
         self.standby = Some(standby);
-        self
-    }
-
-    /// Enables the between-checkpoint verified-replay hash cadence
-    /// (builder style): digest the engine's deterministic bookkeeping every
-    /// `every` deliveries (see [`ClusterConfig::hash_state_every`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is zero.
-    pub fn with_hash_state_every(mut self, every: u64) -> Self {
-        assert!(every > 0, "hash cadence must be positive");
-        self.hash_state_every = Some(every);
         self
     }
 

@@ -8,15 +8,15 @@
 //! threaded wrapper in [`crate::Cluster`] is a thin loop around it, which is
 //! what makes the recovery protocol unit-testable without threads.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use tart_estimator::{Calibrator, DeterminismFault, EstimatorSchedule};
-use tart_model::{AppSpec, CheckpointMode, Component, Value};
+use tart_model::{AppSpec, CheckpointMode, Component, Endpoint, Features, Value};
 use tart_sched::{GateDecision, InputMux};
 use tart_silence::{ProbeTracker, SilenceAdvertiser, SilencePolicy};
-use tart_vtime::{ComponentId, EngineId, PortId, VirtualTime, WireId};
+use tart_vtime::{ComponentId, EngineId, PortId, VirtualDuration, VirtualTime, WireId};
 
 use crate::checkpoint::{combined_state_hash, DivergenceFault};
 use crate::ctx::EngineCtx;
@@ -24,10 +24,10 @@ use crate::{
     CheckpointStore, ClusterConfig, EngineCheckpoint, Envelope, Placement, ReplicaStore,
     RetentionBuffer, Router,
 };
-use tart_model::{StateHash, StateHasher};
+use tart_model::StateHash;
 
 /// Where an incoming wire's ticks come from.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum WireSource {
     /// Another component on this same engine.
     Local,
@@ -38,15 +38,13 @@ enum WireSource {
     External,
 }
 
-/// Where an outgoing wire's ticks go.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Where an internal outgoing wire's ticks go.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum WireDest {
     /// A component on this same engine.
     Local,
     /// A component on another engine.
     Remote(EngineId),
-    /// An external consumer with this name.
-    External(String),
 }
 
 /// An external output record: `(consumer, wire, vt, payload)`.
@@ -145,6 +143,11 @@ impl SharedEngineMetrics {
     }
 }
 
+/// Bumps a telemetry counter (relaxed: see [`SharedEngineMetrics`]).
+fn count(counter: &AtomicU64, by: u64) {
+    counter.fetch_add(by, AtomicOrdering::Relaxed);
+}
+
 /// In-flight recovery state for one input wire: arrivals are stashed until
 /// the replay burst completes, then applied in virtual-time order.
 #[derive(Debug, Default)]
@@ -156,6 +159,89 @@ struct RecoveryStash {
     /// The virtual time the outstanding replay request started from; used
     /// with [`Envelope::ReplayDone`]'s frame count to verify completeness.
     requested_from: VirtualTime,
+}
+
+/// The receiver's record of one input wire of a hosted component.
+struct InputWire {
+    source: WireSource,
+    /// The hosted component and port the wire delivers to.
+    to: ComponentId,
+    port: PortId,
+    /// Tick of the last message delivered from this wire; `None` until the
+    /// first delivery (checkpoints list only wires that have consumed).
+    consumed: Option<VirtualTime>,
+    /// Consumed watermark as of the *previous* durable full generation —
+    /// the watermark a `TrimAck` is allowed to carry. Recovery may fall
+    /// back a whole restore chain (to the previous full), so upstream
+    /// retention must keep everything past the full generation *before* the
+    /// newest; acking one full generation late guarantees exactly that.
+    durable_acked: Option<VirtualTime>,
+    /// Present while the wire is recovering.
+    recovering: Option<RecoveryStash>,
+}
+
+/// The sender's record of one output wire of a hosted component.
+struct OutputWire {
+    /// The hosted sender, its minimum work and the wire's link delay —
+    /// the config terms of the silence bound, resolved at construction.
+    from: ComponentId,
+    min_work: VirtualDuration,
+    link_delay: VirtualDuration,
+    /// Deterministic send watermark (checkpointed: replays must reproduce
+    /// identical virtual times); `None` until the first send.
+    sent: Option<VirtualTime>,
+    kind: OutputKind,
+}
+
+enum OutputKind {
+    Internal(InternalWire),
+    /// To an external consumer. External consumers track stutter by
+    /// timestamp; they need neither replay retention nor silence, and never
+    /// speak the EOS protocol — consumers are not engines. `retention`
+    /// exists only under durability (see [`EngineCore::set_durable`]).
+    External {
+        consumer: String,
+        retention: Option<RetentionBuffer>,
+    },
+}
+
+/// What only a wire to another component has: it is retained for replay,
+/// advertises silence, and closes with EOS on graceful drain.
+struct InternalWire {
+    dest: WireDest,
+    retention: RetentionBuffer,
+    advertiser: SilenceAdvertiser,
+    /// The end-of-stream marker has been transmitted.
+    eos_sent: bool,
+}
+
+impl OutputWire {
+    fn internal_mut(&mut self) -> Option<&mut InternalWire> {
+        match &mut self.kind {
+            OutputKind::Internal(internal) => Some(internal),
+            OutputKind::External { .. } => None,
+        }
+    }
+
+    fn retention_mut(&mut self) -> Option<&mut RetentionBuffer> {
+        match &mut self.kind {
+            OutputKind::Internal(internal) => Some(&mut internal.retention),
+            OutputKind::External { retention, .. } => retention.as_mut(),
+        }
+    }
+}
+
+/// One hosted component and what the engine keeps beside it.
+struct Hosted {
+    /// Taken out during handler execution.
+    component: Option<Box<dyn Component>>,
+    estimator: EstimatorSchedule,
+    /// Dynamic re-tuning state: the sample collector, present only while
+    /// auto-recalibration is armed for this component.
+    calibrator: Option<Calibrator>,
+    /// Output wires by sending port, in id order (more than one means
+    /// broadcast); shared so routing a send holds no borrow of the table.
+    out_ports: BTreeMap<PortId, Arc<[WireId]>>,
 }
 
 /// What the engine loop should do after handling an envelope.
@@ -172,27 +258,15 @@ pub enum Flow {
 /// One execution engine's complete state (see module docs).
 pub struct EngineCore {
     id: EngineId,
-    spec: AppSpec,
     config: ClusterConfig,
-    /// Hosted components, taken out during handler execution.
-    components: BTreeMap<ComponentId, Option<Box<dyn Component>>>,
     mux: InputMux<Value>,
-    estimators: BTreeMap<ComponentId, EstimatorSchedule>,
-    /// Input-wire bookkeeping.
-    wire_source: BTreeMap<WireId, WireSource>,
-    consumed: BTreeMap<WireId, VirtualTime>,
-    recovering: BTreeMap<WireId, RecoveryStash>,
+    /// One record per input wire, per output wire and per hosted component,
+    /// built once in [`EngineCore::new`]. Ordered maps: checkpoint capture
+    /// and probe order iterate them.
+    inputs: BTreeMap<WireId, InputWire>,
+    outputs: BTreeMap<WireId, OutputWire>,
+    hosted: BTreeMap<ComponentId, Hosted>,
     probes: ProbeTracker,
-    /// Output-wire bookkeeping.
-    wire_dest: BTreeMap<WireId, WireDest>,
-    retention: BTreeMap<WireId, RetentionBuffer>,
-    advertisers: BTreeMap<WireId, SilenceAdvertiser>,
-    /// Deterministic per-output-wire send watermark (checkpointed: replays
-    /// must reproduce identical virtual times).
-    sent_watermark: BTreeMap<WireId, VirtualTime>,
-    /// Reusable buffer for routing a handler's sends without a per-send
-    /// allocation (scratch only — never checkpointed).
-    out_wire_scratch: Vec<WireId>,
     router: Router,
     replica: ReplicaStore,
     /// On-disk checkpoint store, when the cluster runs with durability.
@@ -202,31 +276,16 @@ pub struct EngineCore {
     /// Strict/legacy path) or leave writeback to the kernel (`false`, the
     /// Buffered tier — see [`CheckpointStore::persist_with`]).
     durable_sync: bool,
-    /// Consumed watermarks as of the *previous* durable full generation —
-    /// the watermarks `TrimAck`s are allowed to carry. Recovery may fall
-    /// back a whole restore chain (to the previous full), so upstream
-    /// retention must keep everything past the full generation *before* the
-    /// newest; acking one full generation late guarantees exactly that.
-    durable_acked: BTreeMap<WireId, VirtualTime>,
-    outputs: crossbeam::channel::Sender<OutputRecord>,
-    /// Dynamic re-tuning state: per-component sample collectors, present
-    /// only while auto-recalibration is armed for that component.
-    calibrators: BTreeMap<ComponentId, Calibrator>,
+    output_tx: crossbeam::channel::Sender<OutputRecord>,
     processed_since_ckpt: u64,
     ckpt_seq: u64,
     next_ckpt_full: bool,
     /// Seal of the most recent checkpoint in the hash chain; the next delta
     /// generation seals over it ([`EngineCheckpoint::seal`]).
     last_chain_seal: StateHash,
-    /// Deliveries since the last between-checkpoint bookkeeping digest
-    /// (only advanced when [`ClusterConfig::hash_state_every`] is set).
-    deliveries_since_hash: u64,
     /// Durable checkpoints since the last full generation, for the
     /// `full_checkpoint_every` cadence.
     ckpts_since_full: u32,
-    /// Output wires whose end-of-stream marker has been transmitted
-    /// (graceful drain only).
-    eos_sent: std::collections::BTreeSet<WireId>,
     metrics: Arc<SharedEngineMetrics>,
     /// Telemetry handle (ops plane). Strictly write-only from the core's
     /// perspective: nothing recorded here is ever read back, so it cannot
@@ -251,91 +310,94 @@ impl EngineCore {
     ) -> Self {
         let local = placement.components_on(id);
         assert!(!local.is_empty(), "engine {id} hosts no components");
-        let mut components = BTreeMap::new();
+        let engine_of = |c: ComponentId| placement.engine_of(c).expect("placement covers the app");
         let mut mux = InputMux::new();
-        let mut estimators = BTreeMap::new();
-        let mut wire_source = BTreeMap::new();
-        let mut wire_dest = BTreeMap::new();
-        let mut retention = BTreeMap::new();
-        let mut advertisers = BTreeMap::new();
+        let mut inputs = BTreeMap::new();
+        let mut out_wires = BTreeMap::new();
+        let mut hosted = BTreeMap::new();
         for &cid in &local {
             let cspec = spec.component(cid).expect("placed component exists");
-            components.insert(cid, Some(cspec.instantiate()));
-            estimators.insert(cid, EstimatorSchedule::new(config.estimator_for(cid)));
-            let inputs: Vec<WireId> = spec.input_wires_of(cid).iter().map(|w| w.id()).collect();
-            mux.add_component(cid, inputs.iter().copied());
-            for w in spec.input_wires_of(cid) {
+            let in_wires = spec.input_wires_of(cid);
+            mux.add_component(cid, in_wires.iter().map(|w| w.id()));
+            for w in in_wires {
                 let source = match w.from().component() {
-                    Some(src) if placement.engine_of(src) == Some(id) => WireSource::Local,
-                    Some(src) => WireSource::Remote(
-                        placement.engine_of(src).expect("placement covers the app"),
-                    ),
+                    Some(src) if engine_of(src) == id => WireSource::Local,
+                    Some(src) => WireSource::Remote(engine_of(src)),
                     None => WireSource::External,
                 };
-                wire_source.insert(w.id(), source);
+                inputs.insert(
+                    w.id(),
+                    InputWire {
+                        source,
+                        to: cid,
+                        port: w.to().port().unwrap_or(PortId::new(0)),
+                        consumed: None,
+                        durable_acked: None,
+                        recovering: None,
+                    },
+                );
             }
+            let mut out_ports: BTreeMap<PortId, Vec<WireId>> = BTreeMap::new();
             for w in spec.output_wires_of(cid) {
-                let dest = match w.to() {
-                    tart_model::Endpoint::Component { component, .. } => {
-                        if placement.engine_of(*component) == Some(id) {
-                            WireDest::Local
-                        } else {
-                            WireDest::Remote(
-                                placement
-                                    .engine_of(*component)
-                                    .expect("placement covers the app"),
-                            )
-                        }
-                    }
-                    tart_model::Endpoint::External { name } => WireDest::External(name.clone()),
-                };
-                let is_external = matches!(dest, WireDest::External(_));
-                wire_dest.insert(w.id(), dest);
-                if !is_external {
-                    // External consumers track stutter by timestamp; they
-                    // need neither replay retention nor silence.
-                    retention.insert(w.id(), RetentionBuffer::new(w.id()));
-                    advertisers.insert(w.id(), SilenceAdvertiser::new(w.id()));
+                if let Some(port) = w.from().port() {
+                    out_ports.entry(port).or_default().push(w.id());
                 }
+                let kind = match w.to() {
+                    Endpoint::Component { component, .. } => OutputKind::Internal(InternalWire {
+                        dest: match engine_of(*component) {
+                            e if e == id => WireDest::Local,
+                            e => WireDest::Remote(e),
+                        },
+                        retention: RetentionBuffer::new(w.id()),
+                        advertiser: SilenceAdvertiser::new(w.id()),
+                        eos_sent: false,
+                    }),
+                    Endpoint::External { name } => OutputKind::External {
+                        consumer: name.clone(),
+                        retention: None,
+                    },
+                };
+                out_wires.insert(
+                    w.id(),
+                    OutputWire {
+                        from: cid,
+                        min_work: config.min_work_for(cid),
+                        link_delay: config.link_delay_for(w.id()),
+                        sent: None,
+                        kind,
+                    },
+                );
             }
+            hosted.insert(
+                cid,
+                Hosted {
+                    component: Some(cspec.instantiate()),
+                    estimator: EstimatorSchedule::new(config.estimator_for(cid)),
+                    calibrator: config
+                        .auto_recalibrate_after
+                        .map(|n| Calibrator::new(n as usize)),
+                    out_ports: out_ports.into_iter().map(|(p, w)| (p, w.into())).collect(),
+                },
+            );
         }
-        let calibrators = match config.auto_recalibrate_after {
-            Some(n) => local
-                .iter()
-                .map(|&cid| (cid, Calibrator::new(n as usize)))
-                .collect(),
-            None => BTreeMap::new(),
-        };
         EngineCore {
             id,
-            spec: spec.clone(),
             config: config.clone(),
-            components,
             mux,
-            estimators,
-            wire_source,
-            consumed: BTreeMap::new(),
-            recovering: BTreeMap::new(),
+            inputs,
+            outputs: out_wires,
+            hosted,
             probes: ProbeTracker::new(),
-            wire_dest,
-            retention,
-            advertisers,
-            sent_watermark: BTreeMap::new(),
-            out_wire_scratch: Vec::new(),
             router,
             replica,
             durable: None,
             durable_sync: true,
-            durable_acked: BTreeMap::new(),
-            outputs,
-            calibrators,
+            output_tx: outputs,
             processed_since_ckpt: 0,
             ckpt_seq: 0,
             next_ckpt_full: true,
             last_chain_seal: StateHash::ZERO,
-            deliveries_since_hash: 0,
             ckpts_since_full: 0,
-            eos_sent: std::collections::BTreeSet::new(),
             metrics: Arc::new(SharedEngineMetrics::default()),
             // tart-lint: allow(TAINT-FLOW) -- obs handle construction: the hub's epoch stamp is telemetry zero-point, never read back by replayed logic
             obs: tart_obs::EngineObs::detached(id),
@@ -365,11 +427,9 @@ impl EngineCore {
     /// it hands to the consumer with ordinary `TrimAck`s.
     pub fn set_durable(&mut self, store: Arc<CheckpointStore>) {
         self.durable = Some(store);
-        for (w, dest) in &self.wire_dest {
-            if matches!(dest, WireDest::External(_)) {
-                self.retention
-                    .entry(*w)
-                    .or_insert_with(|| RetentionBuffer::new(*w));
+        for (w, out) in &mut self.outputs {
+            if let OutputKind::External { retention, .. } = &mut out.kind {
+                retention.get_or_insert_with(|| RetentionBuffer::new(*w));
             }
         }
     }
@@ -416,7 +476,7 @@ impl EngineCore {
 
     /// Whether any input wire is still in recovery.
     pub fn is_recovering(&self) -> bool {
-        !self.recovering.is_empty()
+        self.inputs.values().any(|i| i.recovering.is_some())
     }
 
     /// One step of the graceful-drain cascade: every component whose inputs
@@ -441,29 +501,19 @@ impl EngineCore {
                 all_done = false;
                 continue;
             }
-            let outs: Vec<WireId> = self
-                .spec
-                .output_wires_of(cid)
-                .iter()
-                .map(|w| w.id())
-                // External wires may retain too (durable output capture)
-                // but never speak the EOS protocol — consumers are not
-                // engines.
-                .filter(|w| {
-                    !matches!(self.wire_dest.get(w), Some(WireDest::External(_)))
-                        && self.retention.contains_key(w)
-                        && !self.eos_sent.contains(w)
+            let markers: Vec<(WireId, WireDest, VirtualTime)> = self
+                .outputs
+                .iter_mut()
+                .filter(|(_, out)| out.from == cid)
+                .filter_map(|(w, out)| {
+                    let internal = out.internal_mut().filter(|i| !i.eos_sent)?;
+                    internal.eos_sent = true;
+                    let last_data = internal.retention.last_sent();
+                    Some((*w, internal.dest, last_data.unwrap_or(VirtualTime::ZERO)))
                 })
                 .collect();
-            for wire in outs {
-                self.eos_sent.insert(wire);
-                let last_data = self
-                    .retention
-                    .get(&wire)
-                    .and_then(RetentionBuffer::last_sent)
-                    .unwrap_or(VirtualTime::ZERO);
-                let dest = self.wire_dest[&wire].clone();
-                self.transmit(&dest, Envelope::Eos { wire, last_data });
+            for (wire, dest, last_data) in markers {
+                self.transmit(dest, Envelope::Eos { wire, last_data });
             }
         }
         all_done
@@ -483,87 +533,62 @@ impl EngineCore {
                 vt,
                 prev_vt,
                 payload,
-            } => {
-                self.on_data(wire, vt, prev_vt, payload);
-                Flow::Continue
-            }
+            } => self.on_data(wire, vt, prev_vt, payload),
             Envelope::Silence {
                 wire,
                 through,
                 last_data,
-            } => {
-                self.on_silence(wire, through, last_data);
-                Flow::Continue
-            }
-            Envelope::Eos { wire, last_data } => {
-                self.on_silence(wire, VirtualTime::MAX, last_data);
-                Flow::Continue
-            }
+            } => self.on_silence(wire, through, last_data),
+            Envelope::Eos { wire, last_data } => self.on_silence(wire, VirtualTime::MAX, last_data),
             Envelope::Probe {
                 wire,
                 needed_through,
-            } => {
-                self.answer_probe(wire, needed_through);
-                Flow::Continue
-            }
-            Envelope::ReplayRequest { wire, from } => {
-                self.serve_replay(wire, from);
-                Flow::Continue
-            }
+            } => self.answer_probe(wire, needed_through),
+            Envelope::ReplayRequest { wire, from } => self.serve_replay(wire, from),
             Envelope::ReplayDone {
                 wire,
                 through,
                 frames,
-            } => {
-                self.finish_recovery(wire, through, frames);
-                Flow::Continue
-            }
+            } => self.finish_recovery(wire, through, frames),
             Envelope::TrimAck { wire, through } => {
-                if let Some(buf) = self.retention.get_mut(&wire) {
+                let out = self.outputs.get_mut(&wire);
+                if let Some(buf) = out.and_then(OutputWire::retention_mut) {
                     buf.trim_through(through);
                 }
-                Flow::Continue
             }
-            Envelope::Checkpoint => {
-                self.take_checkpoint();
-                Flow::Continue
-            }
-            Envelope::Recalibrate { component, spec } => {
-                self.recalibrate(component, spec);
-                Flow::Continue
-            }
+            Envelope::Checkpoint => self.take_checkpoint(),
+            Envelope::Recalibrate { component, spec } => self.recalibrate(component, spec),
             Envelope::SetSilencePolicy { policy } => {
                 // Safe without a determinism fault: the identities of silent
                 // ticks depend only on estimators; this changes only how
                 // eagerly silence is communicated (§II.G.4).
                 self.config.silence = policy;
                 self.pump();
-                Flow::Continue
             }
             // Heartbeats are addressed to the supervisor inbox, never to an
             // engine; one arriving here (a mis-route) is ignored.
-            Envelope::Heartbeat { .. } => Flow::Continue,
+            Envelope::Heartbeat { .. } => {}
             // Input-head advances are addressed to the standby plane's
             // sentinel inbox, never to an engine; one arriving here (a
             // mis-route) is ignored.
-            Envelope::StandbyInput { .. } => Flow::Continue,
-            Envelope::Die => Flow::Die,
-            Envelope::Drain => Flow::Drain,
+            Envelope::StandbyInput { .. } => {}
+            Envelope::Die => return Flow::Die,
+            Envelope::Drain => return Flow::Drain,
         }
+        Flow::Continue
     }
 
     fn on_data(&mut self, wire: WireId, vt: VirtualTime, prev_vt: VirtualTime, payload: Value) {
-        self.metrics
-            .data_received
-            .fetch_add(1, AtomicOrdering::Relaxed);
+        count(&self.metrics.data_received, 1);
+        let Some(input) = self.inputs.get_mut(&wire) else {
+            return; // not our wire (stale routing); drop
+        };
         // Warm standby: every external arrival is already logged (and thus
         // replayable), so advancing the standby plane's notion of this
         // engine's input head costs one control-plane envelope and lets the
         // plane pace its trailing-horizon pre-apply. Best-effort — with no
         // plane registered the router drops the envelope silently.
-        if self.config.standby.is_some()
-            && self.wire_source.get(&wire) == Some(&WireSource::External)
-        {
+        if self.config.standby.is_some() && input.source == WireSource::External {
             self.router.send(
                 crate::router::STANDBY_ENGINE,
                 Envelope::StandbyInput {
@@ -573,46 +598,27 @@ impl EngineCore {
                 },
             );
         }
-        if let Some(stash) = self.recovering.get_mut(&wire) {
+        if let Some(stash) = &mut input.recovering {
             stash.data.insert(vt, (prev_vt, payload));
             return;
         }
-        let Some(target) = self.mux.target_of(wire) else {
-            return; // not our wire (stale routing); drop
-        };
+        let target = input.to;
         self.probes.on_reply(wire);
-        let gate = self.mux.gate(target);
-        let heard = gate.has_heard(wire);
-        let accounted = gate.accounted_through(wire);
-        // Gap detection via the prev_vt chain (§II.F.4): if the predecessor
-        // tick never arrived, a message was lost — stash this one and ask
-        // the source to replay the hole.
-        let gap = self.config.deterministic
-            && prev_vt > VirtualTime::ZERO
-            && (!heard || prev_vt > accounted);
-        if gap {
-            self.metrics
-                .losses_detected
-                .fetch_add(1, AtomicOrdering::Relaxed);
-            let from = if heard {
-                accounted.next()
-            } else {
-                VirtualTime::ZERO
-            };
-            self.enter_recovery(wire, from);
-            self.recovering
-                .get_mut(&wire)
-                .expect("just entered recovery")
-                .data
-                .insert(vt, (prev_vt, payload));
-            return;
-        }
         if !self.config.deterministic {
             // Baseline mode: a conventional runtime — process immediately,
             // in real-time arrival order, no pessimism, no recoverability.
             let dequeue_vt = vt.max_with(self.mux.gate(target).clock());
             self.process_delivery(target, wire, vt, dequeue_vt, payload);
-            self.metrics.processed.fetch_add(1, AtomicOrdering::Relaxed);
+            count(&self.metrics.processed, 1);
+            return;
+        }
+        // Gap detection via the prev_vt chain (§II.F.4): if the predecessor
+        // tick never arrived, a message was lost — stash this one and ask
+        // the source to replay the hole.
+        if let Some(from) = self.gap_before(wire, target, prev_vt) {
+            self.enter_recovery(wire, from, |stash| {
+                stash.data.insert(vt, (prev_vt, payload));
+            });
             return;
         }
         match self.mux.push_message(wire, vt, payload) {
@@ -625,107 +631,121 @@ impl EngineCore {
                 // Timestamp at or below the accounted watermark: a replayed
                 // or link-duplicated message. "The duplicate messages will
                 // have duplicate timestamps and will be discarded" (§II.F.4).
-                self.metrics
-                    .duplicates_dropped
-                    .fetch_add(1, AtomicOrdering::Relaxed);
+                count(&self.metrics.duplicates_dropped, 1);
             }
         }
     }
 
     fn on_silence(&mut self, wire: WireId, through: VirtualTime, last_data: VirtualTime) {
+        let Some(input) = self.inputs.get_mut(&wire) else {
+            return;
+        };
         if !self.config.deterministic {
             // The arrival-order baseline has no tick accounting to keep
             // honest; silence only matters for the drain handshake.
-            if self.mux.target_of(wire).is_some() {
-                self.mux.promise_silence(wire, through);
-            }
+            self.mux.promise_silence(wire, through);
             return;
         }
-        if let Some(stash) = self.recovering.get_mut(&wire) {
+        if let Some(stash) = &mut input.recovering {
             stash.silence = Some(stash.silence.map_or(through, |s| s.max(through)));
             return;
         }
-        let Some(target) = self.mux.target_of(wire) else {
-            return;
-        };
+        let target = input.to;
         self.probes.on_reply(wire);
         // Tail-loss detection: the sender has transmitted data through
         // `last_data`, but our account never saw it — a message with no
         // successor was lost. Applying `through` now would mask the hole.
-        let gate = self.mux.gate(target);
-        let heard = gate.has_heard(wire);
-        let accounted = gate.accounted_through(wire);
-        if last_data > VirtualTime::ZERO && (!heard || last_data > accounted) {
-            self.metrics
-                .losses_detected
-                .fetch_add(1, AtomicOrdering::Relaxed);
-            let from = if heard {
-                accounted.next()
-            } else {
-                VirtualTime::ZERO
-            };
-            self.enter_recovery(wire, from);
-            let stash = self
-                .recovering
-                .get_mut(&wire)
-                .expect("just entered recovery");
-            stash.silence = Some(through);
+        if let Some(from) = self.gap_before(wire, target, last_data) {
+            self.enter_recovery(wire, from, |stash| stash.silence = Some(through));
             return;
         }
         self.mux.promise_silence(wire, through);
     }
 
-    /// Marks `wire` recovering (stashing all arrivals) and issues a replay
-    /// request starting at `from`.
-    fn enter_recovery(&mut self, wire: WireId, from: VirtualTime) {
-        let stash = self.recovering.entry(wire).or_default();
-        stash.requested_from = from;
-        self.request_replay(wire, from);
+    /// The gap check behind data and silence arrivals: the sender says its
+    /// last data tick before this arrival was `chained`; if `target`'s gate
+    /// never accounted for it, a message was lost. Counts the loss and
+    /// returns where the replay must start.
+    fn gap_before(
+        &self,
+        wire: WireId,
+        target: ComponentId,
+        chained: VirtualTime,
+    ) -> Option<VirtualTime> {
+        let gate = self.mux.gate(target);
+        let heard = gate.has_heard(wire);
+        let accounted = gate.accounted_through(wire);
+        if chained == VirtualTime::ZERO || (heard && chained <= accounted) {
+            return None;
+        }
+        count(&self.metrics.losses_detected, 1);
+        Some(if heard {
+            accounted.next()
+        } else {
+            VirtualTime::ZERO
+        })
     }
 
-    fn request_replay(&mut self, wire: WireId, from: VirtualTime) {
-        self.metrics
-            .replay_requests_sent
-            .fetch_add(1, AtomicOrdering::Relaxed);
-        self.obs.replay_requested(wire, from);
-        match &self.wire_source[&wire] {
-            WireSource::Local => {
-                // Self-request: serve immediately from restored retention.
-                self.serve_replay(wire, from);
-            }
-            WireSource::Remote(engine) => {
-                let engine = *engine;
-                self.router
-                    .send(engine, Envelope::ReplayRequest { wire, from });
-            }
-            WireSource::External => {
-                // The cluster supervisor answers external replays from the
-                // message log (§II.F.4: "if the 'sender' is an external
-                // component rather than another TART component, then the
-                // messages are re-sent from the log").
-                self.router.send(
-                    crate::router::EXTERNAL_ENGINE,
-                    Envelope::ReplayRequest { wire, from },
-                );
-            }
+    /// Marks `wire` recovering (stashing all arrivals), issues a replay
+    /// request starting at `from`, and lets the caller `park` the arrival
+    /// that exposed the gap. A local source answers in full before the
+    /// request returns; an arrival still naming a hole after that was never
+    /// sent by it, and is dropped.
+    fn enter_recovery(
+        &mut self,
+        wire: WireId,
+        from: VirtualTime,
+        park: impl FnOnce(&mut RecoveryStash),
+    ) {
+        let Some(input) = self.inputs.get_mut(&wire) else {
+            return;
+        };
+        let stash = input.recovering.get_or_insert_with(RecoveryStash::default);
+        stash.requested_from = from;
+        let source = input.source;
+        self.request_replay(wire, source, from);
+        let input = self.inputs.get_mut(&wire);
+        if let Some(stash) = input.and_then(|i| i.recovering.as_mut()) {
+            park(stash);
         }
     }
 
-    /// Serves a replay request for a wire sourced on this engine.
+    fn request_replay(&mut self, wire: WireId, source: WireSource, from: VirtualTime) {
+        count(&self.metrics.replay_requests_sent, 1);
+        self.obs.replay_requested(wire, from);
+        let engine = match source {
+            // Self-request: serve immediately from restored retention.
+            WireSource::Local => return self.serve_replay(wire, from),
+            WireSource::Remote(engine) => engine,
+            // The cluster supervisor answers external replays from the
+            // message log (§II.F.4: "if the 'sender' is an external
+            // component rather than another TART component, then the
+            // messages are re-sent from the log").
+            WireSource::External => crate::router::EXTERNAL_ENGINE,
+        };
+        self.router
+            .send(engine, Envelope::ReplayRequest { wire, from });
+    }
+
+    /// The internal half of output `wire`'s record; `None` for an external
+    /// output or a wire not sent from here.
+    fn internal_out(&mut self, wire: WireId) -> Option<&mut InternalWire> {
+        self.outputs.get_mut(&wire)?.internal_mut()
+    }
+
+    /// Serves a replay request for an internal wire sourced on this engine.
     fn serve_replay(&mut self, wire: WireId, from: VirtualTime) {
-        let Some(buf) = self.retention.get(&wire) else {
+        let Some(internal) = self.internal_out(wire) else {
             return;
         };
-        self.metrics
-            .replays_served
-            .fetch_add(1, AtomicOrdering::Relaxed);
-        let frames = buf.replay_from(from);
-        let count = frames.len() as u64;
-        let dest = self.wire_dest[&wire].clone();
+        let (dest, through) = (internal.dest, internal.advertiser.advertised_through());
+        let frames = internal.retention.replay_from(from);
+        count(&self.metrics.replays_served, 1);
+        let sent = frames.len() as u64;
         let mut prev = VirtualTime::ZERO;
         for (vt, payload) in frames {
             self.transmit(
-                &dest,
+                dest,
                 Envelope::Data {
                     wire,
                     vt,
@@ -735,28 +755,24 @@ impl EngineCore {
             );
             prev = vt;
         }
-        let through = self
-            .advertisers
-            .get(&wire)
-            .map(SilenceAdvertiser::advertised_through)
-            .unwrap_or(VirtualTime::ZERO);
         self.transmit(
-            &dest,
+            dest,
             Envelope::ReplayDone {
                 wire,
                 through,
-                frames: count,
+                frames: sent,
             },
         );
     }
 
     fn finish_recovery(&mut self, wire: WireId, through: VirtualTime, frames: u64) {
-        let Some(stash) = self.recovering.remove(&wire) else {
+        let Some(input) = self.inputs.get_mut(&wire) else {
+            return;
+        };
+        let Some(stash) = input.recovering.take() else {
             // Not recovering: a ReplayDone doubles as an authoritative
             // silence promise (it cannot be lost — control plane).
-            if self.mux.target_of(wire).is_some() {
-                self.mux.promise_silence(wire, through);
-            }
+            self.mux.promise_silence(wire, through);
             return;
         };
         // Completeness check: replayed frames travel the faultable data
@@ -771,34 +787,24 @@ impl EngineCore {
             stash.data.range(stash.requested_from..=through).count() as u64
         };
         if received < frames {
-            let from = stash.requested_from;
-            self.recovering.insert(wire, stash);
-            self.recovering
-                .get_mut(&wire)
-                .expect("reinserted")
-                .requested_from = from;
-            self.request_replay(wire, from);
+            let (source, from) = (input.source, stash.requested_from);
+            input.recovering = Some(stash);
+            self.request_replay(wire, source, from);
             return;
         }
         // Accept the covered prefix.
         let mut refeed = Vec::new();
         for (vt, (prev_vt, payload)) in stash.data {
             if vt <= through {
-                if self.mux.target_of(wire).is_some()
-                    && self.mux.push_message(wire, vt, payload).is_err()
-                {
-                    self.metrics
-                        .duplicates_dropped
-                        .fetch_add(1, AtomicOrdering::Relaxed);
+                if self.mux.push_message(wire, vt, payload).is_err() {
+                    count(&self.metrics.duplicates_dropped, 1);
                 }
             } else {
                 refeed.push((vt, prev_vt, payload));
             }
         }
         let silent = stash.silence.map_or(through, |s| s.max(through));
-        if self.mux.target_of(wire).is_some() {
-            self.mux.promise_silence(wire, silent);
-        }
+        self.mux.promise_silence(wire, silent);
         // Frames past the replay horizon re-enter the normal path: their
         // prev_vt chains re-detect any hole that remains and re-request.
         for (vt, prev_vt, payload) in refeed {
@@ -806,62 +812,37 @@ impl EngineCore {
         }
     }
 
-    /// Answers a curiosity probe for an output wire of this engine: compute
-    /// the freshest truthful silence bound and transmit it (§II.H). If the
-    /// bound cannot cover the receiver's need, the probe *cascades*: this
-    /// component's own lagging inputs are probed in turn, so curiosity
-    /// propagates through intermediate components of a deeper graph.
+    /// Answers a curiosity probe for an internal output wire of this
+    /// engine: compute the freshest truthful silence bound and transmit it
+    /// (§II.H). If the bound cannot cover the receiver's need, the probe
+    /// *cascades*: this component's own lagging inputs are probed in turn,
+    /// so curiosity propagates through intermediate components of a deeper
+    /// graph.
     fn answer_probe(&mut self, wire: WireId, needed_through: VirtualTime) {
-        let Some(source) = self.spec.wire(wire).and_then(|w| w.from().component()) else {
-            return;
+        let Some((source, bound)) = self.silence_bound(wire) else {
+            return; // not sent from here (stale probe after re-placement)
         };
-        if !self.components.contains_key(&source) {
-            return; // not hosted here (stale probe after re-placement)
-        }
-        let bound = self.silence_bound(source, wire);
         if bound < needed_through {
-            let mut visited = std::collections::BTreeSet::new();
-            self.cascade_probe(source, needed_through, &mut visited);
+            self.cascade_probe(source, needed_through, &mut BTreeSet::new());
         }
-        let changed = self
-            .advertisers
-            .get_mut(&wire)
-            .and_then(|adv| adv.advance_to(bound));
+        self.advertise(wire, bound);
         // Reply with the watermark even when unchanged: the prior advance
         // may have been lost, and silence is idempotent.
-        let through = self
-            .advertisers
-            .get(&wire)
-            .map(SilenceAdvertiser::advertised_through)
-            .unwrap_or(bound);
-        let dest = self.wire_dest[&wire].clone();
-        let _ = changed;
-        self.metrics
-            .silence_sent
-            .fetch_add(1, AtomicOrdering::Relaxed);
-        self.obs.silence_sent(wire, through);
-        let last_data = self
-            .retention
-            .get(&wire)
-            .and_then(RetentionBuffer::last_sent)
-            .unwrap_or(VirtualTime::ZERO);
-        self.transmit(
-            &dest,
-            Envelope::Silence {
-                wire,
-                through,
-                last_data,
-            },
-        );
+        self.send_silence(wire);
     }
 
-    /// The silence oracle for a component hosted here: no output on `wire`
-    /// can carry a virtual time at or below the returned bound.
+    /// The silence oracle for an internal output wire of this engine: no
+    /// output on `wire` can carry a virtual time at or below the returned
+    /// bound. Also names the sending component.
     ///
     /// `dequeue >= max(component clock, earliest possible input)`, plus the
     /// component's minimum work and the wire's link delay (§II.H).
-    fn silence_bound(&self, component: ComponentId, wire: WireId) -> VirtualTime {
-        let gate = self.mux.gate(component);
+    fn silence_bound(&self, wire: WireId) -> Option<(ComponentId, VirtualTime)> {
+        let out = self.outputs.get(&wire)?;
+        if !matches!(out.kind, OutputKind::Internal(_)) {
+            return None;
+        }
+        let gate = self.mux.gate(out.from);
         let earliest_input = gate
             .wire_ids()
             .map(|w| gate.earliest_possible_vt(w))
@@ -869,16 +850,38 @@ impl EngineCore {
             .unwrap_or(VirtualTime::ZERO);
         let base = gate.clock().max_with(earliest_input);
         let bound = base
-            .saturating_add(self.config.min_work_for(component))
-            .saturating_add(self.config.link_delay_for(wire));
+            .saturating_add(out.min_work)
+            .saturating_add(out.link_delay);
         // One tick earlier than the earliest possible delivery; also never
         // below what the send watermark already implies.
-        let floor = self
-            .sent_watermark
-            .get(&wire)
-            .copied()
-            .unwrap_or(VirtualTime::ZERO);
-        bound.prev().max_with(floor)
+        let floor = out.sent.unwrap_or(VirtualTime::ZERO);
+        Some((out.from, bound.prev().max_with(floor)))
+    }
+
+    /// Offers `bound` to `wire`'s advertiser; `Some(watermark)` if the
+    /// receiver does not know that much yet.
+    fn advertise(&mut self, wire: WireId, bound: VirtualTime) -> Option<VirtualTime> {
+        self.internal_out(wire)?.advertiser.advance_to(bound)
+    }
+
+    /// Transmits `wire`'s advertised silence watermark, with the last data
+    /// tick so the receiver can detect tail loss.
+    fn send_silence(&mut self, wire: WireId) {
+        let Some(internal) = self.internal_out(wire) else {
+            return;
+        };
+        let (dest, through) = (internal.dest, internal.advertiser.advertised_through());
+        let last_data = internal.retention.last_sent().unwrap_or(VirtualTime::ZERO);
+        count(&self.metrics.silence_sent, 1);
+        self.obs.silence_sent(wire, through);
+        self.transmit(
+            dest,
+            Envelope::Silence {
+                wire,
+                through,
+                last_data,
+            },
+        );
     }
 
     // -- Execution ----------------------------------------------------------
@@ -910,9 +913,7 @@ impl EngineCore {
             }
         }
         if processed > 0 {
-            self.metrics
-                .processed
-                .fetch_add(processed, AtomicOrdering::Relaxed);
+            count(&self.metrics.processed, processed);
         }
         processed
     }
@@ -925,20 +926,15 @@ impl EngineCore {
         dequeue_vt: VirtualTime,
         msg: Value,
     ) {
-        self.consumed.insert(wire, vt);
+        let in_port = match self.inputs.get_mut(&wire) {
+            Some(input) => {
+                input.consumed = Some(vt);
+                input.port
+            }
+            None => PortId::new(0),
+        };
         self.obs.message_delivered(wire, vt);
-        let in_port = self
-            .spec
-            .wire(wire)
-            .and_then(|w| w.to().port())
-            .unwrap_or(PortId::new(0));
-        let mut component = self
-            .components
-            .get_mut(&cid)
-            .expect("delivery to hosted component")
-            .take()
-            .expect("component not reentrantly executing");
-        let measure = self.calibrators.contains_key(&cid);
+        let mut component = self.take_component(cid);
         // HandlerTimer is the sanctioned wall-clock boundary (§II.E): the
         // measurement feeds calibration via the logged DeterminismFault
         // path and the obs estimator-residual histogram — never virtual
@@ -949,119 +945,111 @@ impl EngineCore {
         let EngineCtx {
             sends, features, ..
         } = ctx;
-        self.components.insert(cid, Some(component));
         let measured = started.elapsed_ns();
-        if measure {
-            self.observe_sample(cid, features.clone(), measured);
-        }
-
-        // Completion time from the active estimator (§II.E): this is the
-        // component's new clock.
-        let est = self.estimators[&cid].estimate_at(dequeue_vt, &features);
+        self.observe_sample(cid, &features, measured);
+        let est = self.complete_run(cid, component, dequeue_vt, &features, sends);
         self.obs.estimator_residual(est.as_ticks(), measured);
-        let completion = dequeue_vt + est;
-        self.mux.gate_mut(cid).advance_clock(completion);
-
-        // Route the outputs.
-        self.route_sends(cid, completion, sends);
 
         self.processed_since_ckpt += 1;
-        if let Some(every) = self.config.hash_state_every {
-            self.deliveries_since_hash += 1;
-            if self.deliveries_since_hash >= every {
-                self.deliveries_since_hash = 0;
-                self.hash_bookkeeping();
-            }
-        }
         if self.processed_since_ckpt >= self.config.checkpoint_every {
             self.take_checkpoint();
         }
     }
 
-    /// Between-checkpoint verified-replay cadence: digests the engine's
-    /// deterministic bookkeeping — consumed and sent watermarks plus
-    /// component clocks — the pure slice of checkpointable state that can
-    /// be hashed without draining the components' incremental journals.
-    /// The digest itself is discarded (there is no recorded reference
-    /// between checkpoints); what it buys is a heartbeat in the
-    /// `state_hashes_computed` counter proving the hash cadence is alive.
-    fn hash_bookkeeping(&mut self) {
-        let clocks: BTreeMap<ComponentId, VirtualTime> = self
-            .mux
-            .component_ids()
-            .map(|c| (c, self.mux.gate(c).clock()))
-            .collect();
-        let mut buf = bytes::BytesMut::new();
-        use tart_codec::Encode;
-        self.consumed.encode(&mut buf);
-        self.sent_watermark.encode(&mut buf);
-        clocks.encode(&mut buf);
-        let mut h = StateHasher::new();
-        h.update(&buf);
-        let _ = h.finish();
-        self.obs.state_hashes_computed(1);
+    /// Takes `cid`'s component out of its record for a handler run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cid` is not hosted here or is already executing (a
+    /// reentrant call cycle).
+    fn take_component(&mut self, cid: ComponentId) -> Box<dyn Component> {
+        self.hosted
+            .get_mut(&cid)
+            .and_then(|h| h.component.take())
+            .unwrap_or_else(|| panic!("{cid} is not hosted here or is already executing"))
+    }
+
+    /// Closes a handler run that began at `at`: the component returns to
+    /// its record, the active estimator prices the run (§II.E) — that
+    /// completion time is the component's new clock — and the buffered
+    /// sends are routed. Returns the estimate.
+    fn complete_run(
+        &mut self,
+        cid: ComponentId,
+        component: Box<dyn Component>,
+        at: VirtualTime,
+        features: &Features,
+        sends: Vec<(PortId, Value)>,
+    ) -> VirtualDuration {
+        let Some(h) = self.hosted.get_mut(&cid) else {
+            return VirtualDuration::ZERO;
+        };
+        h.component = Some(component);
+        let est = h.estimator.estimate_at(at, features);
+        let completion = at + est;
+        self.mux.gate_mut(cid).advance_clock(completion);
+        self.route_sends(cid, completion, sends);
+        est
     }
 
     /// Stamps and transmits one output message on `out_wire`.
     fn emit(&mut self, out_wire: WireId, completion: VirtualTime, seq: u64, payload: Value) {
-        let base = completion
-            + self.config.link_delay_for(out_wire)
-            + tart_vtime::VirtualDuration::from_ticks(seq);
-        // Deterministic per-wire monotonicity bump: `sent_watermark` is part
-        // of checkpointed state, so replays reproduce identical stamps.
-        let prev = self.sent_watermark.get(&out_wire).copied();
+        let Some(out) = self.outputs.get_mut(&out_wire) else {
+            return;
+        };
+        let base = completion + out.link_delay + VirtualDuration::from_ticks(seq);
+        // Deterministic per-wire monotonicity bump: `sent` is part of
+        // checkpointed state, so replays reproduce identical stamps.
+        let prev = out.sent;
         let out_vt = match prev {
             Some(w) if base <= w => w.next(),
             _ => base,
         };
-        self.sent_watermark.insert(out_wire, out_vt);
-
-        let dest = self.wire_dest[&out_wire].clone();
-        if let WireDest::External(consumer) = &dest {
-            // Under durability external wires retain too (see
-            // `set_durable`): the channel below is volatile, and the
-            // checkpoint about to durably consume this output's input must
-            // carry the bytes to re-emit it after a whole-process crash.
-            if let Some(buf) = self.retention.get_mut(&out_wire) {
-                buf.record(out_vt, payload.clone());
+        out.sent = Some(out_vt);
+        match &mut out.kind {
+            OutputKind::External {
+                consumer,
+                retention,
+            } => {
+                // Under durability external wires retain too (see
+                // `set_durable`): the channel below is volatile, and the
+                // checkpoint about to durably consume this output's input must
+                // carry the bytes to re-emit it after a whole-process crash.
+                if let Some(buf) = retention {
+                    buf.record(out_vt, payload.clone());
+                }
+                count(&self.metrics.outputs_emitted, 1);
+                let _ = self.output_tx.send(OutputRecord {
+                    consumer: consumer.clone(),
+                    wire: out_wire,
+                    vt: out_vt,
+                    payload,
+                });
             }
-            self.metrics
-                .outputs_emitted
-                .fetch_add(1, AtomicOrdering::Relaxed);
-            let _ = self.outputs.send(OutputRecord {
-                consumer: consumer.clone(),
-                wire: out_wire,
-                vt: out_vt,
-                payload,
-            });
-            return;
+            OutputKind::Internal(internal) => {
+                internal.advertiser.record_data(out_vt);
+                internal.retention.record(out_vt, payload.clone());
+                let dest = internal.dest;
+                self.transmit(
+                    dest,
+                    Envelope::Data {
+                        wire: out_wire,
+                        vt: out_vt,
+                        prev_vt: prev.unwrap_or(VirtualTime::ZERO),
+                        payload,
+                    },
+                );
+            }
         }
-        if let Some(adv) = self.advertisers.get_mut(&out_wire) {
-            adv.record_data(out_vt);
-        }
-        let prev_vt = prev.unwrap_or(VirtualTime::ZERO);
-        if let Some(buf) = self.retention.get_mut(&out_wire) {
-            buf.record(out_vt, payload.clone());
-        }
-        self.transmit(
-            &dest,
-            Envelope::Data {
-                wire: out_wire,
-                vt: out_vt,
-                prev_vt,
-                payload,
-            },
-        );
     }
 
-    fn transmit(&mut self, dest: &WireDest, env: Envelope) {
+    fn transmit(&mut self, dest: WireDest, env: Envelope) {
         match dest {
             WireDest::Local => {
                 // Same-engine delivery without leaving the core.
                 let _ = self.handle(env);
             }
-            WireDest::Remote(engine) => self.router.send(*engine, env),
-            WireDest::External(_) => unreachable!("external outputs use the output channel"),
+            WireDest::Remote(engine) => self.router.send(engine, env),
         }
     }
 
@@ -1069,8 +1057,8 @@ impl EngineCore {
     ///
     /// # Panics
     ///
-    /// Panics on calls to components hosted elsewhere, on unwired call
-    /// ports, and on reentrant call cycles.
+    /// Panics on call ports not wired to a component on this engine, and
+    /// on reentrant call cycles.
     pub(crate) fn execute_call(
         &mut self,
         caller: ComponentId,
@@ -1078,58 +1066,46 @@ impl EngineCore {
         req: Value,
         now: VirtualTime,
     ) -> Value {
-        let wires = self.spec.wires_from_port(caller, port);
-        let wire = wires
-            .first()
-            .unwrap_or_else(|| panic!("call port {port} of {caller} is not wired"));
-        let callee = wire
-            .to()
-            .component()
-            .expect("calls cannot target external consumers");
-        let callee_port = wire.to().port().expect("component endpoint has a port");
-        let mut component = self
-            .components
-            .get_mut(&callee)
-            .unwrap_or_else(|| panic!("cross-engine calls are not supported (callee {callee})"))
-            .take()
-            .unwrap_or_else(|| panic!("call cycle detected at {callee}"));
+        let wire = self
+            .hosted
+            .get(&caller)
+            .and_then(|h| h.out_ports.get(&port)?.first());
+        let Some(callee) = wire.and_then(|w| self.inputs.get(w)) else {
+            panic!("call port {port} of {caller} is not wired to a component on this engine");
+        };
+        let (callee, callee_port) = (callee.to, callee.port);
+        let mut component = self.take_component(callee);
         let arrival = now.max_with(self.mux.gate(callee).clock());
         let mut sub = EngineCtx::new(self, callee, arrival);
         let reply = component.on_call(callee_port, &req, &mut sub);
         let EngineCtx {
             sends, features, ..
         } = sub;
-        self.components.insert(callee, Some(component));
-        let est = self.estimators[&callee].estimate_at(arrival, &features);
-        let completion = arrival + est;
-        self.mux.gate_mut(callee).advance_clock(completion);
-        self.route_sends(callee, completion, sends);
+        self.complete_run(callee, component, arrival, &features, sends);
         reply
     }
 
     /// Routes a handler's buffered sends: one emit per (send, out-wire)
-    /// pair. Reuses a scratch wire list and moves (rather than clones) the
-    /// payload into the last wire's emit — the common single-wire fan-out
-    /// never copies the payload.
+    /// pair. Moves (rather than clones) the payload into the last wire's
+    /// emit — the common single-wire fan-out never copies the payload.
     fn route_sends(
         &mut self,
         from: ComponentId,
         completion: VirtualTime,
         sends: Vec<(PortId, Value)>,
     ) {
-        let mut out_wires = std::mem::take(&mut self.out_wire_scratch);
         for (seq, (port, payload)) in sends.into_iter().enumerate() {
-            out_wires.clear();
-            out_wires.extend(self.spec.wires_from_port(from, port).iter().map(|w| w.id()));
-            if let Some((&last, rest)) = out_wires.split_last() {
+            let wires = self.hosted.get(&from).and_then(|h| h.out_ports.get(&port));
+            let Some(wires) = wires.cloned() else {
+                continue;
+            };
+            if let Some((&last, rest)) = wires.split_last() {
                 for &w in rest {
                     self.emit(w, completion, seq as u64, payload.clone());
                 }
                 self.emit(last, completion, seq as u64, payload);
             }
         }
-        out_wires.clear();
-        self.out_wire_scratch = out_wires;
     }
 
     /// Sends curiosity probes for every blocked gate's lagging wires.
@@ -1137,56 +1113,12 @@ impl EngineCore {
     /// may have become possible).
     fn issue_probes(&mut self) -> bool {
         let mut local_progress = false;
-        let blocked = self.mux.blocked();
-        for (_cid, decision) in blocked {
+        for (_cid, decision) in self.mux.blocked() {
             let GateDecision::Blocked { lagging, .. } = decision else {
                 continue;
             };
             for (wire, needed) in lagging {
-                match &self.wire_source[&wire] {
-                    WireSource::Local => {
-                        // Probe ourselves directly: compute the bound and
-                        // promise it on the local gate.
-                        let Some(source) = self.spec.wire(wire).and_then(|w| w.from().component())
-                        else {
-                            continue;
-                        };
-                        let bound = self.silence_bound(source, wire);
-                        if let Some(adv) = self.advertisers.get_mut(&wire) {
-                            if let Some(through) = adv.advance_to(bound) {
-                                self.mux.promise_silence(wire, through);
-                                local_progress = true;
-                            }
-                        }
-                        if bound < needed {
-                            // The local sender itself is waiting on inputs:
-                            // cascade the curiosity upstream.
-                            let mut visited = std::collections::BTreeSet::new();
-                            self.cascade_probe(source, needed, &mut visited);
-                        }
-                    }
-                    WireSource::Remote(engine) => {
-                        let engine = *engine;
-                        if self.probes.should_probe(wire, needed) {
-                            self.metrics
-                                .probes_sent
-                                .fetch_add(1, AtomicOrdering::Relaxed);
-                            self.obs.probe_sent(wire, needed);
-                            self.router.send(
-                                engine,
-                                Envelope::Probe {
-                                    wire,
-                                    needed_through: needed,
-                                },
-                            );
-                        }
-                    }
-                    WireSource::External => {
-                        // External producers are not probed; their silence
-                        // comes from injector heartbeats (§II.E logs + real
-                        // time stamps make them self-accounting).
-                    }
-                }
+                local_progress |= self.probe_input(wire, needed, &mut BTreeSet::new());
             }
         }
         local_progress
@@ -1200,7 +1132,7 @@ impl EngineCore {
         &mut self,
         component: ComponentId,
         needed: VirtualTime,
-        visited: &mut std::collections::BTreeSet<ComponentId>,
+        visited: &mut BTreeSet<ComponentId>,
     ) {
         if !visited.insert(component) {
             return;
@@ -1210,41 +1142,55 @@ impl EngineCore {
             if self.mux.gate(component).earliest_possible_vt(wire) > needed {
                 continue; // this input already accounts far enough
             }
-            match self.wire_source[&wire].clone() {
-                WireSource::Remote(engine) => {
-                    if self.probes.should_probe(wire, needed) {
-                        self.metrics
-                            .probes_sent
-                            .fetch_add(1, AtomicOrdering::Relaxed);
-                        self.obs.probe_sent(wire, needed);
-                        self.router.send(
-                            engine,
-                            Envelope::Probe {
-                                wire,
-                                needed_through: needed,
-                            },
-                        );
-                    }
+            self.probe_input(wire, needed, visited);
+        }
+    }
+
+    /// Asks whoever feeds input `wire` for silence through `needed`.
+    /// Returns `true` if a local sender's bound advanced this engine's own
+    /// gate.
+    fn probe_input(
+        &mut self,
+        wire: WireId,
+        needed: VirtualTime,
+        visited: &mut BTreeSet<ComponentId>,
+    ) -> bool {
+        match self.inputs.get(&wire).map(|i| i.source) {
+            Some(WireSource::Local) => {
+                // Probe ourselves directly: compute the bound and
+                // promise it on the local gate.
+                let Some((source, bound)) = self.silence_bound(wire) else {
+                    return false;
+                };
+                let advanced = self.advertise(wire, bound);
+                if let Some(through) = advanced {
+                    self.mux.promise_silence(wire, through);
                 }
-                WireSource::Local => {
-                    let Some(source) = self.spec.wire(wire).and_then(|w| w.from().component())
-                    else {
-                        continue;
-                    };
-                    let bound = self.silence_bound(source, wire);
-                    if let Some(adv) = self.advertisers.get_mut(&wire) {
-                        if let Some(through) = adv.advance_to(bound) {
-                            self.mux.promise_silence(wire, through);
-                        }
-                    }
-                    if bound < needed {
-                        self.cascade_probe(source, needed, visited);
-                    }
+                if bound < needed {
+                    // The local sender itself is waiting on inputs:
+                    // cascade the curiosity upstream.
+                    self.cascade_probe(source, needed, visited);
                 }
-                WireSource::External => {
-                    // External producers advance via injector heartbeats.
-                }
+                advanced.is_some()
             }
+            Some(WireSource::Remote(engine)) => {
+                if self.probes.should_probe(wire, needed) {
+                    count(&self.metrics.probes_sent, 1);
+                    self.obs.probe_sent(wire, needed);
+                    self.router.send(
+                        engine,
+                        Envelope::Probe {
+                            wire,
+                            needed_through: needed,
+                        },
+                    );
+                }
+                false
+            }
+            // External producers are not probed; their silence
+            // comes from injector heartbeats (§II.E logs + real
+            // time stamps make them self-accounting).
+            Some(WireSource::External) | None => false,
         }
     }
 
@@ -1259,42 +1205,33 @@ impl EngineCore {
         self.pump();
     }
 
-    /// Volunteers the current silence bound on every output wire.
-    pub(crate) fn broadcast_silence(&mut self) {
-        let wires: Vec<WireId> = self.retention.keys().copied().collect();
+    /// Volunteers the current silence bound on every internal output wire.
+    fn broadcast_silence(&mut self) {
+        let wires: Vec<WireId> = self.outputs.keys().copied().collect();
         for wire in wires {
-            let Some(source) = self.spec.wire(wire).and_then(|w| w.from().component()) else {
+            let Some((_, bound)) = self.silence_bound(wire) else {
                 continue;
             };
-            let bound = self.silence_bound(source, wire);
-            let advance = self
-                .advertisers
-                .get_mut(&wire)
-                .and_then(|adv| adv.advance_to(bound));
-            if let Some(through) = advance {
-                self.metrics
-                    .silence_sent
-                    .fetch_add(1, AtomicOrdering::Relaxed);
-                self.obs.silence_sent(wire, through);
-                let dest = self.wire_dest[&wire].clone();
-                let last_data = self
-                    .retention
-                    .get(&wire)
-                    .and_then(RetentionBuffer::last_sent)
-                    .unwrap_or(VirtualTime::ZERO);
-                self.transmit(
-                    &dest,
-                    Envelope::Silence {
-                        wire,
-                        through,
-                        last_data,
-                    },
-                );
+            if self.advertise(wire, bound).is_some() {
+                self.send_silence(wire);
             }
         }
     }
 
     // -- Checkpointing and recovery ------------------------------------------
+
+    /// The hosted component `cid`, for checkpoint capture and restore.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cid` is not hosted here (a checkpoint from another
+    /// placement) or is mid-handler.
+    fn component_mut(&mut self, cid: ComponentId) -> &mut dyn Component {
+        self.hosted
+            .get_mut(&cid)
+            .and_then(|h| h.component.as_deref_mut())
+            .expect("checkpointed component is hosted here and not executing")
+    }
 
     /// Takes a soft checkpoint and ships it to the replica (§II.F.2);
     /// under durability, also persists it and gates the retention
@@ -1304,7 +1241,8 @@ impl EngineCore {
         // Durable generations persist as deltas against the last full one;
         // a full every `full_checkpoint_every` anchors the chain so restore
         // replays at most one full + a bounded delta tail.
-        let durable_full_due = self.durable.is_some() && {
+        let durable = self.durable.is_some();
+        let durable_full_due = durable && {
             let every = self
                 .config
                 .durability
@@ -1320,61 +1258,48 @@ impl EngineCore {
         self.next_ckpt_full = false;
         let mut ckpt = EngineCheckpoint::new(self.id, self.ckpt_seq);
         self.ckpt_seq += 1;
-        let cids: Vec<ComponentId> = self.mux.component_ids().collect();
+        let cids: Vec<ComponentId> = self.hosted.keys().copied().collect();
         for cid in cids {
             let clock = self.mux.gate(cid).clock();
-            let component = self
-                .components
-                .get_mut(&cid)
-                .expect("hosted")
-                .as_mut()
-                .expect("not executing");
             ckpt.components
-                .insert(cid, component.checkpoint(mode, clock));
+                .insert(cid, self.component_mut(cid).checkpoint(mode, clock));
             ckpt.clocks.insert(cid, clock);
         }
         // A delta in which nothing changed carries no chunks at all, and on
         // disk an all-empty checkpoint is indistinguishable from (and would
         // be classified as) a self-contained full — one that seeds a restore
         // chain with nothing. Re-capture it as a genuine full generation.
-        let mode = if self.durable.is_some()
-            && mode == CheckpointMode::Incremental
-            && ckpt.is_self_contained()
-        {
-            for (cid, snap) in &mut ckpt.components {
-                let clock = ckpt.clocks[cid];
-                let component = self
-                    .components
-                    .get_mut(cid)
-                    .expect("hosted")
-                    .as_mut()
-                    .expect("not executing");
-                *snap = component.checkpoint(CheckpointMode::Full, clock);
+        let mode = if durable && mode == CheckpointMode::Incremental && ckpt.is_self_contained() {
+            for (cid, clock) in &ckpt.clocks {
+                let snap = self
+                    .component_mut(*cid)
+                    .checkpoint(CheckpointMode::Full, *clock);
+                ckpt.components.insert(*cid, snap);
             }
             CheckpointMode::Full
         } else {
             mode
         };
-        for (w, vt) in &self.consumed {
-            ckpt.consumed.insert(*w, *vt);
+        // Only wires that have consumed / sent something are listed.
+        for (w, input) in &self.inputs {
+            ckpt.consumed.extend(input.consumed.map(|vt| (*w, vt)));
         }
-        for (w, vt) in &self.sent_watermark {
-            ckpt.sent.insert(*w, *vt);
+        for (w, out) in &self.outputs {
+            ckpt.sent.extend(out.sent.map(|vt| (*w, vt)));
         }
         // In-flight retention rides with the checkpoint. Local wires always
         // (sender and receiver state die together, so the replica is the
         // only copy); every wire under durability (a whole-cluster crash
         // kills the remote receivers' upstreams too — each engine must
         // bring its own send-side retention back from disk).
-        let durable = self.durable.is_some();
-        for (w, dest) in &self.wire_dest {
-            let local = *dest == WireDest::Local;
+        for (w, out) in &mut self.outputs {
+            let local = matches!(&out.kind, OutputKind::Internal(i) if i.dest == WireDest::Local);
             if !(local || durable) {
                 continue;
             }
-            if let Some(buf) = self.retention.get_mut(w) {
+            if let Some(buf) = out.retention_mut() {
                 if local {
-                    if let Some(consumed) = self.consumed.get(w) {
+                    if let Some(consumed) = ckpt.consumed.get(w) {
                         buf.trim_through(*consumed);
                     }
                 }
@@ -1389,17 +1314,9 @@ impl EngineCore {
         // into the hash chain. Self-contained generations restart the chain
         // so any suffix anchored at a full verifies independently — exactly
         // the shape `load_chain` can fall back to.
-        let hashed: Vec<ComponentId> = ckpt.components.keys().copied().collect();
-        for cid in hashed {
-            let clock = ckpt.clocks[&cid];
-            let component = self
-                .components
-                .get_mut(&cid)
-                .expect("hosted")
-                .as_mut()
-                .expect("not executing");
+        for (cid, clock) in &ckpt.clocks {
             ckpt.component_hashes
-                .insert(cid, component.state_hash(clock));
+                .insert(*cid, self.component_mut(*cid).state_hash(*clock));
         }
         ckpt.state_hash = combined_state_hash(
             &ckpt.component_hashes,
@@ -1412,19 +1329,11 @@ impl EngineCore {
         self.obs
             .state_hashes_computed(ckpt.component_hashes.len() as u64 + 1);
         let bytes = tart_codec::Encode::to_bytes(&ckpt).len() as u64;
-        self.metrics
-            .checkpoints
-            .fetch_add(1, AtomicOrdering::Relaxed);
-        self.metrics
-            .checkpoint_bytes
-            .fetch_add(bytes, AtomicOrdering::Relaxed);
+        count(&self.metrics.checkpoints, 1);
+        count(&self.metrics.checkpoint_bytes, bytes);
         if mode == CheckpointMode::Incremental {
-            self.metrics
-                .delta_checkpoints
-                .fetch_add(1, AtomicOrdering::Relaxed);
-            self.metrics
-                .delta_checkpoint_bytes
-                .fetch_add(bytes, AtomicOrdering::Relaxed);
+            count(&self.metrics.delta_checkpoints, 1);
+            count(&self.metrics.delta_checkpoint_bytes, bytes);
         }
         // Persist BEFORE shipping: once anyone can see this checkpoint, it
         // must be able to survive a whole-cluster crash.
@@ -1445,7 +1354,7 @@ impl EngineCore {
             self.next_ckpt_full = true;
             return;
         }
-        if self.durable.is_some() {
+        if durable {
             self.ckpts_since_full = match mode {
                 CheckpointMode::Full => 0,
                 CheckpointMode::Incremental => self.ckpts_since_full + 1,
@@ -1457,21 +1366,18 @@ impl EngineCore {
         // persists — a delta is worthless without its base chain, and
         // recovery may fall back a whole chain — and the watermark lags one
         // full generation (see `durable_acked`).
-        let acks: Vec<(WireId, VirtualTime)> = if self.durable.is_some() {
-            if mode == CheckpointMode::Full {
-                let acks = self.durable_acked.iter().map(|(w, vt)| (*w, *vt)).collect();
-                self.durable_acked = self.consumed.clone();
-                acks
+        if durable && mode != CheckpointMode::Full {
+            return;
+        }
+        for (&wire, input) in &mut self.inputs {
+            let through = if durable {
+                std::mem::replace(&mut input.durable_acked, input.consumed)
             } else {
-                Vec::new()
-            }
-        } else {
-            self.consumed.iter().map(|(w, vt)| (*w, *vt)).collect()
-        };
-        for (wire, through) in acks {
-            if let Some(WireSource::Remote(engine)) = self.wire_source.get(&wire) {
+                input.consumed
+            };
+            if let (Some(through), WireSource::Remote(engine)) = (through, input.source) {
                 self.router
-                    .send(*engine, Envelope::TrimAck { wire, through });
+                    .send(engine, Envelope::TrimAck { wire, through });
             }
         }
     }
@@ -1514,16 +1420,22 @@ impl EngineCore {
             self.apply_member_snapshots(ckpt);
         }
         self.apply_faults(faults);
-        if chain.is_empty() {
-            // No checkpoint ever shipped: restart from scratch; replay
-            // everything from the beginning.
-            let wires: Vec<WireId> = self.wire_source.keys().copied().collect();
-            for wire in wires {
-                self.enter_recovery(wire, VirtualTime::ZERO);
-            }
-            return Ok(());
+        if let Some(last) = chain.last() {
+            self.finish_restore(chain, last)?;
         }
-        self.finish_restore(chain)
+        // Every input wire: dedupe floor at the consumed watermark, then
+        // recover via replay. (No checkpoint ever shipped: nothing is
+        // consumed; replay everything from the beginning.)
+        let wires: Vec<(WireId, Option<VirtualTime>)> =
+            self.inputs.iter().map(|(w, i)| (*w, i.consumed)).collect();
+        for (wire, consumed) in wires {
+            if let Some(vt) = consumed {
+                self.mux.promise_silence(wire, vt);
+            }
+            let from = consumed.map_or(VirtualTime::ZERO, VirtualTime::next);
+            self.enter_recovery(wire, from, |_| {});
+        }
+        Ok(())
     }
 
     /// Applies one chain member's component snapshots, in place. No
@@ -1533,13 +1445,7 @@ impl EngineCore {
     /// background (`crate::standby`).
     pub(crate) fn apply_member_snapshots(&mut self, ckpt: &EngineCheckpoint) {
         for (cid, snap) in &ckpt.components {
-            let component = self
-                .components
-                .get_mut(cid)
-                .expect("checkpoint names hosted component")
-                .as_mut()
-                .expect("not executing");
-            component
+            self.component_mut(*cid)
                 .restore(snap)
                 .expect("replica checkpoint chain is well-formed");
         }
@@ -1551,17 +1457,16 @@ impl EngineCore {
     /// new one after (the paper's time-100,000,000 example).
     fn apply_faults(&mut self, faults: &[(ComponentId, DeterminismFault)]) {
         for (cid, fault) in faults {
-            if let Some(schedule) = self.estimators.get_mut(cid) {
-                schedule
-                    .apply_fault(fault)
-                    .expect("fault log is monotone per component");
-                self.metrics
-                    .determinism_faults
-                    .fetch_add(1, AtomicOrdering::Relaxed);
-            }
+            let Some(h) = self.hosted.get_mut(cid) else {
+                continue;
+            };
+            h.estimator
+                .apply_fault(fault)
+                .expect("fault log is monotone per component");
+            count(&self.metrics.determinism_faults, 1);
             // Replay must not re-tune a second time at a different point:
             // the logged fault already covers this component.
-            self.calibrators.remove(cid);
+            h.calibrator = None;
         }
     }
 
@@ -1576,13 +1481,7 @@ impl EngineCore {
         let mut recomputed = BTreeMap::new();
         for (cid, expected) in &ckpt.component_hashes {
             let clock = ckpt.clocks.get(cid).copied().unwrap_or(VirtualTime::ZERO);
-            let component = self
-                .components
-                .get_mut(cid)
-                .expect("checkpoint names hosted component")
-                .as_mut()
-                .expect("not executing");
-            let actual = component.state_hash(clock);
+            let actual = self.component_mut(*cid).state_hash(clock);
             if actual != *expected {
                 self.obs.divergence(Some(*cid), clock);
                 return Err(DivergenceFault {
@@ -1615,53 +1514,21 @@ impl EngineCore {
     }
 
     /// Completes a restore whose component snapshots are already applied:
-    /// scheduler bookkeeping and retention from the chain, digest
-    /// verification at the tail, re-emission of retained external outputs,
-    /// and replay-request arming for every input wire.
+    /// scheduler bookkeeping and retention from the chain (`last` is its
+    /// tail), digest verification at the tail, and re-emission of retained
+    /// external outputs. The caller then arms replay on every input wire.
     ///
     /// # Errors
     ///
     /// A [`DivergenceFault`] when the applied state fails the tail digests.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty chain (the empty case restores vacuously in
-    /// [`EngineCore::restore_from`] and never reaches here).
-    fn finish_restore(&mut self, chain: &[EngineCheckpoint]) -> Result<(), DivergenceFault> {
-        let last = chain
-            .last()
-            .expect("finish_restore requires a non-empty chain");
+    fn finish_restore(
+        &mut self,
+        chain: &[EngineCheckpoint],
+        last: &EngineCheckpoint,
+    ) -> Result<(), DivergenceFault> {
         // Scheduler bookkeeping from the last checkpoint.
         for (cid, clock) in &last.clocks {
             self.mux.gate_mut(*cid).advance_clock(*clock);
-        }
-        for (w, vt) in &last.consumed {
-            self.consumed.insert(*w, *vt);
-        }
-        for (w, vt) in &last.sent {
-            self.sent_watermark.insert(*w, *vt);
-            if let Some(buf) = self.retention.get_mut(w) {
-                buf.reset_chain(Some(*vt));
-            }
-            // Everything through the send watermark was accounted to the
-            // receiver before the failure; the advertiser must know, or
-            // replay bursts would close with a zero horizon.
-            if let Some(adv) = self.advertisers.get_mut(w) {
-                adv.record_data(*vt);
-            }
-        }
-        // In-flight retention from the chain (later checkpoints extend
-        // earlier ones; `record` ignores frames at or before the back, and
-        // `reset_chain` above cleared the buffers, so replaying the chain's
-        // captures in order rebuilds each buffer exactly).
-        for ckpt in chain {
-            for (w, frames) in &ckpt.retention {
-                if let Some(buf) = self.retention.get_mut(w) {
-                    for (vt, payload) in frames {
-                        buf.record(*vt, payload.clone());
-                    }
-                }
-            }
         }
         // The chain's full head is the most conservative restart point a
         // future recovery could fall back to (a damaged delta tail strands
@@ -1672,7 +1539,38 @@ impl EngineCore {
             .rev()
             .find(|c| c.is_self_contained())
             .unwrap_or(last);
-        self.durable_acked = base.consumed.iter().map(|(w, vt)| (*w, *vt)).collect();
+        for (w, input) in &mut self.inputs {
+            input.consumed = last.consumed.get(w).copied().or(input.consumed);
+            input.durable_acked = base.consumed.get(w).copied();
+        }
+        for (w, vt) in &last.sent {
+            let Some(out) = self.outputs.get_mut(w) else {
+                continue;
+            };
+            out.sent = Some(*vt);
+            if let Some(buf) = out.retention_mut() {
+                buf.reset_chain(Some(*vt));
+            }
+            // Everything through the send watermark was accounted to the
+            // receiver before the failure; the advertiser must know, or
+            // replay bursts would close with a zero horizon.
+            if let Some(internal) = out.internal_mut() {
+                internal.advertiser.record_data(*vt);
+            }
+        }
+        // In-flight retention from the chain (later checkpoints extend
+        // earlier ones; `record` ignores frames at or before the back, and
+        // `reset_chain` above cleared the buffers, so replaying the chain's
+        // captures in order rebuilds each buffer exactly).
+        for ckpt in chain {
+            for (w, frames) in &ckpt.retention {
+                if let Some(buf) = self.outputs.get_mut(w).and_then(OutputWire::retention_mut) {
+                    for (vt, payload) in frames {
+                        buf.record(*vt, payload.clone());
+                    }
+                }
+            }
+        }
         // Verified replay: the chain tail recorded a digest of every
         // component's state and of the engine bookkeeping; the restored
         // state must reproduce them exactly, or recovery did not
@@ -1684,26 +1582,19 @@ impl EngineCore {
         // chain, so replay will never regenerate them — re-emit every
         // retained (= not yet drained-and-acked) frame now. A consumer that
         // did see some of them discards the duplicates by timestamp.
-        let externals: Vec<(WireId, String)> = self
-            .wire_dest
-            .iter()
-            .filter_map(|(w, d)| match d {
-                WireDest::External(name) => Some((*w, name.clone())),
-                _ => None,
-            })
-            .collect();
-        for (w, consumer) in externals {
-            let frames = match self.retention.get(&w) {
-                Some(buf) => buf.replay_from(VirtualTime::ZERO),
-                None => Vec::new(),
+        for (w, out) in &self.outputs {
+            let OutputKind::External {
+                consumer,
+                retention: Some(buf),
+            } = &out.kind
+            else {
+                continue;
             };
-            for (vt, payload) in frames {
-                self.metrics
-                    .outputs_emitted
-                    .fetch_add(1, AtomicOrdering::Relaxed);
-                let _ = self.outputs.send(OutputRecord {
+            for (vt, payload) in buf.replay_from(VirtualTime::ZERO) {
+                count(&self.metrics.outputs_emitted, 1);
+                let _ = self.output_tx.send(OutputRecord {
                     consumer: consumer.clone(),
-                    wire: w,
+                    wire: *w,
                     vt,
                     payload,
                 });
@@ -1712,17 +1603,6 @@ impl EngineCore {
         self.next_ckpt_full = true;
         self.ckpts_since_full = 0;
         self.ckpt_seq = last.seq + 1;
-        // Every input wire: dedupe floor at the consumed watermark, then
-        // recover via replay.
-        let wires: Vec<WireId> = self.wire_source.keys().copied().collect();
-        for wire in wires {
-            let consumed = self.consumed.get(&wire).copied();
-            if let Some(vt) = consumed {
-                self.mux.promise_silence(wire, vt);
-            }
-            let from = consumed.map_or(VirtualTime::ZERO, VirtualTime::next);
-            self.enter_recovery(wire, from);
-        }
         Ok(())
     }
 
@@ -1732,21 +1612,19 @@ impl EngineCore {
     /// fault (§II.G.4's dynamic re-tuning). Each component re-tunes at most
     /// once per activation — faults are "an extra overhead whose frequency
     /// we expect to minimize".
-    fn observe_sample(
-        &mut self,
-        cid: ComponentId,
-        features: tart_model::Features,
-        measured_ns: u64,
-    ) {
-        let Some(calibrator) = self.calibrators.get_mut(&cid) else {
+    fn observe_sample(&mut self, cid: ComponentId, features: &Features, measured_ns: u64) {
+        let Some(h) = self.hosted.get_mut(&cid) else {
             return;
         };
-        calibrator.add_sample(features, measured_ns.max(1));
+        let Some(calibrator) = &mut h.calibrator else {
+            return;
+        };
+        calibrator.add_sample(features.clone(), measured_ns.max(1));
         if !calibrator.is_ready() {
             return;
         }
         let fitted = calibrator.fit_through_origin(tart_model::BlockId(0)).ok();
-        self.calibrators.remove(&cid);
+        h.calibrator = None;
         if let Some((spec, _fit)) = fitted {
             self.recalibrate(cid, spec);
         }
@@ -1759,11 +1637,12 @@ impl EngineCore {
         component: ComponentId,
         spec: tart_estimator::EstimatorSpec,
     ) {
-        let Some(schedule) = self.estimators.get_mut(&component) else {
+        let Some(h) = self.hosted.get_mut(&component) else {
             return;
         };
         let clock = self.mux.gate(component).clock();
-        let latest = schedule
+        let latest = h
+            .estimator
             .iter()
             .last()
             .map(|(vt, _)| vt)
@@ -1778,19 +1657,15 @@ impl EngineCore {
         if let Some(store) = &self.durable {
             // tart-lint: allow(TAINT-FLOW) -- fault-log ack only: the Err branch deterministically keeps the old estimator; the store's dir scan never reaches engine state
             if store.log_fault(self.id, component, &fault).is_err() {
-                self.calibrators.remove(&component);
+                h.calibrator = None;
                 return;
             }
         }
         self.replica.log_fault(component, fault.clone());
-        self.estimators
-            .get_mut(&component)
-            .expect("checked above")
+        h.estimator
             .apply_fault(&fault)
             .expect("switch time is past every earlier switch");
-        self.metrics
-            .determinism_faults
-            .fetch_add(1, AtomicOrdering::Relaxed);
+        count(&self.metrics.determinism_faults, 1);
         self.obs.recalibration(component, vt);
     }
 }
@@ -1837,9 +1712,20 @@ mod tests {
         (core, rx)
     }
 
-    fn client_wires(core: &EngineCore) -> (WireId, WireId) {
-        let ins = core.spec.external_inputs();
+    fn client_wires() -> (WireId, WireId) {
+        let spec = fan_in_app(2).unwrap();
+        let ins = spec.external_inputs();
         (ins[0].id(), ins[1].id())
+    }
+
+    /// Every output wire's send watermark.
+    fn sent(core: &EngineCore) -> Vec<(WireId, Option<VirtualTime>)> {
+        core.outputs.iter().map(|(w, o)| (*w, o.sent)).collect()
+    }
+
+    fn retained(core: &mut EngineCore, wire: WireId) -> &RetentionBuffer {
+        let out = core.outputs.get_mut(&wire).unwrap();
+        out.retention_mut().unwrap()
     }
 
     fn data(wire: WireId, t: u64, prev: u64, payload: &str) -> Envelope {
@@ -1854,7 +1740,7 @@ mod tests {
     #[test]
     fn paper_example_flows_end_to_end() {
         let (mut core, outputs) = single_core();
-        let (w1, w2) = client_wires(&core);
+        let (w1, w2) = client_wires();
         // §II.E: sentences of length 3 and 2 at times 50 000 and 80 000.
         assert_eq!(core.handle(data(w1, 50_000, 0, "a b c")), Flow::Continue);
         assert_eq!(core.handle(data(w2, 80_000, 0, "d e")), Flow::Continue);
@@ -1884,7 +1770,7 @@ mod tests {
     #[test]
     fn duplicate_data_is_discarded_by_timestamp() {
         let (mut core, _outputs) = single_core();
-        let (w1, _) = client_wires(&core);
+        let (w1, _) = client_wires();
         core.handle(data(w1, 50_000, 0, "a"));
         core.handle(data(w1, 50_000, 0, "a")); // duplicated by the link
         core.pump();
@@ -1894,7 +1780,7 @@ mod tests {
     #[test]
     fn lost_message_triggers_replay_request_via_prev_chain() {
         let (mut core, _outputs) = single_core();
-        let (w1, _) = client_wires(&core);
+        let (w1, _) = client_wires();
         core.handle(data(w1, 50_000, 0, "a"));
         // The message at 60 000 was lost; its successor names it.
         core.handle(data(w1, 70_000, 60_000, "c"));
@@ -1923,7 +1809,7 @@ mod tests {
     fn checkpoint_restore_reproduces_state_and_outputs() {
         // Run A: process, checkpoint, process more, recording outputs.
         let (mut a, outputs_a) = single_core();
-        let (w1, w2) = client_wires(&a);
+        let (w1, w2) = client_wires();
         a.handle(data(w1, 50_000, 0, "x y"));
         a.handle(data(w2, 60_000, 0, "x"));
         a.pump();
@@ -1979,6 +1865,49 @@ mod tests {
         assert_eq!(outs_b[1].payload, outs_a[2].payload);
     }
 
+    /// Pins the checkpoint encoding across commits: one full and two delta
+    /// generations of the paper example, byte length and final chain seal.
+    /// The literals were recorded before the engine's state moved into
+    /// per-wire / per-component tables; a change to either means a
+    /// checkpoint byte was reordered, added or dropped.
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        let (mut core, _outputs) = single_core();
+        let (w1, w2) = client_wires();
+        core.handle(data(w1, 50_000, 0, "a b c"));
+        core.handle(data(w2, 80_000, 0, "d e"));
+        core.pump();
+        // Full: senders ran, the merger is still waiting on client silence,
+        // so `consumed` / `sent` name only the wires that have moved.
+        core.take_checkpoint();
+        core.handle(data(w1, 900_000, 50_000, "x z"));
+        core.pump();
+        core.take_checkpoint();
+        core.handle(data(w2, 950_000, 80_000, "q"));
+        core.handle(Envelope::Eos {
+            wire: w1,
+            last_data: vt(900_000),
+        });
+        core.handle(Envelope::Eos {
+            wire: w2,
+            last_data: vt(950_000),
+        });
+        core.pump();
+        core.take_checkpoint();
+        let chain = core.replica.chain();
+        assert_eq!(chain.len(), 3);
+        assert!(chain[0].is_self_contained() && !chain[2].is_self_contained());
+        let bytes: usize = chain
+            .iter()
+            .map(|c| tart_codec::Encode::to_bytes(c).len())
+            .sum();
+        assert_eq!(bytes, 788);
+        assert_eq!(
+            chain[2].chain_seal.to_string(),
+            "debebed82b50c8e02b8f4d83bd99f4519c7250920aab6d93890d3144895e179c"
+        );
+    }
+
     #[test]
     fn restore_without_any_checkpoint_replays_from_zero() {
         let (mut a, _out) = single_core();
@@ -1992,8 +1921,12 @@ mod tests {
     #[test]
     fn recalibration_is_logged_and_survives_restore() {
         let (mut a, _out) = single_core();
-        let (w1, w2) = client_wires(&a);
-        let s1 = a.spec.component_by_name("Sender1").unwrap().id();
+        let (w1, w2) = client_wires();
+        let s1 = fan_in_app(2)
+            .unwrap()
+            .component_by_name("Sender1")
+            .unwrap()
+            .id();
         a.handle(data(w1, 50_000, 0, "a b c"));
         a.pump();
         a.handle(Envelope::Checkpoint);
@@ -2014,7 +1947,7 @@ mod tests {
             last_data: VirtualTime::ZERO,
         });
         a.pump();
-        let orig_watermark = a.sent_watermark.clone();
+        let orig_watermark = sent(&a);
 
         // Restore: the fault log reinstalls the new coefficient, so the
         // re-executed message reproduces the same output time.
@@ -2036,7 +1969,7 @@ mod tests {
             });
         }
         b.pump();
-        assert_eq!(b.sent_watermark, orig_watermark);
+        assert_eq!(sent(&b), orig_watermark);
     }
 
     #[test]
@@ -2106,19 +2039,20 @@ mod tests {
     #[test]
     fn trim_ack_shrinks_retention() {
         let (mut core, _out) = single_core();
-        let (w1, w2) = client_wires(&core);
+        let (w1, w2) = client_wires();
         core.handle(data(w1, 50_000, 0, "a b"));
         core.handle(data(w2, 60_000, 0, "c"));
         core.pump();
-        let s1 = core.spec.component_by_name("Sender1").unwrap().id();
-        let internal = core.spec.output_wires_of(s1)[0].id();
-        assert_eq!(core.retention[&internal].len(), 1);
-        let sent_vt = core.retention[&internal].last_sent().unwrap();
+        let spec = fan_in_app(2).unwrap();
+        let s1 = spec.component_by_name("Sender1").unwrap().id();
+        let internal = spec.output_wires_of(s1)[0].id();
+        assert_eq!(retained(&mut core, internal).len(), 1);
+        let sent_vt = retained(&mut core, internal).last_sent().unwrap();
         core.handle(Envelope::TrimAck {
             wire: internal,
             through: sent_vt,
         });
-        assert_eq!(core.retention[&internal].len(), 0);
+        assert_eq!(retained(&mut core, internal).len(), 0);
     }
 
     #[test]
@@ -2225,7 +2159,7 @@ mod tests {
             replica.clone(),
             tx,
         );
-        let (w1, _) = client_wires(&core);
+        let (w1, _) = client_wires();
         // Three measured executions arm and fire the re-calibration.
         core.handle(data(w1, 50_000, 0, "a b c"));
         core.handle(data(w1, 150_000, 50_000, "d e"));

@@ -4,9 +4,9 @@
 //! in-process [`Router`] covers single-host deployments and
 //! tests; this module extends it across hosts: every [`Envelope`] is
 //! [`Encode`]-stable, so a frame is just a length-prefixed, CRC-protected
-//! `(target engine, envelope)` pair on a TCP stream (which is itself
-//! reliable and FIFO, matching the §II.A link model; loss at *failure* is
-//! still covered by the replay protocol).
+//! batch of `(target engine, envelope)` pairs on a TCP stream (which is
+//! itself reliable and FIFO, matching the §II.A link model; loss at
+//! *failure* is still covered by the replay protocol).
 //!
 //! Topology: each process runs a [`TcpInbound`] acceptor that delivers
 //! arriving frames into its local router, and registers a
@@ -33,8 +33,8 @@
 //! *by reference* into a reusable scratch buffer — no clone, no per-send
 //! allocation. Superseded silence adverts are coalesced per wire before
 //! encoding; silence watermarks are monotone, so only the newest matters.
-//! [`TcpInbound`] speaks batch frames; the single-envelope
-//! [`write_frame`]/[`read_frame`] codec remains for tools and tests.
+//! Batch frames are the only wire format: a lone envelope travels as a
+//! batch of one.
 //!
 //! # Example
 //!
@@ -78,18 +78,8 @@ const MAX_FRAME: u32 = 64 * 1024 * 1024;
 /// and the blast radius of a torn batch.
 pub(crate) const MAX_BATCH: usize = 1024;
 
-/// Encodes one `(target, envelope)` frame into `buf` **by reference** —
-/// no envelope clone, no intermediate allocation:
-/// `u32 BE body length | u32 BE crc32(body) | body`.
-pub fn encode_frame_into(buf: &mut BytesMut, target: EngineId, env: &Envelope) {
-    let start = buf.len();
-    buf.extend_from_slice(&[0u8; 8]); // header patched below
-    target.encode(buf);
-    env.encode(buf);
-    patch_header(buf, start);
-}
-
-/// Encodes a whole batch as **one** frame into `buf`:
+/// Encodes a whole batch as **one** frame into `buf`, **by reference** — no
+/// envelope clone, no intermediate allocation:
 /// `u32 BE body length | u32 BE crc32(body) | body`, where the body is a
 /// varint envelope count followed by that many `(target, envelope)` pairs
 /// (byte-identical to the codec's `Vec` encoding). One CRC covers the whole
@@ -116,17 +106,6 @@ fn patch_header(buf: &mut BytesMut, start: usize) {
     let crc = crc32(&buf[start + 8..]);
     buf[start..start + 4].copy_from_slice(&(body_len as u32).to_be_bytes());
     buf[start + 4..start + 8].copy_from_slice(&crc.to_be_bytes());
-}
-
-/// Writes one `(target, envelope)` frame (see [`encode_frame_into`]).
-///
-/// # Errors
-///
-/// Propagates I/O failures from the underlying stream.
-pub fn write_frame(w: &mut impl Write, target: EngineId, env: &Envelope) -> io::Result<()> {
-    let mut buf = BytesMut::new();
-    encode_frame_into(&mut buf, target, env);
-    w.write_all(&buf)
 }
 
 /// Writes `batch` as one batch frame via a caller-owned `scratch` buffer
@@ -215,30 +194,15 @@ fn read_frame_bytes(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(buf))
 }
 
-/// Reads one frame; `Ok(None)` signals a clean EOF at a frame boundary.
-///
-/// # Errors
-///
-/// Returns `InvalidData` on CRC mismatch, oversized length, or a malformed
-/// body; `UnexpectedEof` on a mid-frame disconnect; and propagates other
-/// I/O failures.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(EngineId, Envelope)>> {
-    let Some(buf) = read_frame_bytes(r)? else {
-        return Ok(None);
-    };
-    let body = front_frame(&buf)?.expect("read_frame_bytes returns whole frames");
-    <(EngineId, Envelope)>::from_bytes(body)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-}
-
 /// Reads one batch frame; `Ok(None)` signals a clean EOF at a frame
 /// boundary. The CRC covers the whole batch: a single corrupt byte rejects
 /// every envelope in it (no partial delivery from a damaged frame).
 ///
 /// # Errors
 ///
-/// Same contract as [`read_frame`].
+/// Returns `InvalidData` on CRC mismatch, oversized length, or a malformed
+/// body; `UnexpectedEof` on a mid-frame disconnect; and propagates other
+/// I/O failures.
 pub fn read_batch(r: &mut impl Read) -> io::Result<Option<Vec<(EngineId, Envelope)>>> {
     match read_frame_bytes(r)? {
         Some(mut buf) => pop_frame(&mut buf),
@@ -610,23 +574,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn frame_round_trip_over_buffer() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, EngineId::new(3), &data(7)).unwrap();
-        write_frame(&mut buf, EngineId::new(4), &Envelope::Checkpoint).unwrap();
-        let mut cursor = &buf[..];
-        assert_eq!(
-            read_frame(&mut cursor).unwrap(),
-            Some((EngineId::new(3), data(7)))
-        );
-        assert_eq!(
-            read_frame(&mut cursor).unwrap(),
-            Some((EngineId::new(4), Envelope::Checkpoint))
-        );
-        assert_eq!(read_frame(&mut cursor).unwrap(), None, "clean EOF");
-    }
-
     fn silence(wire: u32, through: u64) -> Envelope {
         Envelope::Silence {
             wire: WireId::new(wire),
@@ -696,35 +643,12 @@ mod tests {
     }
 
     #[test]
-    fn single_and_batch_frames_share_the_body_encoding() {
-        // A batch of one is the single frame plus a count prefix: both are
-        // built from references, so the bodies must agree byte-for-byte.
-        let mut single = BytesMut::new();
-        encode_frame_into(&mut single, EngineId::new(7), &data(5));
-        let mut batch = BytesMut::new();
-        encode_batch_into(&mut batch, &[(EngineId::new(7), data(5))]);
-        assert_eq!(&single[8..], &batch[9..], "pair encoding is identical");
-        assert_eq!(batch[8], 1, "varint count of one");
-    }
-
-    #[test]
-    fn corrupt_frame_is_rejected() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, EngineId::new(0), &data(1)).unwrap();
-        let last = buf.len() - 1;
-        buf[last] ^= 0xff;
-        let mut cursor = &buf[..];
-        let err = read_frame(&mut cursor).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
     fn oversized_length_is_rejected() {
         let mut buf = Vec::new();
         buf.extend_from_slice(&u32::MAX.to_be_bytes());
         buf.extend_from_slice(&0u32.to_be_bytes());
         let mut cursor = &buf[..];
-        let err = read_frame(&mut cursor).unwrap_err();
+        let err = read_batch(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -732,7 +656,7 @@ mod tests {
     fn torn_header_is_eof_error() {
         let buf = [0u8; 3];
         let mut cursor = &buf[..];
-        let err = read_frame(&mut cursor).unwrap_err();
+        let err = read_batch(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 

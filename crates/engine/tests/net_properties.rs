@@ -1,16 +1,15 @@
-//! Property tests of the TCP frame codec: every envelope kind round-trips
-//! through `write_frame`/`read_frame` (and batches of them through
-//! `write_batch`/`read_batch`), and *no* truncation of a valid frame can
-//! ever decode into a wrong envelope — the reader either reports a torn
-//! frame (`UnexpectedEof`), corruption (`InvalidData`), or a clean EOF at a
-//! frame boundary. A batch shares one CRC, so damage anywhere rejects
-//! *every* envelope in it.
+//! Property tests of the TCP frame codec: batches of every envelope kind
+//! round-trip through `write_batch`/`read_batch`, and *no* truncation of a
+//! valid frame can ever decode into wrong envelopes — the reader either
+//! reports a torn frame (`UnexpectedEof`), corruption (`InvalidData`), or a
+//! clean EOF at a frame boundary. A batch shares one CRC, so damage
+//! anywhere rejects *every* envelope in it.
 
 use std::io::ErrorKind;
 
 use bytes::BytesMut;
 use proptest::prelude::*;
-use tart_engine::net::{read_batch, read_frame, write_batch, write_frame};
+use tart_engine::net::{read_batch, write_batch};
 use tart_engine::Envelope;
 use tart_estimator::EstimatorSpec;
 use tart_model::{BlockId, Value};
@@ -108,78 +107,6 @@ fn arb_batch() -> impl Strategy<Value = Vec<(EngineId, Envelope)>> {
 }
 
 proptest! {
-    /// Any envelope to any target round-trips through a frame intact.
-    #[test]
-    fn frames_round_trip(target in 0u32..1_000, env in arb_envelope()) {
-        let target = EngineId::new(target);
-        let mut buf = Vec::new();
-        write_frame(&mut buf, target, &env).expect("write to memory");
-        let mut cursor = &buf[..];
-        let decoded = read_frame(&mut cursor).expect("valid frame decodes");
-        prop_assert_eq!(decoded, Some((target, env)));
-        prop_assert_eq!(read_frame(&mut cursor).expect("clean tail"), None);
-    }
-
-    /// Truncating a frame at *every* byte offset yields a clean EOF (cut at
-    /// the frame boundary), `UnexpectedEof` (torn mid-frame) or
-    /// `InvalidData` — never `Ok(Some(_))` with a wrong envelope.
-    #[test]
-    fn truncation_never_yields_a_wrong_envelope(
-        target in 0u32..1_000,
-        env in arb_envelope(),
-    ) {
-        let target = EngineId::new(target);
-        let mut buf = Vec::new();
-        write_frame(&mut buf, target, &env).expect("write to memory");
-        for cut in 0..buf.len() {
-            let mut cursor = &buf[..cut];
-            match read_frame(&mut cursor) {
-                Ok(None) => prop_assert_eq!(cut, 0, "clean EOF only at the boundary"),
-                Ok(Some(decoded)) => prop_assert!(
-                    false,
-                    "truncation at {cut}/{} decoded {decoded:?}",
-                    buf.len()
-                ),
-                Err(e) => prop_assert!(
-                    matches!(e.kind(), ErrorKind::UnexpectedEof | ErrorKind::InvalidData),
-                    "unexpected error kind {:?} at cut {cut}",
-                    e.kind()
-                ),
-            }
-        }
-    }
-
-    /// Flipping any single byte of a frame is detected (CRC or decode),
-    /// except in the length prefix where the flip may legitimately turn the
-    /// frame into a longer one that then reads as torn.
-    #[test]
-    fn corruption_is_detected(
-        target in 0u32..1_000,
-        env in arb_envelope(),
-        flip_byte in any::<u8>(),
-        pos_seed in any::<u64>(),
-    ) {
-        let target = EngineId::new(target);
-        let mut buf = Vec::new();
-        write_frame(&mut buf, target, &env).expect("write to memory");
-        let pos = (pos_seed % buf.len() as u64) as usize;
-        let flip = if flip_byte == 0 { 0xff } else { flip_byte };
-        buf[pos] ^= flip;
-        let mut cursor = &buf[..];
-        match read_frame(&mut cursor) {
-            Ok(Some(decoded)) => prop_assert!(
-                false,
-                "corrupt frame (byte {pos} ^ {flip:#04x}) decoded {decoded:?}"
-            ),
-            Ok(None) => prop_assert!(false, "corrupt frame read as clean EOF"),
-            Err(e) => prop_assert!(
-                matches!(e.kind(), ErrorKind::UnexpectedEof | ErrorKind::InvalidData),
-                "unexpected error kind {:?}",
-                e.kind()
-            ),
-        }
-    }
-
     /// A batch of N envelopes round-trips through one batch frame intact —
     /// order, targets and payloads all preserved. An empty batch writes
     /// nothing at all.

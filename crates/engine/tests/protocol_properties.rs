@@ -7,12 +7,16 @@
 //!   (determinism, §II.D);
 //! * checkpoint + replay from *any* prefix reproduces the original outputs
 //!   exactly (§II.F);
-//! * arbitrary duplication of data envelopes is absorbed (§II.F.4).
+//! * arbitrary duplication of data envelopes is absorbed (§II.F.4);
+//! * a wire-addressed envelope naming a wire this engine does not send or
+//!   receive on — the external output included — is dropped, never a panic.
 
 use crossbeam::channel::{unbounded, Receiver};
 use proptest::prelude::*;
+use std::sync::Arc;
 use tart_engine::{
-    ClusterConfig, EngineCore, Envelope, FaultPlan, OutputRecord, Placement, ReplicaStore, Router,
+    CheckpointStore, ClusterConfig, EngineCore, Envelope, FaultPlan, Flow, OutputRecord, Placement,
+    ReplicaStore, Router,
 };
 use tart_estimator::EstimatorSpec;
 use tart_model::reference::{self, fan_in_app};
@@ -80,6 +84,22 @@ fn client_wires() -> [WireId; 2] {
     let spec = fan_in_app(2).expect("valid");
     let ins = spec.external_inputs();
     [ins[0].id(), ins[1].id()]
+}
+
+/// The Fig 1 deployment's one external output wire (Merger → consumer).
+fn output_wire() -> WireId {
+    fan_in_app(2).expect("valid").external_outputs()[0].id()
+}
+
+/// Attaches a checkpoint store in a fresh temp directory, which gives the
+/// external output wire a retention buffer. Returns the directory.
+fn make_durable(core: &mut EngineCore, tag: &str) -> std::path::PathBuf {
+    static N: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let n = N.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("tart-proto-{tag}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    core.set_durable(Arc::new(CheckpointStore::open(&dir).expect("open store")));
+    dir
 }
 
 fn data_env(wire: WireId, ts: u64, prev: u64, sentence: &str) -> Envelope {
@@ -258,6 +278,49 @@ proptest! {
         );
     }
 
+    /// Every wire-addressed envelope kind × every wire id — client inputs,
+    /// internal wires, the external output, unknown ids — is handled or
+    /// dropped, with and without durability (which changes what the output
+    /// wire's record holds). Both envelopes arrive from the network.
+    #[test]
+    fn wire_addressed_envelopes_never_panic(
+        a in 0u64..2_000_000,
+        b in 0u64..2_000_000,
+        frames in 0u64..3,
+        durable in any::<bool>(),
+        warm in any::<bool>(),
+    ) {
+        let (mut core, _outputs, _replica) = build_core(2);
+        let dir = durable.then(|| make_durable(&mut core, "never-panic"));
+        if warm {
+            for (client, wire) in client_wires().into_iter().enumerate() {
+                core.handle(data_env(wire, 1_000 + client as u64, 0, "cat sat"));
+            }
+            core.pump();
+        }
+        let wires = fan_in_app(2).expect("valid").wires().len() as u32;
+        for id in 0..=wires + 1 {
+            let wire = WireId::new(id);
+            let envelopes = [
+                Envelope::Data { wire, vt: vt(a), prev_vt: vt(b), payload: Value::from("dog") },
+                Envelope::Silence { wire, through: vt(a), last_data: vt(b) },
+                Envelope::Eos { wire, last_data: vt(b) },
+                Envelope::Probe { wire, needed_through: vt(a) },
+                Envelope::ReplayRequest { wire, from: vt(b) },
+                Envelope::ReplayDone { wire, through: vt(a), frames },
+                Envelope::TrimAck { wire, through: vt(a) },
+            ];
+            for env in envelopes {
+                prop_assert_eq!(core.handle(env), Flow::Continue);
+                core.pump();
+            }
+        }
+        drop(core);
+        if let Some(dir) = dir {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
     /// Duplicate absorption: doubling every data envelope changes nothing.
     #[test]
     fn duplicated_data_is_absorbed(workload in arb_workload()) {
@@ -303,4 +366,31 @@ fn silence_only_workload_produces_no_output() {
     core.pump();
     drop(core);
     assert_eq!(outputs.try_iter().count(), 0);
+}
+
+/// A probe can arrive from the network naming any wire; the external output
+/// has no silence to speak, so the probe is dropped like an unknown wire's.
+#[test]
+fn probe_naming_the_external_output_is_dropped() {
+    let (mut core, _outputs, _replica) = build_core(10);
+    let probe = Envelope::Probe {
+        wire: output_wire(),
+        needed_through: vt(5_000_000),
+    };
+    assert_eq!(core.handle(probe), Flow::Continue);
+}
+
+/// Under durability the external output retains (for re-emission after a
+/// cold restart), but it still has no upstream to replay to.
+#[test]
+fn replay_request_naming_the_durable_external_output_is_dropped() {
+    let (mut core, _outputs, _replica) = build_core(10);
+    let dir = make_durable(&mut core, "replay-output");
+    let request = Envelope::ReplayRequest {
+        wire: output_wire(),
+        from: VirtualTime::ZERO,
+    };
+    assert_eq!(core.handle(request), Flow::Continue);
+    assert_eq!(core.metrics().replays_served, 0);
+    let _ = std::fs::remove_dir_all(dir);
 }

@@ -9,8 +9,10 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 use tart_codec::{Decode, DecodeError, Encode, Reader};
 use tart_estimator::DeterminismFault;
-use tart_model::{Snapshot, StateHash, StateHasher, Value};
+use tart_model::{CheckpointMode, Snapshot, StateHash, StateHasher, Value};
 use tart_vtime::{ComponentId, EngineId, VirtualTime, WireId};
+
+use crate::store::KEPT_GENERATIONS;
 
 /// A soft checkpoint of one engine's state (§II.F.2).
 ///
@@ -95,22 +97,34 @@ impl EngineCheckpoint {
     /// Self-contained checkpoints restart the seal chain: `prev` is ignored
     /// for them and [`StateHash::ZERO`] folded in its place.
     pub fn seal_over(&self, prev: &StateHash) -> StateHash {
+        self.seal_and_len(prev).0
+    }
+
+    /// Stamps `chain_seal` in place, chained after `prev` (see
+    /// [`EngineCheckpoint::seal_over`]). Returns the length of the canonical
+    /// encoding — the bytes just hashed plus the seal — so a caller that
+    /// wants the size need not serialize a second time.
+    pub fn seal(&mut self, prev: &StateHash) -> usize {
+        let (seal, len) = self.seal_and_len(prev);
+        self.chain_seal = seal;
+        len
+    }
+
+    /// The seal over `prev` and the length of [`Encode::to_bytes`], from one
+    /// serialization.
+    fn seal_and_len(&self, prev: &StateHash) -> (StateHash, usize) {
         let mut h = StateHasher::new();
         h.update_hash(if self.is_self_contained() {
             &StateHash::ZERO
         } else {
             prev
         });
-        let mut buf = BytesMut::new();
+        // Snapshot payloads dominate; the slack covers the bookkeeping maps
+        // of a small engine, and anything larger grows the buffer as before.
+        let mut buf = BytesMut::with_capacity(self.payload_bytes() + 1024);
         self.encode_sans_seal(&mut buf);
         h.update(&buf);
-        h.finish()
-    }
-
-    /// Stamps `chain_seal` in place, chained after `prev` (see
-    /// [`EngineCheckpoint::seal_over`]).
-    pub fn seal(&mut self, prev: &StateHash) {
-        self.chain_seal = self.seal_over(prev);
+        (h.finish(), buf.len() + self.chain_seal.0.len())
     }
 
     fn encode_sans_seal(&self, buf: &mut BytesMut) {
@@ -299,6 +313,45 @@ impl fmt::Display for DivergenceFault {
 
 impl std::error::Error for DivergenceFault {}
 
+/// The members a restore may read, oldest first, with the positions that
+/// anchor them: what a [`ReplicaStore`] still holds, or one chain loaded
+/// from disk.
+#[derive(Clone, Default)]
+pub(crate) struct HeldChain {
+    /// How many members were shipped before `members[0]` and since pruned.
+    pub(crate) floor: usize,
+    pub(crate) members: Vec<Arc<EngineCheckpoint>>,
+    /// Indices into `members` of the *anchors*: the members the engine
+    /// captured in [`CheckpointMode::Full`], ascending. The capture mode is
+    /// the authority — [`EngineCheckpoint::is_self_contained`] is inferred
+    /// from content and is vacuously true of an incremental snapshot that
+    /// omits its clean fields (DESIGN.md §15).
+    pub(crate) anchors: Vec<usize>,
+}
+
+impl HeldChain {
+    /// A chain as [`crate::CheckpointStore::load_chain`] returns it: one
+    /// full head and the deltas against it.
+    pub(crate) fn from_disk(chain: Vec<EngineCheckpoint>) -> Self {
+        HeldChain {
+            floor: 0,
+            anchors: (0..chain.len().min(1)).collect(), // the head, if any
+            members: chain.into_iter().map(Arc::new).collect(),
+        }
+    }
+
+    /// Where the newest anchored chain opens (0 when nothing anchors).
+    pub(crate) fn newest_anchor(&self) -> usize {
+        self.anchors.last().copied().unwrap_or(0)
+    }
+
+    /// Discards `members[len..]` and the anchors among them.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.members.truncate(len);
+        self.anchors.retain(|a| *a < len);
+    }
+}
+
 /// The passive replica: holds checkpoint chains and the synchronously
 /// logged determinism faults, does no processing until promoted (§I.B,
 /// §II.F.3).
@@ -307,6 +360,12 @@ impl std::error::Error for DivergenceFault {}
 /// when one runs — the warm standby, which tails the chain by cursor
 /// (readers) behind a mutex; checkpoint shipping is "asynchronous" in the
 /// sense that the engine never waits for the replica to apply anything.
+///
+/// Bounded the way the on-disk store is: only the newest
+/// [`KEPT_GENERATIONS`] anchored chains are held, so a promotion restores
+/// one full and its delta tail however old the incarnation is. *Positions*
+/// stay absolute — members ever shipped — so a cursor into the chain keeps
+/// its meaning across pruning.
 #[derive(Clone, Default)]
 pub struct ReplicaStore {
     inner: Arc<Mutex<ReplicaInner>>,
@@ -314,10 +373,12 @@ pub struct ReplicaStore {
 
 #[derive(Default)]
 struct ReplicaInner {
-    /// Checkpoint chain in seq order: one full head + incremental tail.
-    /// Members are immutable once shipped, so readers share them.
-    chain: Vec<Arc<EngineCheckpoint>>,
+    /// The newest [`KEPT_GENERATIONS`] anchored chains in shipped order:
+    /// full, deltas, full, deltas. Members are immutable once shipped, so
+    /// readers share them.
+    held: HeldChain,
     /// Determinism faults logged synchronously (§II.G.4), per component.
+    /// Never pruned: replay re-applies every one.
     faults: Vec<(ComponentId, DeterminismFault)>,
 }
 
@@ -327,11 +388,23 @@ impl ReplicaStore {
         ReplicaStore::default()
     }
 
-    /// Accepts a shipped checkpoint. Checkpoints with stale sequence
-    /// numbers (possible when a promoted engine restarts the sequence) are
-    /// appended regardless; order of arrival is the order of application.
-    pub fn push_checkpoint(&self, ckpt: EngineCheckpoint) {
-        self.inner.lock().chain.push(Arc::new(ckpt));
+    /// Accepts a shipped checkpoint and the mode the engine captured it in.
+    /// A [`CheckpointMode::Full`] member anchors a new chain; once more than
+    /// [`KEPT_GENERATIONS`] chains are held the oldest is dropped whole.
+    /// Order of arrival is the order of application.
+    pub fn push_checkpoint(&self, ckpt: EngineCheckpoint, mode: CheckpointMode) {
+        let held = &mut self.inner.lock().held;
+        if mode == CheckpointMode::Full {
+            held.anchors.push(held.members.len());
+            if held.anchors.len() > KEPT_GENERATIONS {
+                let cut = held.anchors[held.anchors.len() - KEPT_GENERATIONS];
+                held.members.drain(..cut);
+                held.anchors.retain(|a| *a >= cut);
+                held.anchors.iter_mut().for_each(|a| *a -= cut);
+                held.floor += cut;
+            }
+        }
+        held.members.push(Arc::new(ckpt));
     }
 
     /// Synchronously logs a determinism fault. Must complete before the
@@ -340,17 +413,29 @@ impl ReplicaStore {
         self.inner.lock().faults.push((component, fault));
     }
 
-    /// The checkpoint chain, oldest first.
+    /// The held members, oldest first, always opening at an anchor. A deep
+    /// copy for tests and probes; no production path calls it.
     pub fn chain(&self) -> Vec<EngineCheckpoint> {
-        self.tail(0).iter().map(|c| (**c).clone()).collect()
+        let held = self.held();
+        held.members.iter().map(|c| (**c).clone()).collect()
     }
 
-    /// The chain from position `from` on, oldest first, sharing the members
-    /// rather than copying them. The lock is released before returning, so
-    /// a reader can take as long as it likes over what it got.
-    pub(crate) fn tail(&self, from: usize) -> Vec<Arc<EngineCheckpoint>> {
+    /// Everything currently held, sharing the members.
+    pub(crate) fn held(&self) -> HeldChain {
+        self.inner.lock().held.clone()
+    }
+
+    /// The chain from absolute position `from` on, oldest first, sharing the
+    /// members rather than copying them, and the position the first one
+    /// sits at: `from`, or the floor when pruning has passed `from`. The
+    /// lock is released before returning, so a reader can take as long as it
+    /// likes over what it got.
+    pub(crate) fn tail(&self, from: usize) -> (usize, Vec<Arc<EngineCheckpoint>>) {
         let inner = self.inner.lock();
-        inner.chain.get(from..).unwrap_or_default().to_vec()
+        let held = &inner.held;
+        let start = from.max(held.floor);
+        let members = held.members.get(start - held.floor..).unwrap_or_default();
+        (start, members.to_vec())
     }
 
     /// All logged determinism faults, oldest first.
@@ -358,14 +443,15 @@ impl ReplicaStore {
         self.inner.lock().faults.clone()
     }
 
-    /// Number of checkpoints held.
+    /// Number of checkpoints shipped (held or since pruned).
     pub fn len(&self) -> usize {
-        self.inner.lock().chain.len()
+        let inner = self.inner.lock();
+        inner.held.floor + inner.held.members.len()
     }
 
     /// Returns `true` if no checkpoint has ever been shipped.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().chain.is_empty()
+        self.len() == 0
     }
 }
 
@@ -373,7 +459,8 @@ impl std::fmt::Debug for ReplicaStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.lock();
         f.debug_struct("ReplicaStore")
-            .field("checkpoints", &inner.chain.len())
+            .field("shipped", &(inner.held.floor + inner.held.members.len()))
+            .field("held", &inner.held.members.len())
             .field("faults", &inner.faults.len())
             .finish()
     }
@@ -421,18 +508,75 @@ mod tests {
         assert_eq!(ckpt.payload_bytes(), 0);
     }
 
-    #[test]
-    fn replica_accumulates_chain() {
+    /// Ships a sealed chain of `modes` in order (seq = position).
+    fn shipped(modes: &[CheckpointMode]) -> ReplicaStore {
         let store = ReplicaStore::new();
-        assert!(store.is_empty());
-        store.push_checkpoint(sample_checkpoint(0));
-        store.push_checkpoint(sample_checkpoint(1));
-        assert_eq!(store.len(), 2);
-        let chain = store.chain();
-        assert_eq!(chain[0].seq, 0);
-        assert_eq!(chain[1].seq, 1);
-        assert_eq!(store.tail(1)[0].seq, 1, "readers share members by position");
-        assert!(store.tail(2).is_empty() && store.tail(9).is_empty());
+        let mut prev = StateHash::ZERO;
+        for (seq, mode) in modes.iter().enumerate() {
+            let mut ckpt = match mode {
+                CheckpointMode::Full => sample_checkpoint(seq as u64),
+                CheckpointMode::Incremental => delta_checkpoint(seq as u64),
+            };
+            ckpt.seal(&prev);
+            prev = ckpt.chain_seal;
+            store.push_checkpoint(ckpt, *mode);
+        }
+        store
+    }
+
+    fn held_seqs(store: &ReplicaStore) -> Vec<u64> {
+        store.chain().iter().map(|c| c.seq).collect()
+    }
+
+    #[test]
+    fn replica_holds_the_newest_two_anchored_chains() {
+        use CheckpointMode::{Full as F, Incremental as I};
+        let store = ReplicaStore::new();
+        assert!(store.is_empty() && store.chain().is_empty());
+
+        // Two chains: nothing to prune yet.
+        let store = shipped(&[F, I, I, F, I]);
+        assert_eq!(held_seqs(&store), [0, 1, 2, 3, 4]);
+        assert_eq!(store.held().anchors, [0, 3]);
+        assert_eq!(store.len(), 5);
+
+        // A third anchor drops the oldest chain whole — never part of one.
+        let store = shipped(&[F, I, I, F, I, F]);
+        assert_eq!(held_seqs(&store), [3, 4, 5]);
+        let held = store.held();
+        assert_eq!((held.floor, held.anchors), (3, vec![0, 2]));
+        assert_eq!(store.len(), 6, "len counts every member shipped");
+
+        // Back-to-back fulls are one-member chains; deltas never prune.
+        let store = shipped(&[F, F, F, F, I, I, I]);
+        assert_eq!(held_seqs(&store), [2, 3, 4, 5, 6]);
+        assert_eq!(store.len(), 7);
+        assert_eq!(store.held().newest_anchor(), 1);
+        assert_eq!(verify_chain(&store.chain()), Ok(()), "opens at an anchor");
+
+        // Readers address members by absolute position; a cursor the floor
+        // has passed is clamped to it and told so.
+        let (start, tail) = store.tail(5);
+        assert_eq!((start, tail.len(), tail[0].seq), (5, 2, 5));
+        let (start, tail) = store.tail(0);
+        assert_eq!((start, tail.len(), tail[0].seq), (2, 5, 2));
+        assert_eq!(store.tail(7), (7, vec![]));
+        assert_eq!(store.tail(9), (9, vec![]));
+    }
+
+    #[test]
+    fn pruning_never_touches_the_fault_log() {
+        let store = shipped(&[CheckpointMode::Full]);
+        let fault = DeterminismFault {
+            vt: vt(1_000),
+            new_spec: EstimatorSpec::per_iteration(BlockId(0), 62_000),
+        };
+        store.log_fault(ComponentId::new(0), fault.clone());
+        for seq in 1..6 {
+            store.push_checkpoint(sample_checkpoint(seq), CheckpointMode::Full);
+        }
+        assert_eq!(held_seqs(&store), [4, 5]);
+        assert_eq!(store.faults(), [(ComponentId::new(0), fault)]);
     }
 
     #[test]
@@ -583,7 +727,7 @@ mod tests {
     fn store_is_cloneable_and_shared() {
         let a = ReplicaStore::new();
         let b = a.clone();
-        a.push_checkpoint(sample_checkpoint(0));
+        a.push_checkpoint(sample_checkpoint(0), CheckpointMode::Full);
         assert_eq!(b.len(), 1, "clones share the store");
         assert!(format!("{a:?}").contains("ReplicaStore"));
     }

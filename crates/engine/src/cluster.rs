@@ -16,15 +16,15 @@ use tart_model::{AppSpec, Value};
 use tart_vtime::{ComponentId, EngineId, VirtualTime, WireId};
 
 use crate::chaos::{ChaosHandle, ChaosPlan};
-use crate::checkpoint::seal_step;
+use crate::checkpoint::{seal_step, HeldChain};
 use crate::core::{EngineCore, Flow};
 use crate::router::{EXTERNAL_ENGINE, SUPERVISOR_ENGINE};
 use crate::standby::{StandbyPlane, StandbyStatus, WarmCandidate};
 use crate::store::CheckpointStore;
 use crate::supervise::{SupervisionMetrics, Supervisor};
 use crate::{
-    ClusterConfig, DurabilityConfig, DurabilityPolicy, EngineCheckpoint, EngineMetrics, Envelope,
-    MessageLog, OutputRecord, Placement, ReplicaStore, Router, SharedEngineMetrics,
+    ClusterConfig, DurabilityConfig, DurabilityPolicy, EngineMetrics, Envelope, MessageLog,
+    OutputRecord, Placement, ReplicaStore, Router, SharedEngineMetrics,
 };
 
 /// Cap on envelopes an engine batches per loop iteration, so a saturated
@@ -267,7 +267,7 @@ struct Restored {
     core: EngineCore,
     /// Verification forced a shorter chain than the caller supplied.
     fell_back: bool,
-    /// The core started from a warm standby's pre-applied prefix.
+    /// The core is a warm standby's head start, not one built from scratch.
     warm: bool,
 }
 
@@ -518,60 +518,51 @@ impl EngineHost {
         }
     }
 
-    /// The restore pipeline: restores `chain` into a core for `engine` with
-    /// hash verification (DESIGN.md §15). With a `head_start` — a warm
-    /// standby's core that already absorbed and verified the chain's first
-    /// `applied` members — only the tail after it is seal-checked and
-    /// applied, O(tail) rather than O(chain): the seal at the cursor
-    /// commits to the whole prefix. Without one, a fresh core takes the
-    /// whole chain.
+    /// The restore pipeline: restores what `held` offers into a core for
+    /// `engine` with hash verification (DESIGN.md §15). One selection rule:
+    /// the newest anchored chain — the last member captured in Full mode
+    /// and everything after it. A `head_start` — a warm standby's core that
+    /// already absorbed and verified every member before its cursor — skips
+    /// the part of that chain it holds: only the tail after it is
+    /// seal-checked and applied, the seal at the cursor committing to the
+    /// prefix. A cursor at or behind the anchor is still a head start: the
+    /// anchor restores over the standby's core as any mid-chain full does.
     ///
-    /// A chain-seal defect truncates the chain at the defective member
-    /// before anything is restored; a post-restore state-hash divergence
-    /// discards the tainted core and retries — a diverged head start
-    /// impeaches the standby, not the chain, so the same chain is retried
-    /// from scratch; a diverged from-scratch attempt drops the chain's
-    /// newest member. An empty chain restores vacuously, so the loop always
-    /// terminates. Discarding a core is safe because the core verifies
-    /// *before* its first router send: a failed attempt is invisible to
-    /// peers. Each rejection dumps the flight ring for forensics (the
-    /// divergence counter and timeline event are recorded inside the core).
+    /// A chain-seal defect truncates at the defective member before
+    /// anything is restored; a post-restore state-hash divergence discards
+    /// the tainted core and retries — a diverged head start impeaches the
+    /// standby, not the chain, so the same chain is retried from scratch; a
+    /// diverged from-scratch attempt drops the newest member. Once the
+    /// newest chain is used up the same rule selects the previous one.
+    /// Holding nothing restores vacuously, so the loop always terminates.
+    /// Discarding a core is safe because the core verifies *before* its
+    /// first router send: a failed attempt is invisible to peers. Each
+    /// rejection dumps the flight ring for forensics (the divergence
+    /// counter and timeline event are recorded inside the core).
     ///
     /// # Errors
     ///
-    /// When an **originally non-empty** chain is discarded down to nothing
-    /// — every generation defective or divergent — the error carries how
-    /// many generations were thrown away. Restoring vacuously in that case
-    /// would silently erase the engine's entire history; the caller decides
-    /// (promotion surfaces [`PromoteError::ChainExhausted`], cold restart
-    /// surfaces [`DeployError::DurabilityUnavailable`]). A chain that was
-    /// empty to begin with still restores vacuously: a never-checkpointed
-    /// engine legitimately restarts from scratch.
+    /// When **originally non-empty** holdings are discarded down to nothing
+    /// — every generation of every kept chain defective or divergent — the
+    /// error carries how many generations were thrown away. Restoring
+    /// vacuously in that case would silently erase the engine's entire
+    /// history; the caller decides (promotion surfaces
+    /// [`PromoteError::ChainExhausted`], cold restart surfaces
+    /// [`DeployError::DurabilityUnavailable`]). Holdings that were empty to
+    /// begin with still restore vacuously: a never-checkpointed engine
+    /// legitimately restarts from scratch.
     fn restore_verified(
         &self,
         engine: EngineId,
         replica: &ReplicaStore,
-        mut chain: Vec<EngineCheckpoint>,
+        mut held: HeldChain,
         faults: &[(ComponentId, tart_estimator::DeterminismFault)],
         mut head_start: Option<WarmCandidate>,
     ) -> Result<Restored, usize> {
-        let original_len = chain.len();
+        let original_len = held.members.len();
         let mut fell_back = false;
-        let verified = head_start.as_ref().map_or(0, |c| c.applied);
-        let mut prev = verified.checked_sub(1).map(|i| chain[i].chain_seal);
-        for index in verified..chain.len() {
-            match seal_step(prev, index, &chain[index]) {
-                Ok(seal) => prev = Some(seal),
-                Err(defect) => {
-                    dump_flight(&self.obs, &format!("chain defect for {engine}: {defect}"));
-                    chain.truncate(index);
-                    fell_back = true;
-                    break;
-                }
-            }
-        }
         loop {
-            if chain.is_empty() && original_len > 0 {
+            if held.members.is_empty() && original_len > 0 {
                 dump_flight(
                     &self.obs,
                     &format!(
@@ -580,18 +571,41 @@ impl EngineHost {
                 );
                 return Err(original_len);
             }
-            let (mut core, applied) = match head_start.take() {
+            let anchor = held.newest_anchor();
+            let chain = held.members.get(anchor..).unwrap_or_default();
+            // How far into this chain the head start reaches.
+            let applied = head_start
+                .as_ref()
+                .map_or(0, |c| c.applied.saturating_sub(held.floor + anchor));
+            let mut prev = applied.checked_sub(1).map(|i| chain[i].chain_seal);
+            let mut defect = None;
+            for (index, ckpt) in chain.iter().enumerate().skip(applied) {
+                match seal_step(prev, index, ckpt) {
+                    Ok(seal) => prev = Some(seal),
+                    Err(d) => {
+                        defect = Some((index, d));
+                        break;
+                    }
+                }
+            }
+            if let Some((index, defect)) = defect {
+                dump_flight(&self.obs, &format!("chain defect for {engine}: {defect}"));
+                held.truncate(anchor + index);
+                fell_back = true;
+                continue;
+            }
+            let warm = head_start.is_some();
+            let mut core = match head_start.take() {
                 Some(cand) => {
                     // The standby built its core before this incarnation's
                     // replica existed.
                     let mut core = cand.core;
                     core.set_replica(replica.clone());
-                    (core, cand.applied)
+                    core
                 }
-                None => (self.build_core(engine, replica.clone()), 0),
+                None => self.build_core(engine, replica.clone()),
             };
-            let warm = applied > 0;
-            match core.restore_from(&chain, applied, faults) {
+            match core.restore_from(chain, applied, faults) {
                 Ok(()) => {
                     return Ok(Restored {
                         core,
@@ -605,7 +619,7 @@ impl EngineHost {
                         &format!("state divergence for {engine} (warm: {warm}): {fault}"),
                     );
                     if !warm {
-                        chain.pop();
+                        held.truncate(held.members.len().saturating_sub(1));
                         fell_back = true;
                     }
                 }
@@ -618,13 +632,14 @@ impl EngineHost {
     /// inbox, and replays — from upstream retention for internal wires and
     /// from the message log for external wires (§II.F.3–4).
     ///
-    /// With a warm standby ([`ClusterConfig::with_warm_standby`]) whose
-    /// slot is anchored, the restore starts from its pre-applied core — the
+    /// A cold promotion restores the replica's newest anchored chain — one
+    /// full and its delta tail, however long the incarnation ran. With a
+    /// warm standby ([`ClusterConfig::with_warm_standby`]) whose slot is
+    /// anchored, the restore starts from its pre-applied core — the
     /// sub-horizon promotion path. Warm or cold, the restore is
     /// hash-verified the same way ([`EngineHost::restore_verified`]): a
-    /// corrupted or divergent suffix is discarded and the promotion
-    /// restores from the longest verified prefix instead of resuming
-    /// corrupt state.
+    /// corrupted or divergent suffix is discarded — a whole chain if need
+    /// be — rather than corrupt state resumed.
     ///
     /// # Errors
     ///
@@ -643,7 +658,7 @@ impl EngineHost {
             }
             slot.replica.clone()
         };
-        let chain = replica.chain();
+        let held = replica.held();
         let faults = replica.faults();
 
         let fresh_replica = ReplicaStore::new();
@@ -655,7 +670,7 @@ impl EngineHost {
         let (tx, rx) = unbounded::<Envelope>();
         self.router.register(engine, tx.clone());
 
-        let restored = match self.restore_verified(engine, &fresh_replica, chain, &faults, warm) {
+        let restored = match self.restore_verified(engine, &fresh_replica, held, &faults, warm) {
             Ok(restored) => restored,
             Err(discarded) => {
                 self.router.deregister(engine);
@@ -819,7 +834,8 @@ impl Cluster {
             // discarded rather than resumed. A chain discarded to nothing
             // is terminal: tear down whatever already started and report,
             // rather than resuming an engine with its history erased.
-            let restored = match host.restore_verified(engine, &replica, chain, &faults, head_start)
+            let held = HeldChain::from_disk(chain);
+            let restored = match host.restore_verified(engine, &replica, held, &faults, head_start)
             {
                 Ok(restored) => restored,
                 Err(discarded) => {
@@ -1127,7 +1143,9 @@ impl Cluster {
         tart_obs::write_report(&self.host.obs.snapshot())
     }
 
-    /// Number of checkpoints currently held by `engine`'s replica.
+    /// Number of checkpoints `engine` has shipped to its replica this
+    /// incarnation. Monotone; the replica itself holds only the newest two
+    /// anchored chains of them.
     pub fn replica_depth(&self, engine: EngineId) -> usize {
         self.host.replica_depth(engine)
     }
@@ -1432,8 +1450,13 @@ impl fmt::Debug for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::KEPT_GENERATIONS;
     use crate::StandbyConfig;
     use tart_model::reference::fan_in_app;
+    use tart_model::{
+        BlockId, CheckpointMode, CkptCell, CkptMap, Component, Ctx, RestoreError, Snapshot,
+    };
+    use tart_vtime::PortId;
 
     const SENTENCES: &[(&str, &str)] = &[
         ("client1", "alpha beta gamma"),
@@ -1498,26 +1521,7 @@ mod tests {
         send(&cluster, &SENTENCES[..4]);
         await_standby(&cluster, |s| s.anchored && s.applied >= 1);
 
-        let replica = cluster.host.engines.lock()[&ENGINE].replica.clone();
-        let chain = replica.chain();
-        let newest = chain.last().expect("anchored on something");
-        let mut forged = chain[0].clone();
-        assert!(forged.is_self_contained(), "chains open with a full");
-        forged.seq = newest.seq + 1;
-        let bogus = (VirtualTime::from_ticks(1), Value::from("never sent"));
-        forged
-            .retention
-            .entry(WireId::new(0))
-            .or_default()
-            .push(bogus);
-        assert!(seal_step(None, 0, &forged).is_err(), "seal is now stale");
-        replica.push_checkpoint(forged);
-        // A later capture, so everything before it leaves the horizon.
-        let mut later = newest.clone();
-        for clock in later.clocks.values_mut() {
-            *clock = VirtualTime::from_ticks(clock.as_ticks() + 1_000);
-        }
-        replica.push_checkpoint(later);
+        ship_forged_chain(&replica_of(&cluster));
 
         await_standby(&cluster, |s| !s.anchored);
         let status = cluster.standby_status(ENGINE).expect("slot exists");
@@ -1539,5 +1543,299 @@ mod tests {
             reference,
             "the cold path truncated the forged member and replayed around it"
         );
+    }
+
+    /// Two checkpointed fields that dirty independently: a request `>= 0`
+    /// bumps a key and the sequence, a negative one only the sequence. The
+    /// map starts with 64 keys, so a full outweighs dozens of deltas.
+    struct Tally {
+        hits: CkptMap<String, u64>,
+        seq: CkptCell<u64>,
+    }
+
+    impl Component for Tally {
+        fn on_message(&mut self, _port: PortId, msg: &Value, ctx: &mut dyn Ctx) {
+            ctx.tick_block(BlockId(0), 1);
+            if let Some(i) = msg.as_i64().filter(|i| *i >= 0) {
+                let key = format!("key-{:02}", i % 64);
+                let hits = self.hits.get(&key).copied().unwrap_or(0);
+                self.hits.insert(key, hits + 1);
+            }
+            self.seq.update(|s| *s += 1);
+            ctx.send(PortId::new(1), Value::I64(*self.seq.get() as i64));
+        }
+
+        fn checkpoint(&mut self, mode: CheckpointMode, vt: VirtualTime) -> Snapshot {
+            let mut snap = Snapshot::new(vt);
+            if let Some(chunk) = self.hits.take_chunk(mode) {
+                snap.put("hits", chunk);
+            }
+            if let Some(chunk) = self.seq.take_chunk(mode) {
+                snap.put("seq", chunk);
+            }
+            snap
+        }
+
+        fn restore(&mut self, snapshot: &Snapshot) -> Result<(), RestoreError> {
+            for (field, chunk) in snapshot.iter() {
+                let applied = match field {
+                    "hits" => self.hits.apply_chunk(chunk),
+                    "seq" => self.seq.apply_chunk(chunk),
+                    other => {
+                        return Err(RestoreError::UnknownField {
+                            field: other.to_owned(),
+                        })
+                    }
+                };
+                applied.map_err(|source| RestoreError::Corrupt {
+                    field: field.to_owned(),
+                    source,
+                })?;
+            }
+            Ok(())
+        }
+    }
+
+    /// One engine hosting a [`Tally`], a checkpoint per message.
+    fn deploy_tally(standby: Option<StandbyConfig>) -> Cluster {
+        let mut b = AppSpec::builder();
+        let tally = b.component(
+            "Tally",
+            Arc::new(|| {
+                let mut hits = CkptMap::new();
+                for k in 0..64 {
+                    hits.insert(format!("key-{k:02}"), 0);
+                }
+                Box::new(Tally {
+                    hits,
+                    seq: CkptCell::new(0),
+                }) as Box<dyn Component>
+            }),
+        );
+        b.wire_in("requests", tally, PortId::new(0));
+        b.wire_out(tally, PortId::new(1), "acks");
+        let spec = b.build().expect("valid app");
+        let mut config = ClusterConfig::logical_time().with_checkpoint_every(1);
+        if let Some(standby) = standby {
+            config = config.with_warm_standby(standby);
+        }
+        Cluster::deploy(spec.clone(), Placement::single_engine(&spec), config).expect("deploys")
+    }
+
+    /// Sends `requests` and waits until each one's checkpoint has shipped.
+    fn tally(cluster: &Cluster, requests: impl IntoIterator<Item = i64>) {
+        let injector = cluster.injector("requests").expect("injector");
+        let mut depth = cluster.replica_depth(ENGINE);
+        for request in requests {
+            injector.send(Value::I64(request));
+            depth += 1;
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut seen = 0;
+        while seen < depth {
+            let now = cluster.replica_depth(ENGINE);
+            assert!(now >= seen, "replica_depth is monotone");
+            assert!(Instant::now() < deadline, "stuck at depth {now}/{depth}");
+            seen = now;
+            std::thread::yield_now();
+        }
+    }
+
+    fn replica_of(cluster: &Cluster) -> ReplicaStore {
+        cluster.host.engines.lock()[&ENGINE].replica.clone()
+    }
+
+    /// Ships a forged chain as the replica's newest: a full whose retention
+    /// was rewritten after sealing — the seal covers `retention`, the state
+    /// digests do not, so only the seal catches it — and a later delta.
+    fn ship_forged_chain(replica: &ReplicaStore) {
+        let held = replica.held();
+        let mut full = (*held.members[0]).clone();
+        assert!(full.is_self_contained(), "chains open with a full");
+        let newest = held.members.last().expect("non-empty");
+        full.seq = newest.seq + 1;
+        let bogus = (VirtualTime::from_ticks(1), Value::from("never sent"));
+        full.retention
+            .entry(WireId::new(0))
+            .or_default()
+            .push(bogus);
+        assert!(seal_step(None, 0, &full).is_err(), "seal is now stale");
+        // A later capture, so everything before it leaves a standby's horizon.
+        let mut delta = (**newest).clone();
+        delta.seq = full.seq + 1;
+        for clock in delta.clocks.values_mut() {
+            *clock = VirtualTime::from_ticks(clock.as_ticks() + 1_000);
+        }
+        replica.push_checkpoint(full, CheckpointMode::Full);
+        replica.push_checkpoint(delta, CheckpointMode::Incremental);
+    }
+
+    /// An incremental snapshot that omits its clean fields *reads*
+    /// self-contained. Only the capture mode may make an anchor: restoring
+    /// from this member alone would resume with an empty map.
+    #[test]
+    fn a_self_contained_looking_delta_is_not_an_anchor() {
+        let script = [0, 1, -1, 2, -1, 3];
+        let reference = {
+            let cluster = deploy_tally(None);
+            tally(&cluster, script);
+            finish(cluster)
+        };
+
+        let mut cluster = deploy_tally(None);
+        tally(&cluster, script[..3].iter().copied());
+        let held = replica_of(&cluster).held();
+        assert_eq!(held.members.len(), 3);
+        assert!(
+            held.members[2].is_self_contained() && !held.members[1].is_self_contained(),
+            "the cell-only interval ships {{seq: Full}} and nothing else"
+        );
+        assert_eq!(held.anchors, [0], "only the Full-mode capture anchors");
+
+        cluster.kill(ENGINE);
+        let restored = cluster
+            .host
+            .restore_verified(ENGINE, &ReplicaStore::new(), held, &[], None)
+            .expect("restores");
+        assert!(!restored.fell_back, "nothing had to be discarded");
+        drop(restored);
+        cluster.promote(ENGINE).expect("promotes");
+        tally(&cluster, script[3..].iter().copied());
+        assert_eq!(cluster.obs_snapshot().divergences_detected, 0);
+        assert_eq!(finish(cluster), reference);
+    }
+
+    #[test]
+    fn a_forged_newest_chain_falls_back_to_the_previous_one() {
+        let reference = {
+            let cluster = deploy_tally(None);
+            tally(&cluster, 0..8);
+            finish(cluster)
+        };
+
+        let mut cluster = deploy_tally(None);
+        tally(&cluster, 0..5);
+        cluster.kill(ENGINE);
+        ship_forged_chain(&replica_of(&cluster));
+        cluster
+            .promote(ENGINE)
+            .expect("the previous chain restores");
+        tally(&cluster, 5..8);
+        assert_eq!(cluster.obs_snapshot().divergences_detected, 0);
+        assert_eq!(finish(cluster), reference);
+    }
+
+    #[test]
+    fn exhausting_both_chains_is_a_structured_error() {
+        let mut cluster = deploy_tally(None);
+        tally(&cluster, 0..5);
+        cluster.kill(ENGINE);
+        let replica = replica_of(&cluster);
+        ship_forged_chain(&replica);
+        ship_forged_chain(&replica);
+        assert_eq!(replica.chain().len(), 4, "the genuine chain was pruned");
+        assert_eq!(
+            cluster.promote(ENGINE),
+            Err(PromoteError::ChainExhausted {
+                engine: ENGINE,
+                discarded: 4
+            }),
+            "both kept chains were tried, and both counted"
+        );
+    }
+
+    /// The acceptance bound, end to end: 300 checkpoints ship, the replica
+    /// keeps two chains of them, each chain's deltas (but for the one that
+    /// tipped it) weigh less than its full, and promotion is transparent.
+    #[test]
+    fn a_long_incarnation_keeps_a_bounded_replica_and_promotes_transparently() {
+        let reference = {
+            let cluster = deploy_tally(None);
+            tally(&cluster, 0..310);
+            finish(cluster)
+        };
+
+        let mut cluster = deploy_tally(None);
+        tally(&cluster, 0..300);
+        assert_eq!(cluster.replica_depth(ENGINE), 300);
+        let shipped = cluster.engine_metrics(ENGINE).expect("alive").checkpoints;
+        assert_eq!(
+            shipped, 300,
+            "depth counts what was shipped, not what is held"
+        );
+
+        let held = replica_of(&cluster).held();
+        assert_eq!(held.floor + held.members.len(), 300);
+        assert_eq!(held.anchors.len(), KEPT_GENERATIONS);
+        assert_eq!(held.anchors[0], 0, "held members open at an anchor");
+        assert!(held.members.len() < 150, "held {}", held.members.len());
+        let ends = held.anchors.iter().copied().skip(1);
+        for (&start, end) in held.anchors.iter().zip(ends.chain([held.members.len()])) {
+            let full = held.members[start].payload_bytes();
+            let deltas: usize = (start + 1..end.saturating_sub(1))
+                .map(|i| held.members[i].payload_bytes())
+                .sum();
+            assert!(
+                deltas < full,
+                "chain at {start}: {deltas} delta bytes, full {full}"
+            );
+        }
+
+        cluster.kill(ENGINE);
+        cluster.promote(ENGINE).expect("promotes");
+        tally(&cluster, 300..310);
+        let snap = cluster.obs_snapshot();
+        assert_eq!((snap.cold_promotions, snap.divergences_detected), (1, 0));
+        assert_eq!(finish(cluster), reference);
+    }
+
+    /// A standby trailing one and a half chains behind the head is passed
+    /// by the replica's floor once per chain. Each time it re-anchors on the
+    /// full the held members open with; its cursor stays a position in the
+    /// shipped sequence, and the core it built is still a head start.
+    #[test]
+    fn a_standby_the_floor_has_passed_re_anchors_and_still_promotes_warm() {
+        let (reference, horizon) = {
+            let cluster = deploy_tally(None);
+            tally(&cluster, 0..300);
+            let held = replica_of(&cluster).held();
+            let clock = |i: usize| {
+                let clocks = &held.members[i].clocks;
+                clocks.values().max().expect("one component").as_ticks()
+            };
+            let chain = held.anchors[1] as u64;
+            let per_member = (clock(held.anchors[1]) - clock(0)) / chain;
+            tally(&cluster, 300..310);
+            (finish(cluster), per_member * (chain + chain / 2))
+        };
+
+        let mut cluster = deploy_tally(Some(StandbyConfig {
+            trailing_horizon_ticks: horizon,
+            apply_interval: Duration::from_millis(1),
+        }));
+        // One at a time: the standby measures its horizon from the newest
+        // *input* it has heard of, so a burst would age every member at once.
+        for request in 0..300 {
+            tally(&cluster, [request]);
+        }
+        await_standby(&cluster, |s| s.anchored);
+        let status = cluster.standby_status(ENGINE).expect("slot exists");
+        assert_eq!(
+            status.applied as usize + status.pending,
+            cluster.replica_depth(ENGINE),
+            "the cursor still tails the shipped sequence"
+        );
+        assert!(
+            status.applied > cluster.obs_snapshot().standby_applied,
+            "the cursor skipped members the replica pruned: {status:?}"
+        );
+
+        cluster.kill(ENGINE);
+        cluster.promote(ENGINE).expect("promotes");
+        tally(&cluster, 300..310);
+        let snap = cluster.obs_snapshot();
+        assert_eq!((snap.warm_promotions, snap.cold_promotions), (1, 0));
+        assert_eq!((snap.standby_demotions, snap.divergences_detected), (0, 0));
+        assert_eq!(finish(cluster), reference);
     }
 }

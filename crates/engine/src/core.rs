@@ -8,6 +8,7 @@
 //! threaded wrapper in [`crate::Cluster`] is a thin loop around it, which is
 //! what makes the recovery protocol unit-testable without threads.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -286,6 +287,11 @@ pub struct EngineCore {
     /// Durable checkpoints since the last full generation, for the
     /// `full_checkpoint_every` cadence.
     ckpts_since_full: u32,
+    /// Without durability the full cadence is counted in bytes instead:
+    /// `payload_bytes()` of the last Full capture, and of the Incremental
+    /// ones shipped since.
+    full_bytes: usize,
+    delta_bytes_since_full: usize,
     metrics: Arc<SharedEngineMetrics>,
     /// Telemetry handle (ops plane). Strictly write-only from the core's
     /// perspective: nothing recorded here is ever read back, so it cannot
@@ -398,6 +404,8 @@ impl EngineCore {
             next_ckpt_full: true,
             last_chain_seal: StateHash::ZERO,
             ckpts_since_full: 0,
+            full_bytes: 0,
+            delta_bytes_since_full: 0,
             metrics: Arc::new(SharedEngineMetrics::default()),
             // tart-lint: allow(TAINT-FLOW) -- obs handle construction: the hub's epoch stamp is telemetry zero-point, never read back by replayed logic
             obs: tart_obs::EngineObs::detached(id),
@@ -1238,19 +1246,25 @@ impl EngineCore {
     /// `TrimAck`s on the persist succeeding.
     pub fn take_checkpoint(&mut self) {
         self.processed_since_ckpt = 0;
-        // Durable generations persist as deltas against the last full one;
-        // a full every `full_checkpoint_every` anchors the chain so restore
-        // replays at most one full + a bounded delta tail.
+        // Generations ship as deltas against the last full one; a periodic
+        // full anchors the chain so restore replays at most one full + a
+        // bounded delta tail. Under durability the period is the configured
+        // `full_checkpoint_every` count (TrimAcks move with it). Without, it
+        // needs no knob: a full is due once the deltas since the last one
+        // weigh as much as it did, so a chain never exceeds twice its full
+        // and fulls at most double the bytes shipped.
         let durable = self.durable.is_some();
-        let durable_full_due = durable && {
+        let full_due = if durable {
             let every = self
                 .config
                 .durability
                 .as_ref()
                 .map_or(1, |d| d.full_checkpoint_every.max(1));
             self.ckpts_since_full + 1 >= every
+        } else {
+            self.delta_bytes_since_full >= self.full_bytes
         };
-        let mode = if self.next_ckpt_full || durable_full_due {
+        let mode = if self.next_ckpt_full || full_due {
             CheckpointMode::Full
         } else {
             CheckpointMode::Incremental
@@ -1324,11 +1338,10 @@ impl EngineCore {
             &ckpt.consumed,
             &ckpt.sent,
         );
-        ckpt.seal(&self.last_chain_seal);
+        let bytes = ckpt.seal(&self.last_chain_seal) as u64;
         self.last_chain_seal = ckpt.chain_seal;
         self.obs
             .state_hashes_computed(ckpt.component_hashes.len() as u64 + 1);
-        let bytes = tart_codec::Encode::to_bytes(&ckpt).len() as u64;
         count(&self.metrics.checkpoints, 1);
         count(&self.metrics.checkpoint_bytes, bytes);
         if mode == CheckpointMode::Incremental {
@@ -1342,8 +1355,17 @@ impl EngineCore {
             Some(store) => store.persist_with(&ckpt, self.durable_sync).is_ok(),
             None => true,
         };
-        // Shipped once: a warm standby tails this same chain by cursor.
-        self.replica.push_checkpoint(ckpt);
+        match mode {
+            CheckpointMode::Full => {
+                self.full_bytes = ckpt.payload_bytes();
+                self.delta_bytes_since_full = 0;
+            }
+            CheckpointMode::Incremental => self.delta_bytes_since_full += ckpt.payload_bytes(),
+        }
+        // Shipped once: a warm standby tails this same chain by cursor. The
+        // capture mode rides along — it, not the content, says whether this
+        // member can open a restore.
+        self.replica.push_checkpoint(ckpt, mode);
         if !persisted {
             // The disk refused the new generation: upstream retention must
             // keep serving from the last durable consumed watermarks, so no
@@ -1409,19 +1431,21 @@ impl EngineCore {
     /// passes 0. Only the snapshots after them are applied; bookkeeping,
     /// retention, the tail digests and replay arming then run over the
     /// whole chain exactly as a from-scratch restore runs them.
-    pub(crate) fn restore_from(
+    /// Members are only read: owned (`&[EngineCheckpoint]`) or shared with
+    /// the replica that holds them (`&[Arc<EngineCheckpoint>]`).
+    pub(crate) fn restore_from<C: Borrow<EngineCheckpoint>>(
         &mut self,
-        chain: &[EngineCheckpoint],
+        chain: &[C],
         applied: usize,
         faults: &[(ComponentId, DeterminismFault)],
     ) -> Result<(), DivergenceFault> {
         // Apply snapshots in shipped order.
         for ckpt in &chain[applied..] {
-            self.apply_member_snapshots(ckpt);
+            self.apply_member_snapshots(ckpt.borrow());
         }
         self.apply_faults(faults);
         if let Some(last) = chain.last() {
-            self.finish_restore(chain, last)?;
+            self.finish_restore(chain, last.borrow())?;
         }
         // Every input wire: dedupe floor at the consumed watermark, then
         // recover via replay. (No checkpoint ever shipped: nothing is
@@ -1521,9 +1545,9 @@ impl EngineCore {
     /// # Errors
     ///
     /// A [`DivergenceFault`] when the applied state fails the tail digests.
-    fn finish_restore(
+    fn finish_restore<C: Borrow<EngineCheckpoint>>(
         &mut self,
-        chain: &[EngineCheckpoint],
+        chain: &[C],
         last: &EngineCheckpoint,
     ) -> Result<(), DivergenceFault> {
         // Scheduler bookkeeping from the last checkpoint.
@@ -1536,6 +1560,7 @@ impl EngineCore {
         // watermarks at the next full persist, no further.
         let base = chain
             .iter()
+            .map(Borrow::borrow)
             .rev()
             .find(|c| c.is_self_contained())
             .unwrap_or(last);
@@ -1563,7 +1588,7 @@ impl EngineCore {
         // `reset_chain` above cleared the buffers, so replaying the chain's
         // captures in order rebuilds each buffer exactly).
         for ckpt in chain {
-            for (w, frames) in &ckpt.retention {
+            for (w, frames) in &ckpt.borrow().retention {
                 if let Some(buf) = self.outputs.get_mut(w).and_then(OutputWire::retention_mut) {
                     for (vt, payload) in frames {
                         buf.record(*vt, payload.clone());
@@ -1903,9 +1928,81 @@ mod tests {
             .sum();
         assert_eq!(bytes, 788);
         assert_eq!(
+            core.metrics().checkpoint_bytes,
+            788,
+            "the seal step reports the encoded length"
+        );
+        assert_eq!(
             chain[2].chain_seal.to_string(),
             "debebed82b50c8e02b8f4d83bd99f4519c7250920aab6d93890d3144895e179c"
         );
+    }
+
+    /// Feeds one fresh-worded sentence and checkpoints; returns whether the
+    /// member just shipped anchors a chain, and its payload size.
+    fn checkpoint_after_message(core: &mut EngineCore, i: u64) -> (bool, usize) {
+        let (w1, _) = client_wires();
+        let prev = if i == 0 { 0 } else { i * 10_000 };
+        core.handle(data(w1, (i + 1) * 10_000, prev, &format!("w{i} x{i}")));
+        core.pump();
+        core.take_checkpoint();
+        let held = core.replica.held();
+        let newest = held.members.len() - 1;
+        (
+            held.anchors.last() == Some(&newest),
+            held.members[newest].payload_bytes(),
+        )
+    }
+
+    #[test]
+    fn non_durable_fulls_follow_the_byte_cadence() {
+        let (mut core, _outputs) = single_core();
+        let (mut full, mut deltas, mut fulls) = (0, 0, 0);
+        let mut longest_tail = 0;
+        for i in 0..60 {
+            let (anchor, bytes) = checkpoint_after_message(&mut core, i);
+            assert_eq!(
+                anchor,
+                i == 0 || deltas >= full,
+                "member {i}: full exactly when {deltas} delta bytes >= the full's {full}"
+            );
+            if anchor {
+                (full, deltas, fulls) = (bytes, 0, fulls + 1);
+            } else {
+                deltas += bytes;
+                longest_tail = longest_tail.max(core.replica.held().members.len());
+            }
+        }
+        assert!(fulls >= 3, "the cadence came round more than once");
+        assert!(longest_tail >= 3, "and left room for deltas in between");
+        assert_eq!(core.replica.len(), 60);
+        assert!(core.replica.held().anchors.len() <= crate::store::KEPT_GENERATIONS);
+    }
+
+    #[test]
+    fn durable_fulls_keep_the_configured_count() {
+        let dir = std::env::temp_dir().join(format!("tart-core-cadence-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = fan_in_app(2).unwrap();
+        let config = ClusterConfig::logical_time()
+            .with_checkpoint_every(1_000)
+            .with_durability(&dir, crate::FsyncPolicy::Never)
+            .with_full_checkpoint_every(4);
+        let mut core = EngineCore::new(
+            EngineId::new(0),
+            &spec,
+            &Placement::single_engine(&spec),
+            &config,
+            Router::new(FaultPlan::none()),
+            ReplicaStore::new(),
+            unbounded().0,
+        );
+        core.set_durable(Arc::new(CheckpointStore::open(&dir).unwrap()));
+        let anchors: Vec<bool> = (0..6)
+            .map(|i| checkpoint_after_message(&mut core, i).0)
+            .collect();
+        assert_eq!(anchors, [true, false, false, false, true, false]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

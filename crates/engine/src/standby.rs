@@ -50,12 +50,15 @@ use crate::{EngineCheckpoint, Envelope, ReplicaStore, Router};
 /// introspection; see [`crate::Cluster::standby_status`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StandbyStatus {
-    /// Chain members verified and pre-applied so far (across the slot's
-    /// current incarnation).
+    /// The slot's cursor: how many of the members shipped this incarnation
+    /// its core accounts for — each one verified and pre-applied, or
+    /// superseded by a later full the slot re-anchored on after the replica
+    /// pruned past it.
     pub applied: u64,
     /// Chain members shipped but not yet absorbed — still inside the
-    /// trailing horizon, or behind a parked cursor. Always the replica
-    /// chain's length minus `applied`.
+    /// trailing horizon, or behind a parked cursor. Always the count the
+    /// replica has been shipped ([`crate::Cluster::replica_depth`]) minus
+    /// `applied`.
     pub pending: usize,
     /// Whether the slot currently holds a chain-consistent core (a warm
     /// takeover candidate).
@@ -68,8 +71,11 @@ pub struct StandbyStatus {
 pub(crate) struct WarmCandidate {
     /// The pre-applied passive core.
     pub(crate) core: EngineCore,
-    /// How many members of the replica chain, from its head, the core has
-    /// absorbed (each one seal-stepped and digest-verified).
+    /// The slot's cursor — an absolute position in the replica chain. The
+    /// core reflects every member shipped before it (each one absorbed was
+    /// seal-stepped and digest-verified), or, when the cursor was just
+    /// re-anchored at the replica's floor, an older state that the
+    /// Full-mode member at the cursor supersedes.
     pub(crate) applied: usize,
 }
 
@@ -77,9 +83,11 @@ pub(crate) struct WarmCandidate {
 struct StandbySlot {
     /// The chain this slot tails.
     replica: ReplicaStore,
-    /// Members absorbed so far: `core` reflects `chain[..cursor]`.
+    /// Absolute position of the next member to absorb (see
+    /// [`WarmCandidate::applied`]).
     cursor: usize,
-    /// Seal of member `cursor - 1`, which the next delta must chain from.
+    /// Seal of member `cursor - 1`, which the next delta must chain from;
+    /// `None` at the chain's head and after re-anchoring at the floor.
     seal: Option<StateHash>,
     /// The background core; `None` until the chain's first member anchors
     /// it, and again once the slot is parked or demoted.
@@ -249,7 +257,14 @@ fn apply_eligible(shared: &PlaneShared, horizon: u64, host: &Weak<EngineHost>) {
         if slot.parked || slot.demoted {
             continue; // cold-replay mode until the next incarnation
         }
-        let tail = slot.replica.tail(slot.cursor);
+        let (start, tail) = slot.replica.tail(slot.cursor);
+        if start > slot.cursor {
+            // The replica pruned past a trailing cursor. What it holds opens
+            // with a Full-mode member, which restores over the core exactly
+            // as a mid-chain full does: re-anchor there.
+            slot.cursor = start;
+            slot.seal = None;
+        }
         if let Some(newest) = tail.last() {
             slot.head = slot.head.max_with(ckpt_vt(newest));
         }
@@ -292,8 +307,8 @@ fn apply_one(
     };
     // Only the chain's first member finds no core, and the seal rule just
     // vouched that it is self-contained. Later full generations restore
-    // over the existing core, exactly as the cold path applies mid-chain
-    // fulls onto already-restored state.
+    // over the existing core, exactly as the cold path applies a full onto
+    // a head start's already-restored state.
     let core = slot
         .core
         .get_or_insert_with(|| host.build_core(engine, ReplicaStore::new()));

@@ -38,38 +38,6 @@ pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
-/// Pulls `"key": <number>` out of a flat JSON document — good enough for
-/// the committed `BENCH_*.json` baselines the bench binaries themselves
-/// write, which is all the quick-mode ratio gates ever parse.
-pub fn json_f64(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Writes `BENCH_<bench>.quick.json` with the ratios a quick run measured,
-/// so CI can tabulate measured-vs-committed in the job step summary (the
-/// `bench-summary` composite action greps these keys out of both files).
-/// Quick files are never committed — the committed `BENCH_<bench>.json`
-/// baseline only ever comes from a full run.
-pub fn write_quick_ratios(bench: &str, ratios: &[(&str, f64)]) {
-    let body: Vec<String> = ratios
-        .iter()
-        .map(|(k, v)| format!("  \"{k}\": {v:.2}"))
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"{bench}\",\n  \"mode\": \"quick\",\n{}\n}}\n",
-        body.join(",\n")
-    );
-    let path = format!("BENCH_{bench}.quick.json");
-    std::fs::write(&path, json).expect("write quick ratio report");
-    println!("wrote {path}");
-}
-
 /// Prints a Markdown-style table: header row, separator, then rows.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n## {title}\n");

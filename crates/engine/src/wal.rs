@@ -62,8 +62,8 @@ pub(crate) const FRAME_HEADER: usize = 8;
 /// Record cap on a [`DurabilityPolicy::Buffered`] commit window: the window
 /// closes early once this many records have staged, whatever the
 /// `flush_window` deadline says. This is the "one flush window" that bounds
-/// Buffered loss in DURABILITY.md, and the cap the durability bench gates
-/// against.
+/// Buffered loss in DURABILITY.md, and the cap the mixed-tier crash loop in
+/// `tests/cold_restart.rs` asserts against.
 pub const BUFFERED_MAX_RECORDS: u32 = 512;
 
 /// Segments at or below this size are preallocated to the rotation
@@ -88,9 +88,6 @@ pub enum FsyncPolicy {
     /// Fsync after every append: nothing acknowledged is ever lost, at the
     /// cost of one disk round-trip per record.
     Always,
-    /// Fsync after every `n` appends: bounds loss to at most `n - 1`
-    /// acknowledged records.
-    Interval(u32),
     /// Group commit: one fsync amortized across a commit window. The log
     /// syncs when `max_records` appends have accumulated, or when the
     /// oldest staged append turns `max_delay` old (the flusher thread wakes
@@ -768,12 +765,6 @@ impl Wal {
                 promote_locked(g, true, false);
                 true
             }
-            FsyncPolicy::Interval(n) => {
-                if g.staging_records >= n.max(1) || rotate_pending {
-                    promote_locked(g, true, false);
-                }
-                false
-            }
             FsyncPolicy::GroupCommit {
                 max_records,
                 max_delay,
@@ -1219,21 +1210,6 @@ mod tests {
             }
             other => panic!("expected sealed corruption, got {other:?}"),
         }
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn interval_policy_stages_between_syncs() {
-        let dir = tmp("interval");
-        let mut wal = Wal::create(&dir, 4096, FsyncPolicy::Interval(3)).unwrap();
-        for _ in 0..7 {
-            wal.append(b"x").unwrap();
-        }
-        // 7 appends, windows promoted at 3 and 6: one record still staged.
-        assert_eq!(wal.staged_records(), 1);
-        wal.sync().unwrap();
-        assert_eq!(wal.staged_records(), 0);
-        assert_eq!(wal.durable_index(), 7);
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -11,17 +11,22 @@
 //! verifies, and deterministic re-execution regenerates everything between
 //! the restart point and the crash instant.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 use tart_engine::{
-    ChaosOptions, ChaosPlan, Cluster, ClusterConfig, DeployError, DurabilityConfig, FsyncPolicy,
-    OutputRecord, Placement, StandbyConfig,
+    ChaosOptions, ChaosPlan, Cluster, ClusterConfig, DeployError, DurabilityConfig,
+    DurabilityPolicy, FsyncPolicy, OutputRecord, Placement, StandbyConfig, BUFFERED_MAX_RECORDS,
 };
 use tart_estimator::EstimatorSpec;
 use tart_model::reference::{self, fan_in_app};
-use tart_model::{AppSpec, BlockId, Value};
-use tart_vtime::EngineId;
+use tart_model::{
+    AppSpec, BlockId, CheckpointMode, CkptCell, Component, Ctx, RestoreError, Snapshot, Value,
+};
+use tart_stats::DetRng;
+use tart_vtime::{EngineId, PortId, VirtualTime};
 
 const SENTENCES: &[(&str, &str)] = &[
     ("client1", "alpha beta gamma"),
@@ -684,7 +689,6 @@ fn mixed_tier_crash_reports_and_recovers_per_component_loss() {
     // the producer re-drives only the lost tail, and the deduplicated
     // outputs converge to the failure-free run — a Buffered record is never
     // applied twice, a Strict record never lost.
-    use tart_engine::DurabilityPolicy;
     let dir = fresh_dir("mixed-tier");
     let spec = fan_in_app(2).expect("valid app");
     let strict = component_id(&spec, "Sender1");
@@ -780,7 +784,7 @@ fn in_memory_component_recovers_via_peer_replay_byte_identically() {
     // failure is still transparent: the passive replica restores state and
     // peer replay (the in-process message log and upstream retention)
     // regenerates the gap, byte-identically.
-    use tart_engine::{DurabilityPolicy, Wal};
+    use tart_engine::Wal;
     let dir = fresh_dir("inmem-tier");
     let spec = fan_in_app(2).expect("valid app");
     let config = paper_config(&spec)
@@ -859,6 +863,162 @@ fn undrained_outputs_survive_a_crash_after_a_durable_checkpoint() {
         normalize(outs),
         failure_free_run(),
         "recovery alone must re-emit every output the consumer never drained"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Acks every message with a checkpointed sequence number, so distinct acks
+/// count distinct inputs processed.
+struct Echo(CkptCell<u64>);
+
+impl Component for Echo {
+    fn on_message(&mut self, _port: PortId, _msg: &Value, ctx: &mut dyn Ctx) {
+        ctx.tick_block(BlockId(0), 1);
+        self.0.update(|s| *s += 1);
+        ctx.send(PortId::new(1), Value::I64(*self.0.get() as i64));
+    }
+
+    fn checkpoint(&mut self, mode: CheckpointMode, vt: VirtualTime) -> Snapshot {
+        let mut snap = Snapshot::new(vt);
+        if let Some(chunk) = self.0.take_chunk(mode) {
+            snap.put("seq", chunk);
+        }
+        snap
+    }
+
+    fn restore(&mut self, snapshot: &Snapshot) -> Result<(), RestoreError> {
+        for (field, chunk) in snapshot.iter() {
+            let field = field.to_owned();
+            let corrupt = |source| RestoreError::Corrupt { field, source };
+            self.0.apply_chunk(chunk).map_err(corrupt)?;
+        }
+        Ok(())
+    }
+}
+
+/// Polls until `want` distinct acks arrived on `consumer` (replay stutters,
+/// it never skips).
+fn await_acks(cluster: &Cluster, outputs: &mut Vec<OutputRecord>, consumer: &str, want: u64) {
+    for _ in 0..300_000 {
+        outputs.extend(cluster.take_outputs());
+        let acks: BTreeSet<i64> = outputs
+            .iter()
+            .filter(|o| o.consumer == consumer)
+            .filter_map(|o| o.payload.as_i64())
+            .collect();
+        if acks.len() as u64 >= want {
+            return;
+        }
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    panic!("timed out waiting for {want} acks on {consumer}");
+}
+
+#[test]
+fn mixed_tier_crash_loop_keeps_every_tier_bound() {
+    // One Echo per tier, one engine each, crash-looped for three seeded
+    // rounds: Strict never loses an input, Buffered loses at most one flush
+    // window, every InMemory input is reported memory-only, recovery
+    // accounts per component, and the Strict acks deduplicate to 1..=sent.
+    let dir = fresh_dir("tier-loop");
+    let flush_window = Duration::from_secs(3600);
+    let tiers = [
+        ("Ledger", DurabilityPolicy::Strict),
+        ("Ingest", DurabilityPolicy::Buffered { flush_window }),
+        ("Cache", DurabilityPolicy::InMemory),
+    ];
+    let mut builder = AppSpec::builder();
+    let mut placement = Placement::new();
+    let mut config = ClusterConfig::logical_time()
+        .with_checkpoint_every(4)
+        .with_durability(&dir, FsyncPolicy::Always);
+    let mut ids = Vec::new();
+    for (i, (name, tier)) in tiers.into_iter().enumerate() {
+        let c = builder.component(name, Arc::new(|| Box::new(Echo(CkptCell::new(0))) as _));
+        let wire = name.to_lowercase();
+        builder.wire_in(&format!("{wire}_in"), c, PortId::new(0));
+        builder.wire_out(c, PortId::new(1), &format!("{wire}_out"));
+        placement.assign(c, EngineId::new(i as u32));
+        config = config
+            .with_component_tier(c, tier)
+            .with_estimator(c, EstimatorSpec::per_iteration(BlockId(0), 10_000));
+        ids.push(c);
+    }
+    let spec = builder.build().expect("mixed-tier topology is valid");
+    let (ledger, ingest, cache) = (ids[0], ids[1], ids[2]);
+    let mut cluster =
+        Cluster::deploy(spec.clone(), placement.clone(), config.clone()).expect("deploys");
+
+    let send = |cluster: &Cluster, wire: &str, v: u64| {
+        let injector = cluster.injector(wire).expect("injector");
+        injector.send(Value::I64(v as i64));
+    };
+    let mut rng = DetRng::seed_from(0xD17E);
+    let (mut sent_ledger, mut sent_ingest, mut lost_ingest) = (0, 0, 0);
+    let mut outputs = Vec::new();
+    for round in 0..3 {
+        let k_ledger = rng.gen_range_u64(4, 11);
+        let k_ingest = rng.gen_range_u64(4, 11);
+        let k_cache = rng.gen_range_u64(2, 5);
+        // Interleaved, so Strict barriers pin earlier Buffered records the
+        // way live mixed traffic does.
+        for i in 0..k_ledger.max(k_ingest).max(k_cache) {
+            if i < k_ledger {
+                sent_ledger += 1;
+                send(&cluster, "ledger_in", sent_ledger);
+            }
+            if i < k_ingest {
+                sent_ingest += 1;
+                send(&cluster, "ingest_in", sent_ingest);
+            }
+            if i < k_cache {
+                send(&cluster, "cache_in", i + 1);
+            }
+        }
+        // The ledger has processed everything it must prove it kept; the
+        // crash may land mid-flight anywhere else.
+        await_acks(&cluster, &mut outputs, "ledger_out", sent_ledger);
+        assert_eq!(cluster.obs_snapshot().divergences_detected, 0);
+
+        let (crash_outputs, report) = cluster.crash_with_report();
+        outputs.extend(crash_outputs);
+        let lost = |id| report.lost_inputs.get(&id).copied().unwrap_or(0);
+        assert_eq!(lost(ledger), 0, "round {round}: Strict lost inputs");
+        let window = u64::from(BUFFERED_MAX_RECORDS);
+        assert!(lost(ingest) <= window, "round {round}: Buffered lost more");
+        let memory_only = report.memory_only_inputs.get(&cache).copied();
+        assert_eq!(memory_only, Some(k_cache), "round {round}: InMemory");
+        lost_ingest += lost(ingest);
+
+        let (recovered, recovery) =
+            Cluster::recover_from_disk(spec.clone(), placement.clone(), config.clone())
+                .expect("recovers");
+        cluster = recovered;
+        for c in &recovery.components {
+            let (want, peers_only) = match c.component {
+                id if id == ledger => (sent_ledger, false),
+                id if id == ingest => (sent_ingest - lost_ingest, false),
+                id if id == cache => (0, true),
+                other => panic!("unexpected component {other} in recovery report"),
+            };
+            assert_eq!(c.recovered_inputs, want, "round {round}: {}", c.component);
+            assert_eq!(c.replay_from_peers_only, peers_only);
+        }
+    }
+
+    await_acks(&cluster, &mut outputs, "ledger_out", sent_ledger);
+    cluster.finish_inputs();
+    outputs.extend(cluster.shutdown());
+    let mut acks: Vec<i64> = Cluster::dedup_outputs(outputs)
+        .iter()
+        .filter(|o| o.consumer == "ledger_out")
+        .map(|o| o.payload.as_i64().expect("ack seq"))
+        .collect();
+    acks.sort_unstable();
+    let want: Vec<i64> = (1..=sent_ledger as i64).collect();
+    assert_eq!(
+        acks, want,
+        "Strict acks, deduplicated, are exactly 1..=sent"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

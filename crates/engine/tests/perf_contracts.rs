@@ -1,0 +1,400 @@
+//! Wall-clock ratio contracts. Each test times two arms of one claim on the
+//! same box and asserts their ratio, never an absolute rate: runner
+//! hardware varies, "batched over unbatched on the same machine" does not.
+//! Timing needs an optimised build and a quiet machine, so every test is
+//! ignored by default and the `contracts` CI job runs them:
+//!
+//! ```text
+//! cargo test --release -p tart-engine --test perf_contracts -- --ignored --test-threads=1
+//! ```
+//!
+//! Absolute numbers, end to end and per layer, come from `benchmark/`.
+
+#![allow(clippy::disallowed_methods)] // wall-clock timing is the point
+
+use std::io::Write as _;
+use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use bytes::BytesMut;
+use tart_engine::net::{read_batch, write_batch};
+use tart_engine::{
+    Cluster, ClusterConfig, DurabilityPolicy, Envelope, FsyncPolicy, OutputRecord, Placement,
+    StandbyConfig, Wal,
+};
+use tart_estimator::EstimatorSpec;
+use tart_model::reference::{fan_in_app, ConstantService, IN_PORT, OUT_PORT, SENDER_LOOP_BLOCK};
+use tart_model::{
+    AppSpec, BlockId, CheckpointMode, CkptMap, Component, Ctx, RestoreError, Snapshot, Value,
+};
+use tart_stats::{DetRng, PoissonProcess};
+use tart_vtime::{EngineId, PortId, VirtualTime, WireId};
+
+/// Envelopes/s through `write_batch` → loopback socket → `read_batch`,
+/// `per_frame` envelopes per batch frame.
+fn tcp_rate(envelopes: usize, per_frame: usize) -> f64 {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("addr");
+    let sink = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("accept");
+        let mut seen = 0;
+        while let Ok(Some(batch)) = read_batch(&mut conn) {
+            seen += batch.len();
+        }
+        seen
+    });
+    let mut stream = TcpStream::connect(addr).expect("connect loopback");
+    stream.set_nodelay(true).expect("nodelay");
+    let start = Instant::now();
+    let mut scratch = BytesMut::with_capacity(8192);
+    let mut batch = Vec::with_capacity(per_frame);
+    for first in (0..envelopes).step_by(per_frame) {
+        batch.clear();
+        for i in first as u64..(first + per_frame).min(envelopes) as u64 {
+            let envelope = Envelope::Data {
+                wire: WireId::new(7),
+                vt: VirtualTime::from_ticks(i + 1),
+                prev_vt: VirtualTime::from_ticks(i),
+                payload: Value::from("the quick brown fox jumps over the lazy dog"),
+            };
+            batch.push((EngineId::new(1), envelope));
+        }
+        write_batch(&mut stream, &batch, &mut scratch).expect("batch write");
+    }
+    stream.flush().expect("flush");
+    drop(stream);
+    let seen = sink.join().expect("sink thread");
+    assert_eq!(seen, envelopes, "the sink decoded every envelope");
+    seen as f64 / start.elapsed().as_secs_f64()
+}
+
+#[test]
+#[ignore = "timing: run in release by the contracts CI job"]
+fn tcp_batches_of_64_move_twice_the_envelopes_of_single_envelope_batches() {
+    // Best of three: one bad core migration can triple a loopback run.
+    let best = |per_frame| {
+        (0..3)
+            .map(|_| tcp_rate(20_000, per_frame))
+            .fold(0.0, f64::max)
+    };
+    let single = best(1);
+    let ratio = best(64) / single;
+    assert!(ratio >= 2.0, "64-envelope batches: {ratio:.2}x, want >= 2x");
+}
+
+/// Appends/s of `n` 64-byte records into a fresh WAL under `policy`, each
+/// through `lane` when one is given.
+fn wal_rate(policy: FsyncPolicy, lane: Option<DurabilityPolicy>, n: usize, tag: &str) -> f64 {
+    let dir = std::env::temp_dir().join(format!("tart-perf-wal-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut wal = Wal::create(&dir, 4 << 20, policy).expect("create wal");
+    let body = [0x5a; 64];
+    let start = Instant::now();
+    for _ in 0..n {
+        match lane {
+            Some(tier) => wal.append_lane(&body, tier).map(drop),
+            None => wal.append(&body),
+        }
+        .expect("append");
+    }
+    wal.sync().expect("final sync");
+    let rate = n as f64 / start.elapsed().as_secs_f64();
+    drop(wal);
+    std::fs::remove_dir_all(&dir).ok();
+    rate
+}
+
+#[test]
+#[ignore = "timing: run in release by the contracts CI job"]
+fn group_commit_appends_twice_as_fast_as_per_record_fsync() {
+    let group = FsyncPolicy::GroupCommit {
+        max_records: 64,
+        max_delay: Duration::from_millis(5),
+    };
+    let always = wal_rate(FsyncPolicy::Always, None, 96, "always");
+    let ratio = wal_rate(group, None, 96, "group") / always;
+    assert!(ratio >= 2.0, "GroupCommit: {ratio:.2}x Always, want >= 2x");
+}
+
+#[test]
+#[ignore = "timing: run in release by the contracts CI job"]
+fn buffered_lane_appends_five_times_as_fast_as_strict_lane() {
+    // Log-wide `Never`: the only syncs are the ones each lane demands.
+    let lane = |tier, n, tag| wal_rate(FsyncPolicy::Never, Some(tier), n, tag);
+    let flush_window = Duration::from_millis(10);
+    let buffered = DurabilityPolicy::Buffered { flush_window };
+    let strict = lane(DurabilityPolicy::Strict, 400, "strict");
+    let ratio = lane(buffered, 20_000, "buffered") / strict;
+    assert!(ratio >= 5.0, "Buffered lane: {ratio:.1}x Strict");
+}
+
+/// Messages/s through the two-engine word-count pipeline on the in-process
+/// router, from the first inject to the drained shutdown.
+fn pipeline_rate(messages: usize) -> f64 {
+    let spec = fan_in_app(2).expect("valid app");
+    let mut config = ClusterConfig::logical_time().with_checkpoint_every(64);
+    let mut placement = Placement::new();
+    for c in spec.components() {
+        let (est, engine) = if c.name() == "Merger" {
+            (EstimatorSpec::per_iteration(BlockId(0), 400_000), 1)
+        } else {
+            (EstimatorSpec::per_iteration(SENDER_LOOP_BLOCK, 61_000), 0)
+        };
+        config = config.with_estimator(c.id(), est);
+        placement.assign(c.id(), EngineId::new(engine));
+    }
+    config.idle_poll_micros = 50;
+    let cluster = Cluster::deploy(spec, placement, config).expect("deploys");
+    let clients = ["client1", "client2"].map(|c| cluster.injector(c).expect("injector"));
+    let start = Instant::now();
+    for i in 0..messages {
+        clients[i % 2].send(Value::from(format!("alpha beta gamma {i}")));
+    }
+    cluster.finish_inputs();
+    let outputs = cluster.shutdown();
+    let rate = messages as f64 / start.elapsed().as_secs_f64();
+    assert!(!outputs.is_empty(), "the pipeline produced outputs");
+    rate
+}
+
+#[test]
+#[ignore = "timing: run in release by the contracts CI job"]
+fn pipeline_rate_stays_flat_at_ten_times_the_messages() {
+    // Per-message cost that grows with accumulated state (an O(state) hash
+    // or scan on the delivery path) drives this toward zero.
+    let short = pipeline_rate(200);
+    let ratio = pipeline_rate(2_000) / short;
+    assert!(ratio >= 0.5, "10x the messages: {ratio:.2}x the rate");
+}
+
+/// Open loop over `engines` lanes `client{i} → Ingress{i} (engine i) →
+/// Egress{i} (engine i+1 mod E) → consumer{i}`, each offered a seeded
+/// Poisson schedule of 800 msgs/s for 1.2 s and sent at the scheduled
+/// instant whatever the mesh is doing. Returns (delivered msgs/s, lost),
+/// where lost is anything not delivered within 30 s.
+fn mesh_run(engines: usize) -> (f64, usize) {
+    let mut builder = AppSpec::builder();
+    let mut placement = Placement::new();
+    let service = || Arc::new(|| Box::new(ConstantService::new()) as Box<dyn Component>);
+    for i in 0..engines {
+        let ingress = builder.component(&format!("Ingress{i}"), service());
+        let egress = builder.component(&format!("Egress{i}"), service());
+        builder.wire_in(&format!("client{i}"), ingress, IN_PORT);
+        builder.wire(ingress, OUT_PORT, egress, IN_PORT);
+        builder.wire_out(egress, OUT_PORT, &format!("consumer{i}"));
+        placement.assign(ingress, EngineId::new(i as u32));
+        placement.assign(egress, EngineId::new(((i + 1) % engines) as u32));
+    }
+    let spec = builder.build().expect("valid mesh topology");
+    let mut config = ClusterConfig::logical_time().with_checkpoint_every(64);
+    for c in spec.components() {
+        config = config.with_estimator(c.id(), EstimatorSpec::per_iteration(BlockId(0), 400_000));
+    }
+    config.idle_poll_micros = 200;
+
+    let mut schedule: Vec<(f64, usize)> = Vec::new();
+    for lane in 0..engines {
+        let mut rng = DetRng::seed_from(0xA11C_E5ED ^ lane as u64);
+        let mut arrivals = PoissonProcess::new(1.0 / 800.0);
+        let lane_schedule = std::iter::repeat_with(|| arrivals.next_arrival(&mut rng));
+        schedule.extend(lane_schedule.take_while(|&t| t < 1.2).map(|t| (t, lane)));
+    }
+    schedule.sort_by(|a, b| a.0.total_cmp(&b.0));
+
+    let cluster = Cluster::deploy(spec, placement, config).expect("mesh deploys");
+    let injectors: Vec<_> = (0..engines)
+        .map(|i| cluster.injector(&format!("client{i}")).expect("injector"))
+        .collect();
+    let start = Instant::now();
+    for (id, &(offset, lane)) in schedule.iter().enumerate() {
+        // Sleep the coarse part of the wait, yield the sub-millisecond rest.
+        while let Some(ahead) = Duration::from_secs_f64(offset).checked_sub(start.elapsed()) {
+            if ahead > Duration::from_micros(500) {
+                std::thread::sleep(ahead - Duration::from_micros(300));
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        injectors[lane].send(Value::I64(id as i64));
+    }
+    cluster.finish_inputs();
+    let (mut delivered, mut last_receipt) = (0, 0.0);
+    while delivered < schedule.len() && start.elapsed() < Duration::from_secs(30) {
+        let n = cluster.take_outputs().len();
+        if n > 0 {
+            delivered += n;
+            last_receipt = start.elapsed().as_secs_f64();
+        }
+        std::thread::sleep(Duration::from_micros(500));
+    }
+    cluster.shutdown();
+    (delivered as f64 / last_receipt, schedule.len() - delivered)
+}
+
+#[test]
+#[ignore = "timing: run in release by the contracts CI job"]
+fn open_loop_mesh_of_eight_engines_sustains_five_times_one() {
+    let (one, lost_one) = mesh_run(1);
+    let (eight, lost_eight) = mesh_run(8);
+    assert_eq!((lost_one, lost_eight), (0, 0), "lost at 1 / 8 engines");
+    let ratio = eight / one;
+    assert!(ratio >= 5.0, "8 engines: {ratio:.2}x 1 engine, want >= 5x");
+}
+
+/// 20,000 accounts plus an ack sequence number under `"seq"`, checkpointed
+/// whole every time, so restoring even a short chain costs real work.
+struct Ledger(CkptMap<String, u64>);
+
+impl Component for Ledger {
+    fn on_message(&mut self, _port: PortId, msg: &Value, ctx: &mut dyn Ctx) {
+        ctx.tick_block(BlockId(0), 1);
+        let i = msg.as_i64().unwrap_or(0) as u64;
+        for key in [1, 7, 13].map(|stride| format!("acct-{:06}", i * stride % 20_000)) {
+            let v = self.0.get(&key).copied().unwrap_or(0);
+            self.0.insert(key, v + 1);
+        }
+        let seq = self.0.get("seq").copied().unwrap_or(0) + 1;
+        self.0.insert("seq".into(), seq);
+        ctx.send(PortId::new(1), Value::I64(seq as i64));
+    }
+
+    fn checkpoint(&mut self, _mode: CheckpointMode, vt: VirtualTime) -> Snapshot {
+        let mut snap = Snapshot::new(vt);
+        let full = self.0.take_chunk(CheckpointMode::Full).expect("full chunk");
+        snap.put("ledger", full);
+        snap
+    }
+
+    fn restore(&mut self, snapshot: &Snapshot) -> Result<(), RestoreError> {
+        for (field, chunk) in snapshot.iter() {
+            let field = field.to_owned();
+            (self.0.apply_chunk(chunk))
+                .map_err(|source| RestoreError::Corrupt { field, source })?;
+        }
+        Ok(())
+    }
+}
+
+/// Polls until `want` distinct acks arrived (replay stutters, it never
+/// skips).
+fn await_acks(cluster: &Cluster, outputs: &mut Vec<OutputRecord>, want: usize) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        outputs.extend(cluster.take_outputs());
+        let mut acks: Vec<i64> = outputs.iter().filter_map(|o| o.payload.as_i64()).collect();
+        acks.sort_unstable();
+        acks.dedup();
+        if acks.len() >= want {
+            return;
+        }
+        assert!(Instant::now() < deadline, "{} of {want} acks", acks.len());
+        std::thread::sleep(Duration::from_micros(200));
+    }
+}
+
+/// Three kill → promote rounds on the ledger, checkpointed every message,
+/// with `msgs_per_round` messages before each kill and 4 more while the
+/// engine is dead. Checks every round took the intended promotion path and
+/// the outputs stayed transparent, then returns the p99 of kill → first
+/// fresh output in seconds (nearest rank: the slowest of the three).
+fn failover_p99(msgs_per_round: usize, standby: Option<StandbyConfig>) -> f64 {
+    let mut builder = AppSpec::builder();
+    let ledger = builder.component(
+        "Ledger",
+        Arc::new(|| {
+            let mut accounts = CkptMap::new();
+            for k in 0..20_000 {
+                accounts.insert(format!("acct-{k:06}"), 0);
+            }
+            Box::new(Ledger(accounts)) as Box<dyn Component>
+        }),
+    );
+    builder.wire_in("requests", ledger, PortId::new(0));
+    builder.wire_out(ledger, PortId::new(1), "acks");
+    let spec = builder.build().expect("ledger topology is valid");
+    let mut config = ClusterConfig::logical_time()
+        .with_checkpoint_every(1)
+        .with_estimator(ledger, EstimatorSpec::per_iteration(BlockId(0), 10_000));
+    let warm = standby.is_some();
+    if let Some(standby) = standby {
+        config = config.with_warm_standby(standby);
+    }
+    let placement = Placement::single_engine(&spec);
+    let engine = EngineId::new(0);
+    let mut cluster = Cluster::deploy(spec, placement, config).expect("deploys");
+
+    let (mut sent, mut slowest, mut outputs) = (0, 0.0f64, Vec::new());
+    let send = |cluster: &Cluster, n: usize| {
+        let injector = cluster.injector("requests").expect("injector");
+        injector.send(Value::I64(n as i64));
+    };
+    for round in 0..3 {
+        (sent..sent + msgs_per_round).for_each(|n| send(&cluster, n));
+        sent += msgs_per_round;
+        await_acks(&cluster, &mut outputs, sent);
+        if warm {
+            // Wait for the standby to absorb everything outside its one-tick
+            // horizon: `pending <= 1` also holds while checkpoints are still
+            // in flight, so the applied count must stay put for 8 polls too.
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let (mut last_applied, mut stable) = (u64::MAX, 0);
+            while stable < 8 {
+                if let Some(st) = cluster.standby_status(engine) {
+                    assert!(!st.demoted, "round {round}: the standby diverged");
+                    let quiet = st.anchored && st.pending <= 1 && st.applied == last_applied;
+                    stable = if quiet { stable + 1 } else { 0 };
+                    last_applied = st.applied;
+                }
+                assert!(Instant::now() < deadline, "round {round}: standby lags");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+
+        let t0 = Instant::now();
+        cluster.kill(engine);
+        (sent..sent + 4).for_each(|n| send(&cluster, n));
+        sent += 4;
+        cluster.promote(engine).expect("promotes a killed engine");
+        loop {
+            let fresh = cluster.take_outputs();
+            if !fresh.is_empty() {
+                outputs.extend(fresh);
+                break;
+            }
+            assert!(t0.elapsed().as_secs() < 30, "round {round}: stalled");
+            std::thread::yield_now();
+        }
+        slowest = slowest.max(t0.elapsed().as_secs_f64());
+        await_acks(&cluster, &mut outputs, sent);
+    }
+
+    let snap = cluster.obs_snapshot();
+    let promotions = (snap.warm_promotions, snap.cold_promotions);
+    assert_eq!(promotions, if warm { (3, 0) } else { (0, 3) });
+    assert_eq!((snap.standby_demotions, snap.divergences_detected), (0, 0));
+    cluster.finish_inputs();
+    outputs.extend(cluster.shutdown());
+    let mut acks: Vec<i64> = Cluster::dedup_outputs(outputs)
+        .iter()
+        .map(|o| o.payload.as_i64().expect("ack seq"))
+        .collect();
+    acks.sort_unstable();
+    assert_eq!(acks, (1..=sent as i64).collect::<Vec<_>>(), "transparent");
+    slowest
+}
+
+#[test]
+#[ignore = "timing: run in release by the contracts CI job"]
+fn warm_failover_is_never_slower_and_cold_failover_does_not_age() {
+    let horizon = StandbyConfig {
+        trailing_horizon_ticks: 1,
+        apply_interval: Duration::from_millis(1),
+    };
+    let cold = failover_p99(96, None);
+    let aged = failover_p99(4 * 96, None);
+    let warm = failover_p99(96, Some(horizon));
+    assert!(warm <= cold, "p99 warm {warm:.4} s, cold {cold:.4} s");
+    let aging = aged / cold;
+    assert!(aging <= 2.0, "4x the traffic: cold p99 {aging:.2}x");
+}

@@ -32,7 +32,7 @@ pub enum Tier {
 
 /// `(path prefix, tier)` — paths are workspace-relative with `/` separators.
 ///
-/// Keep this table in sync with the tier table in DESIGN.md §11.
+/// Keep this table in sync with the tier table in DESIGN.md §12.
 pub const TIERS: &[(&str, Tier)] = &[
     // Pure deterministic crates: the paper's replayable core.
     ("crates/vtime/", Tier::Deterministic),
@@ -43,7 +43,6 @@ pub const TIERS: &[(&str, Tier)] = &[
     ("crates/silence/", Tier::Deterministic),
     ("crates/sched/", Tier::Deterministic),
     ("crates/sim/", Tier::Deterministic),
-    ("crates/core/", Tier::Deterministic),
     // The façade crate re-exports the core; keep it fenced.
     ("src/", Tier::Deterministic),
     // Engine: deterministic by default (fail closed). The ops-plane modules

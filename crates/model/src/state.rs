@@ -782,6 +782,22 @@ mod tests {
         assert_eq!(replica.get("the"), Some(&2));
         assert_eq!(replica.get("cat"), None);
         assert_eq!(replica.get("dog"), Some(&5));
+
+        // The §II.F.2 saving: touching 16 of 1,024 more keys ships a delta
+        // at most half the full image's size.
+        for i in 0..1024u64 {
+            live.insert(format!("key-{i:04}"), i);
+        }
+        let full = live.take_chunk(CheckpointMode::Full).unwrap();
+        replica.apply_chunk(&full).unwrap();
+        for i in 0..16u64 {
+            live.insert(format!("key-{:04}", i * 61), i + 1_000_000);
+        }
+        let delta = live.take_chunk(CheckpointMode::Incremental).unwrap();
+        replica.apply_chunk(&delta).unwrap();
+        assert_eq!(replica, live);
+        let ratio = full.bytes().len() as f64 / delta.bytes().len() as f64;
+        assert!(ratio >= 2.0, "full/delta bytes {ratio:.1}x, want >= 2x");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!          [--require-silence] [--require-zero-divergence]
 //! ```
 //!
-//! Validates an `obs-report.json` produced by the chaos soak, the
-//! cold-restart drill or the throughput bench: the full key schema, a
+//! Validates an `obs-report.json` produced by the chaos soak or the
+//! cold-restart drill: the full key schema, a
 //! nonzero delivered count, and optionally the chaos-specific requirements
 //! (a recorded failover promotion, pessimism-wait samples, per-wire
 //! silence totals, zero verified-replay divergences). Exit code 0 on a

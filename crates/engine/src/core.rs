@@ -268,6 +268,10 @@ pub struct EngineCore {
     outputs: BTreeMap<WireId, OutputWire>,
     hosted: BTreeMap<ComponentId, Hosted>,
     probes: ProbeTracker,
+    /// Probes this engine could not cover yet: output wire → the highest
+    /// `needed_through` asked beyond its silence bound. [`EngineCore::pump`]
+    /// answers them as the bound moves. Volatile: never checkpointed.
+    held_probes: BTreeMap<WireId, VirtualTime>,
     router: Router,
     replica: ReplicaStore,
     /// On-disk checkpoint store, when the cluster runs with durability.
@@ -394,6 +398,7 @@ impl EngineCore {
             outputs: out_wires,
             hosted,
             probes: ProbeTracker::new(),
+            held_probes: BTreeMap::new(),
             router,
             replica,
             durable: None,
@@ -823,20 +828,47 @@ impl EngineCore {
     /// Answers a curiosity probe for an internal output wire of this
     /// engine: compute the freshest truthful silence bound and transmit it
     /// (§II.H). If the bound cannot cover the receiver's need, the probe
-    /// *cascades*: this component's own lagging inputs are probed in turn,
+    /// *cascades* — this component's own lagging inputs are probed in turn,
     /// so curiosity propagates through intermediate components of a deeper
-    /// graph.
+    /// graph — and is *held*: answered now only if the watermark advanced,
+    /// then from [`EngineCore::pump`] each time the bound moves, until it
+    /// covers the need. An unchanged watermark would only draw the same
+    /// probe straight back.
     fn answer_probe(&mut self, wire: WireId, needed_through: VirtualTime) {
         let Some((source, bound)) = self.silence_bound(wire) else {
             return; // not sent from here (stale probe after re-placement)
         };
         if bound < needed_through {
             self.cascade_probe(source, needed_through, &mut BTreeSet::new());
+            let held = self.held_probes.entry(wire).or_insert(needed_through);
+            *held = (*held).max(needed_through);
         }
-        self.advertise(wire, bound);
-        // Reply with the watermark even when unchanged: the prior advance
-        // may have been lost, and silence is idempotent.
-        self.send_silence(wire);
+        let advanced = self.advertise(wire, bound).is_some();
+        // A covered need is answered even when the watermark is unchanged:
+        // the prior advance may have been lost, and silence is idempotent.
+        if advanced || bound >= needed_through {
+            self.send_silence(wire);
+        }
+    }
+
+    /// Re-evaluates every held probe: transmits silence where the bound
+    /// advanced, and releases the hold once the bound covers its need.
+    fn answer_held_probes(&mut self) {
+        for (wire, needed) in std::mem::take(&mut self.held_probes) {
+            if self.refresh_silence(wire).is_some_and(|b| b < needed) {
+                self.held_probes.insert(wire, needed);
+            }
+        }
+    }
+
+    /// Offers `wire`'s current silence bound and transmits it if the
+    /// receiver does not know that much yet. Returns the bound.
+    fn refresh_silence(&mut self, wire: WireId) -> Option<VirtualTime> {
+        let (_, bound) = self.silence_bound(wire)?;
+        if self.advertise(wire, bound).is_some() {
+            self.send_silence(wire);
+        }
+        Some(bound)
     }
 
     /// The silence oracle for an internal output wire of this engine: no
@@ -895,8 +927,9 @@ impl EngineCore {
     // -- Execution ----------------------------------------------------------
 
     /// Delivers every currently deliverable message, interleaving local
-    /// self-probes until quiescent. Returns the number of messages
-    /// processed. Call after [`EngineCore::handle`].
+    /// self-probes until quiescent, then answers held probes whose bound
+    /// moved. Returns the number of messages processed. Call after
+    /// [`EngineCore::handle`].
     pub fn pump(&mut self) -> u64 {
         let mut processed = 0;
         loop {
@@ -920,6 +953,7 @@ impl EngineCore {
                 break;
             }
         }
+        self.answer_held_probes();
         if processed > 0 {
             count(&self.metrics.processed, processed);
         }
@@ -1202,9 +1236,11 @@ impl EngineCore {
         }
     }
 
-    /// Idle-tick maintenance: forget outstanding probes (replies may have
-    /// been lost) and re-evaluate. Under the aggressive policy, volunteer
-    /// fresh silence on every output wire.
+    /// Idle-tick maintenance: forget outstanding probes and re-evaluate.
+    /// This is the retry for a lost reply: a sender answers a held probe
+    /// once, so the re-probe draws an immediate answer if its bound now
+    /// covers the need, and a fresh hold otherwise. Under the aggressive
+    /// policy, volunteer fresh silence on every output wire.
     pub fn on_idle_tick(&mut self) {
         self.probes = ProbeTracker::new();
         if matches!(self.config.silence, SilencePolicy::Aggressive { .. }) {
@@ -1217,12 +1253,7 @@ impl EngineCore {
     fn broadcast_silence(&mut self) {
         let wires: Vec<WireId> = self.outputs.keys().copied().collect();
         for wire in wires {
-            let Some((_, bound)) = self.silence_bound(wire) else {
-                continue;
-            };
-            if self.advertise(wire, bound).is_some() {
-                self.send_silence(wire);
-            }
+            self.refresh_silence(wire);
         }
     }
 

@@ -9,7 +9,9 @@
 //!   exactly (§II.F);
 //! * arbitrary duplication of data envelopes is absorbed (§II.F.4);
 //! * a wire-addressed envelope naming a wire this engine does not send or
-//!   receive on — the external output included — is dropped, never a panic.
+//!   receive on — the external output included — is dropped, never a panic;
+//! * a curiosity probe the sender cannot cover yet is held and answered
+//!   when its silence bound moves, one merge layer deep or two.
 
 use crossbeam::channel::{unbounded, Receiver};
 use proptest::prelude::*;
@@ -19,18 +21,16 @@ use tart_engine::{
     ReplicaStore, Router,
 };
 use tart_estimator::EstimatorSpec;
-use tart_model::reference::{self, fan_in_app};
-use tart_model::{BlockId, Value};
+use tart_model::reference::{self, fan_in_app, ConstantService, IN_PORT, OUT_PORT};
+use tart_model::{AppSpec, BlockId, Component, Value};
 use tart_vtime::{EngineId, VirtualTime, WireId};
 
 fn vt(t: u64) -> VirtualTime {
     VirtualTime::from_ticks(t)
 }
 
-/// Builds a single-engine Fig 1 core plus its output drain.
-fn build_core(checkpoint_every: u64) -> (EngineCore, Receiver<OutputRecord>, ReplicaStore) {
-    let spec = fan_in_app(2).expect("valid");
-    let placement = Placement::single_engine(&spec);
+/// The Fig 1 estimators under logical time.
+fn fig1_config(spec: &AppSpec, checkpoint_every: u64) -> ClusterConfig {
     let mut config = ClusterConfig::logical_time().with_checkpoint_every(checkpoint_every);
     for c in spec.components() {
         let est = if c.name().starts_with("Sender") {
@@ -40,6 +40,14 @@ fn build_core(checkpoint_every: u64) -> (EngineCore, Receiver<OutputRecord>, Rep
         };
         config = config.with_estimator(c.id(), est);
     }
+    config
+}
+
+/// Builds a single-engine Fig 1 core plus its output drain.
+fn build_core(checkpoint_every: u64) -> (EngineCore, Receiver<OutputRecord>, ReplicaStore) {
+    let spec = fan_in_app(2).expect("valid");
+    let placement = Placement::single_engine(&spec);
+    let config = fig1_config(&spec, checkpoint_every);
     let replica = ReplicaStore::new();
     let (tx, rx) = unbounded();
     let core = EngineCore::new(
@@ -393,4 +401,215 @@ fn replay_request_naming_the_durable_external_output_is_dropped() {
     assert_eq!(core.handle(request), Flow::Continue);
     assert_eq!(core.metrics().replays_served, 0);
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Hands `core` everything queued in its inbox, then pumps.
+fn step(core: &mut EngineCore, inbox: &Receiver<Envelope>) {
+    for env in inbox.try_iter() {
+        core.handle(env);
+    }
+    core.pump();
+}
+
+/// The `(wire, through)` of every `Silence` in `inbox`, draining it.
+fn silences(inbox: &Receiver<Envelope>) -> Vec<(WireId, VirtualTime)> {
+    inbox
+        .try_iter()
+        .filter_map(|env| match env {
+            Envelope::Silence { wire, through, .. } => Some((wire, through)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A Router whose inboxes for `engines` are fresh channels, returned in
+/// the same order.
+fn router_with_inboxes<const N: usize>(engines: [u32; N]) -> (Router, [Receiver<Envelope>; N]) {
+    let router = Router::new(FaultPlan::none());
+    let inboxes = engines.map(|e| {
+        let (tx, rx) = unbounded();
+        router.register(EngineId::new(e), tx);
+        rx
+    });
+    (router, inboxes)
+}
+
+/// The merger waits on Sender2's wire through Sender1's newest output; the
+/// sender engine cannot cover that until client 2 speaks. Answering each
+/// probe with the unchanged watermark (the old rule) only drew the same
+/// probe straight back: the sender holds it instead, answers once when the
+/// bound covers the need, and answers a covered re-probe at once — the
+/// retry after a lost reply.
+#[test]
+fn an_uncoverable_probe_is_held_until_the_bound_covers_it() {
+    let spec = fan_in_app(2).expect("valid");
+    let mut placement = Placement::new();
+    for c in spec.components() {
+        placement.assign(c.id(), EngineId::new(u32::from(c.name() == "Merger")));
+    }
+    let (router, [merger_inbox]) = router_with_inboxes([1]);
+    let mut senders = EngineCore::new(
+        EngineId::new(0),
+        &spec,
+        &placement,
+        &fig1_config(&spec, 1_000),
+        router,
+        ReplicaStore::new(),
+        unbounded().0,
+    );
+    let [client1, client2] = client_wires();
+    let sender2 = spec.component_by_name("Sender2").expect("Sender2").id();
+    let sender2_wire = spec.output_wires_of(sender2)[0].id();
+    // Both clients speak once, so both sender wires carry data.
+    senders.handle(data_env(client1, 1_000, 0, "cat sat"));
+    senders.handle(data_env(client2, 2_000, 0, "dog"));
+    senders.pump();
+    // Client 1 speaks again; the merger now needs Sender2's wire accounted
+    // through Sender1's new output.
+    let _ = merger_inbox.try_iter().count();
+    senders.handle(data_env(client1, 900_000, 1_000, "the cat ran"));
+    senders.pump();
+    let need = merger_inbox
+        .try_iter()
+        .find_map(|env| match env {
+            Envelope::Data { vt, .. } => Some(vt),
+            _ => None,
+        })
+        .expect("Sender1 forwarded its count");
+    let probe = Envelope::Probe {
+        wire: sender2_wire,
+        needed_through: need,
+    };
+    for attempt in 1..=2 {
+        senders.handle(probe.clone());
+        senders.pump();
+        assert_eq!(silences(&merger_inbox), [], "probe {attempt} is held");
+    }
+
+    // Client 2's heartbeat moves Sender2's bound past the need: the held
+    // probe is answered from the pump, once, with no new probe.
+    senders.handle(Envelope::Silence {
+        wire: client2,
+        through: need,
+        last_data: vt(2_000),
+    });
+    senders.pump();
+    let answer = silences(&merger_inbox);
+    assert_eq!(answer.len(), 1, "one answer: {answer:?}");
+    let (wire, through) = answer[0];
+    assert_eq!(wire, sender2_wire);
+    assert!(through >= need, "{through:?} covers {need:?}");
+
+    // Loss backstop: that answer is lost and the merger probes again. The
+    // bound covers the need, so the unchanged watermark goes out at once.
+    senders.handle(probe);
+    assert_eq!(silences(&merger_inbox), [(sender2_wire, through)]);
+
+    // Nothing is held any more: a later heartbeat volunteers nothing.
+    senders.handle(Envelope::Silence {
+        wire: client2,
+        through: vt(need.as_ticks() + 1_000_000),
+        last_data: vt(2_000),
+    });
+    senders.pump();
+    assert_eq!(silences(&merger_inbox), []);
+}
+
+/// The depth-2 merge tree of `ablation_tree`, placed as there — leaves on
+/// engine 0, mid merges on engine 1 — except that the root sits on engine
+/// 2, whose inbox is captured, so its probe reaches the mid layer over the
+/// router. Mid1 cannot cover the root's probe: it holds it and cascades to
+/// the leaves, which hold theirs in turn. Once the clients' silence reaches
+/// the leaves, each layer pushes its answer from its pump, and the root
+/// hears silence through its need without probing a second time.
+#[test]
+fn a_held_probe_cascades_and_each_layer_answers_when_its_bound_moves() {
+    let service = || Arc::new(|| Box::new(ConstantService::new()) as Box<dyn Component>);
+    let mut b = AppSpec::builder();
+    let mut placement = Placement::new();
+    let root = b.component("Root", service());
+    placement.assign(root, EngineId::new(2));
+    let mids = ["Mid1", "Mid2"].map(|name| b.component(name, service()));
+    let mut clients = Vec::new();
+    let mut mid1_inputs = Vec::new();
+    for i in 0..4 {
+        let leaf = b.component(&format!("Leaf{}", i + 1), service());
+        placement.assign(leaf, EngineId::new(0));
+        clients.push(b.wire_in(&format!("client{}", i + 1), leaf, IN_PORT));
+        let up = b.wire(leaf, OUT_PORT, mids[i / 2], IN_PORT);
+        if i < 2 {
+            mid1_inputs.push(up);
+        }
+    }
+    let downstream = mids.map(|mid| {
+        placement.assign(mid, EngineId::new(1));
+        b.wire(mid, OUT_PORT, root, IN_PORT)
+    });
+    b.wire_out(root, OUT_PORT, "consumer");
+    let spec = b.build().expect("valid merge tree");
+    let config = ClusterConfig::logical_time();
+    let (router, [leaf_inbox, mid_inbox, root_inbox]) = router_with_inboxes([0, 1, 2]);
+    let [mut leaves, mut merges] = [0, 1].map(|e| {
+        EngineCore::new(
+            EngineId::new(e),
+            &spec,
+            &placement,
+            &config,
+            router.clone(),
+            ReplicaStore::new(),
+            unbounded().0,
+        )
+    });
+    let need = vt(500_000);
+    let covering = |inbox: &Receiver<Envelope>, wire: WireId| {
+        silences(inbox)
+            .into_iter()
+            .filter(|&(w, through)| w == wire && through >= need)
+            .count()
+    };
+
+    // The root's one probe: Mid1 holds it and cascades to both its leaves.
+    merges.handle(Envelope::Probe {
+        wire: downstream[0],
+        needed_through: need,
+    });
+    merges.pump();
+    assert_eq!(covering(&root_inbox, downstream[0]), 0);
+    let cascaded: Vec<Envelope> = leaf_inbox.try_iter().collect();
+    let probed: Vec<WireId> = cascaded
+        .iter()
+        .filter_map(|env| match env {
+            Envelope::Probe { wire, .. } => Some(*wire),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(probed, mid1_inputs, "Mid1 probes both of its leaves");
+    for env in cascaded {
+        leaves.handle(env);
+    }
+    leaves.pump();
+    step(&mut merges, &mid_inbox);
+    assert_eq!(
+        covering(&root_inbox, downstream[0]),
+        0,
+        "nothing covers yet"
+    );
+
+    // The clients' silence reaches the leaves; the leaves answer Mid1 from
+    // their pump, and Mid1 answers the root from its own.
+    for client in &clients[..2] {
+        leaves.handle(Envelope::Silence {
+            wire: *client,
+            through: need,
+            last_data: VirtualTime::ZERO,
+        });
+    }
+    leaves.pump();
+    step(&mut merges, &mid_inbox);
+    assert_eq!(covering(&root_inbox, downstream[0]), 1, "Mid1 answers once");
+    assert_eq!(
+        merges.metrics().probes_sent,
+        2,
+        "no probe beyond the cascade"
+    );
 }

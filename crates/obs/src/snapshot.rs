@@ -492,7 +492,7 @@ mod tests {
 
     #[test]
     fn failover_counter_satisfies_requirement_when_event_was_evicted() {
-        // A long soak's probe/silence ping-pong can push the promotion
+        // A long soak's probe and silence traffic can push the promotion
         // event out of the bounded ring; the counter must still count.
         let mut snap = sample();
         snap.events.clear();

@@ -17,7 +17,6 @@ use tart_estimator::EstimatorSpec;
 use tart_model::reference::{self, fan_in_app};
 use tart_model::{BlockId, Value};
 use tart_stats::DetRng;
-use tart_vtime::EngineId;
 
 fn main() {
     let quick = quick_mode();
@@ -59,16 +58,19 @@ fn main() {
                 .send(Value::from(s.as_str()));
         }
         cluster.finish_inputs();
-        // Metrics must be read before shutdown consumes the cluster.
+        // Counters must be read before shutdown consumes the cluster, once
+        // every delivery and the checkpoint it made due have been counted
+        // (a delivery is counted before its handler runs).
         let wait = std::time::Instant::now();
-        loop {
-            let m = cluster.engine_metrics(EngineId::new(0)).expect("engine 0");
-            if m.processed >= (n as u64) * 2 || wait.elapsed().as_secs() > 30 {
-                break;
+        let metrics = loop {
+            let snap = cluster.obs_snapshot();
+            let settled =
+                snap.delivered >= (n as u64) * 2 && snap.checkpoints >= snap.delivered / interval;
+            if settled || wait.elapsed().as_secs() > 30 {
+                break snap;
             }
             std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let metrics = cluster.engine_metrics(EngineId::new(0)).expect("engine 0");
+        };
         let _ = cluster.shutdown();
         let per_ckpt = metrics
             .checkpoint_bytes

@@ -23,8 +23,8 @@ use crate::standby::{StandbyPlane, StandbyStatus, WarmCandidate};
 use crate::store::CheckpointStore;
 use crate::supervise::{SupervisionMetrics, Supervisor};
 use crate::{
-    ClusterConfig, DurabilityConfig, DurabilityPolicy, EngineMetrics, Envelope, MessageLog,
-    OutputRecord, Placement, ReplicaStore, Router, SharedEngineMetrics,
+    ClusterConfig, DurabilityConfig, DurabilityPolicy, Envelope, MessageLog, OutputRecord,
+    Placement, ReplicaStore, Router,
 };
 
 /// Cap on envelopes an engine batches per loop iteration, so a saturated
@@ -234,7 +234,6 @@ struct EngineSlot {
     sender: Sender<Envelope>,
     thread: Option<JoinHandle<()>>,
     replica: ReplicaStore,
-    metrics: Arc<SharedEngineMetrics>,
     alive: bool,
 }
 
@@ -407,7 +406,6 @@ impl EngineHost {
         replica: ReplicaStore,
         restored: bool,
     ) {
-        let metrics = core.metrics_handle();
         let thread = self.spawn_engine_loop(engine, core, rx, restored);
         self.engines.lock().insert(
             engine,
@@ -415,7 +413,6 @@ impl EngineHost {
                 sender,
                 thread: Some(thread),
                 replica,
-                metrics,
                 alive: true,
             },
         );
@@ -512,7 +509,7 @@ impl EngineHost {
             }
         };
         // Join outside the lock: the dying thread never takes it, but other
-        // callers (metrics readers, the supervisor poll) shouldn't wait.
+        // callers (replica-depth readers, the supervisor poll) shouldn't wait.
         if let Some(t) = thread {
             let _ = t.join();
         }
@@ -681,13 +678,6 @@ impl EngineHost {
         self.obs
             .promotion_complete(engine, restored.warm, t0.elapsed().as_nanos() as u64);
         Ok(())
-    }
-
-    fn engine_metrics(&self, engine: EngineId) -> Option<EngineMetrics> {
-        self.engines
-            .lock()
-            .get(&engine)
-            .map(|s| s.metrics.snapshot())
     }
 
     fn replica_depth(&self, engine: EngineId) -> usize {
@@ -1103,11 +1093,6 @@ impl Cluster {
     /// All deployed engine ids, ascending.
     pub fn engine_ids(&self) -> Vec<EngineId> {
         self.host.engine_ids()
-    }
-
-    /// A snapshot of `engine`'s metrics.
-    pub fn engine_metrics(&self, engine: EngineId) -> Option<EngineMetrics> {
-        self.host.engine_metrics(engine)
     }
 
     /// A snapshot of the liveness supervisor's counters, when supervision
@@ -1758,7 +1743,7 @@ mod tests {
         let mut cluster = deploy_tally(None);
         tally(&cluster, 0..300);
         assert_eq!(cluster.replica_depth(ENGINE), 300);
-        let shipped = cluster.engine_metrics(ENGINE).expect("alive").checkpoints;
+        let shipped = cluster.obs_snapshot().checkpoints;
         assert_eq!(
             shipped, 300,
             "depth counts what was shipped, not what is held"
@@ -1787,6 +1772,37 @@ mod tests {
         let snap = cluster.obs_snapshot();
         assert_eq!((snap.cold_promotions, snap.divergences_detected), (1, 0));
         assert_eq!(finish(cluster), reference);
+    }
+
+    /// A standby's passive cores record into their engine's shard, so its
+    /// background pre-apply must move none of that engine's counters: only
+    /// the cluster-plane `standby_applied` counts it.
+    #[test]
+    fn standby_pre_apply_leaves_every_engine_counter_unchanged() {
+        let cluster = deploy_tally(Some(StandbyConfig {
+            trailing_horizon_ticks: 1 << 62,
+            apply_interval: Duration::from_millis(1),
+        }));
+        tally(&cluster, 0..12);
+        let status = cluster.standby_status(ENGINE).expect("slot exists");
+        assert_eq!(
+            (status.applied, status.pending),
+            (0, 12),
+            "every member is inside the horizon"
+        );
+        let before = cluster.obs().engine_snapshot(ENGINE);
+        // Move the standby's head past the horizon without the engine.
+        cluster.host.router.send(
+            crate::router::STANDBY_ENGINE,
+            Envelope::StandbyInput {
+                engine: ENGINE,
+                wire: tart_vtime::WireId::new(0),
+                vt: VirtualTime::MAX,
+            },
+        );
+        await_standby(&cluster, |s| s.pending == 0);
+        assert_eq!(cluster.obs_snapshot().standby_applied, 12);
+        assert_eq!(cluster.obs().engine_snapshot(ENGINE), before);
     }
 
     /// A standby trailing one and a half chains behind the head is passed

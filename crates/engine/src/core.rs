@@ -10,8 +10,6 @@
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
-
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use tart_estimator::{Calibrator, DeterminismFault, EstimatorSchedule};
 use tart_model::{AppSpec, CheckpointMode, Component, Endpoint, Features, Value};
@@ -59,94 +57,6 @@ pub struct OutputRecord {
     pub vt: VirtualTime,
     /// The payload.
     pub payload: Value,
-}
-
-/// Counters an engine maintains (shared with the cluster for inspection).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct EngineMetrics {
-    /// Messages delivered to components.
-    pub processed: u64,
-    /// Duplicate data envelopes discarded by timestamp (§II.F.4).
-    pub duplicates_dropped: u64,
-    /// Soft checkpoints taken.
-    pub checkpoints: u64,
-    /// Serialized checkpoint bytes shipped to the replica.
-    pub checkpoint_bytes: u64,
-    /// Checkpoints taken in incremental (delta) mode.
-    pub delta_checkpoints: u64,
-    /// Serialized bytes of delta-mode checkpoints (compare against
-    /// `checkpoint_bytes` for the incremental-checkpoint savings).
-    pub delta_checkpoint_bytes: u64,
-    /// Curiosity probes sent.
-    pub probes_sent: u64,
-    /// Probe replies / silence advances transmitted.
-    pub silence_sent: u64,
-    /// Replay requests served from retention.
-    pub replays_served: u64,
-    /// Replay requests this engine issued (loss detected or restore).
-    pub replay_requests_sent: u64,
-    /// Gaps detected via the `prev_vt` chain.
-    pub losses_detected: u64,
-    /// External outputs emitted (including stutter duplicates).
-    pub outputs_emitted: u64,
-    /// Determinism faults taken.
-    pub determinism_faults: u64,
-    /// Data envelopes received (before any filtering).
-    pub data_received: u64,
-}
-
-/// The live, shared form of [`EngineMetrics`]: one relaxed atomic per
-/// counter, so the delivery hot path bumps counters without a lock (the
-/// same pattern as `tart-obs`'s counter registry). Readers take a
-/// [`SharedEngineMetrics::snapshot`]; counters are monotone and
-/// independent, so a snapshot is only ever behind, never torn into
-/// impossible states.
-///
-/// Metrics are telemetry: they are never read back by replayed logic and
-/// never enter checkpoints, so relaxed ordering is sufficient.
-#[derive(Debug, Default)]
-pub struct SharedEngineMetrics {
-    pub(crate) processed: AtomicU64,
-    pub(crate) duplicates_dropped: AtomicU64,
-    pub(crate) checkpoints: AtomicU64,
-    pub(crate) checkpoint_bytes: AtomicU64,
-    pub(crate) delta_checkpoints: AtomicU64,
-    pub(crate) delta_checkpoint_bytes: AtomicU64,
-    pub(crate) probes_sent: AtomicU64,
-    pub(crate) silence_sent: AtomicU64,
-    pub(crate) replays_served: AtomicU64,
-    pub(crate) replay_requests_sent: AtomicU64,
-    pub(crate) losses_detected: AtomicU64,
-    pub(crate) outputs_emitted: AtomicU64,
-    pub(crate) determinism_faults: AtomicU64,
-    pub(crate) data_received: AtomicU64,
-}
-
-impl SharedEngineMetrics {
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> EngineMetrics {
-        EngineMetrics {
-            processed: self.processed.load(AtomicOrdering::Relaxed),
-            duplicates_dropped: self.duplicates_dropped.load(AtomicOrdering::Relaxed),
-            checkpoints: self.checkpoints.load(AtomicOrdering::Relaxed),
-            checkpoint_bytes: self.checkpoint_bytes.load(AtomicOrdering::Relaxed),
-            delta_checkpoints: self.delta_checkpoints.load(AtomicOrdering::Relaxed),
-            delta_checkpoint_bytes: self.delta_checkpoint_bytes.load(AtomicOrdering::Relaxed),
-            probes_sent: self.probes_sent.load(AtomicOrdering::Relaxed),
-            silence_sent: self.silence_sent.load(AtomicOrdering::Relaxed),
-            replays_served: self.replays_served.load(AtomicOrdering::Relaxed),
-            replay_requests_sent: self.replay_requests_sent.load(AtomicOrdering::Relaxed),
-            losses_detected: self.losses_detected.load(AtomicOrdering::Relaxed),
-            outputs_emitted: self.outputs_emitted.load(AtomicOrdering::Relaxed),
-            determinism_faults: self.determinism_faults.load(AtomicOrdering::Relaxed),
-            data_received: self.data_received.load(AtomicOrdering::Relaxed),
-        }
-    }
-}
-
-/// Bumps a telemetry counter (relaxed: see [`SharedEngineMetrics`]).
-fn count(counter: &AtomicU64, by: u64) {
-    counter.fetch_add(by, AtomicOrdering::Relaxed);
 }
 
 /// In-flight recovery state for one input wire: arrivals are stashed until
@@ -296,10 +206,12 @@ pub struct EngineCore {
     /// ones shipped since.
     full_bytes: usize,
     delta_bytes_since_full: usize,
-    metrics: Arc<SharedEngineMetrics>,
-    /// Telemetry handle (ops plane). Strictly write-only from the core's
-    /// perspective: nothing recorded here is ever read back, so it cannot
-    /// influence replayed decisions, and none of it enters checkpoints.
+    /// Telemetry handle (ops plane), and the engine's only counters.
+    /// Strictly write-only from the core's perspective: nothing recorded
+    /// here is ever read back, so it cannot influence replayed decisions,
+    /// and none of it enters checkpoints. Restore and pre-apply record no
+    /// live-traffic counter: a warm standby's passive core shares this
+    /// engine's shard.
     obs: tart_obs::EngineObs,
 }
 
@@ -411,7 +323,6 @@ impl EngineCore {
             ckpts_since_full: 0,
             full_bytes: 0,
             delta_bytes_since_full: 0,
-            metrics: Arc::new(SharedEngineMetrics::default()),
             // tart-lint: allow(TAINT-FLOW) -- obs handle construction: the hub's epoch stamp is telemetry zero-point, never read back by replayed logic
             obs: tart_obs::EngineObs::detached(id),
         }
@@ -470,16 +381,6 @@ impl EngineCore {
     /// the core goes live.
     pub(crate) fn set_replica(&mut self, replica: ReplicaStore) {
         self.replica = replica;
-    }
-
-    /// Shared handle to this engine's metrics.
-    pub fn metrics_handle(&self) -> Arc<SharedEngineMetrics> {
-        Arc::clone(&self.metrics)
-    }
-
-    /// A snapshot of the current metrics.
-    pub fn metrics(&self) -> EngineMetrics {
-        self.metrics.snapshot()
     }
 
     /// Total messages pending in this engine's gates.
@@ -592,7 +493,6 @@ impl EngineCore {
     }
 
     fn on_data(&mut self, wire: WireId, vt: VirtualTime, prev_vt: VirtualTime, payload: Value) {
-        count(&self.metrics.data_received, 1);
         let Some(input) = self.inputs.get_mut(&wire) else {
             return; // not our wire (stale routing); drop
         };
@@ -622,7 +522,6 @@ impl EngineCore {
             // in real-time arrival order, no pessimism, no recoverability.
             let dequeue_vt = vt.max_with(self.mux.gate(target).clock());
             self.process_delivery(target, wire, vt, dequeue_vt, payload);
-            count(&self.metrics.processed, 1);
             return;
         }
         // Gap detection via the prev_vt chain (§II.F.4): if the predecessor
@@ -634,18 +533,14 @@ impl EngineCore {
             });
             return;
         }
-        match self.mux.push_message(wire, vt, payload) {
-            Ok(()) => {
-                // Pessimism-wait stamp: the message is now held by the gate
-                // until silence releases it; delivery pops the stamp.
-                self.obs.message_arrived(wire, vt);
-            }
-            Err(_) => {
-                // Timestamp at or below the accounted watermark: a replayed
-                // or link-duplicated message. "The duplicate messages will
-                // have duplicate timestamps and will be discarded" (§II.F.4).
-                count(&self.metrics.duplicates_dropped, 1);
-            }
+        // A timestamp at or below the accounted watermark is a replayed or
+        // link-duplicated message, refused by the gate: "the duplicate
+        // messages will have duplicate timestamps and will be discarded"
+        // (§II.F.4).
+        if self.mux.push_message(wire, vt, payload).is_ok() {
+            // Pessimism-wait stamp: the message is now held by the gate
+            // until silence releases it; delivery pops the stamp.
+            self.obs.message_arrived(wire, vt);
         }
     }
 
@@ -677,8 +572,8 @@ impl EngineCore {
 
     /// The gap check behind data and silence arrivals: the sender says its
     /// last data tick before this arrival was `chained`; if `target`'s gate
-    /// never accounted for it, a message was lost. Counts the loss and
-    /// returns where the replay must start.
+    /// never accounted for it, a message was lost. Returns where the replay
+    /// must start.
     fn gap_before(
         &self,
         wire: WireId,
@@ -691,7 +586,6 @@ impl EngineCore {
         if chained == VirtualTime::ZERO || (heard && chained <= accounted) {
             return None;
         }
-        count(&self.metrics.losses_detected, 1);
         Some(if heard {
             accounted.next()
         } else {
@@ -724,7 +618,6 @@ impl EngineCore {
     }
 
     fn request_replay(&mut self, wire: WireId, source: WireSource, from: VirtualTime) {
-        count(&self.metrics.replay_requests_sent, 1);
         self.obs.replay_requested(wire, from);
         let engine = match source {
             // Self-request: serve immediately from restored retention.
@@ -753,7 +646,6 @@ impl EngineCore {
         };
         let (dest, through) = (internal.dest, internal.advertiser.advertised_through());
         let frames = internal.retention.replay_from(from);
-        count(&self.metrics.replays_served, 1);
         let sent = frames.len() as u64;
         let mut prev = VirtualTime::ZERO;
         for (vt, payload) in frames {
@@ -809,9 +701,8 @@ impl EngineCore {
         let mut refeed = Vec::new();
         for (vt, (prev_vt, payload)) in stash.data {
             if vt <= through {
-                if self.mux.push_message(wire, vt, payload).is_err() {
-                    count(&self.metrics.duplicates_dropped, 1);
-                }
+                // Duplicates are refused by timestamp, as in `on_data`.
+                let _ = self.mux.push_message(wire, vt, payload);
             } else {
                 refeed.push((vt, prev_vt, payload));
             }
@@ -912,7 +803,6 @@ impl EngineCore {
         };
         let (dest, through) = (internal.dest, internal.advertiser.advertised_through());
         let last_data = internal.retention.last_sent().unwrap_or(VirtualTime::ZERO);
-        count(&self.metrics.silence_sent, 1);
         self.obs.silence_sent(wire, through);
         self.transmit(
             dest,
@@ -954,9 +844,6 @@ impl EngineCore {
             }
         }
         self.answer_held_probes();
-        if processed > 0 {
-            count(&self.metrics.processed, processed);
-        }
         processed
     }
 
@@ -1060,7 +947,6 @@ impl EngineCore {
                 if let Some(buf) = retention {
                     buf.record(out_vt, payload.clone());
                 }
-                count(&self.metrics.outputs_emitted, 1);
                 let _ = self.output_tx.send(OutputRecord {
                     consumer: consumer.clone(),
                     wire: out_wire,
@@ -1217,7 +1103,6 @@ impl EngineCore {
             }
             Some(WireSource::Remote(engine)) => {
                 if self.probes.should_probe(wire, needed) {
-                    count(&self.metrics.probes_sent, 1);
                     self.obs.probe_sent(wire, needed);
                     self.router.send(
                         engine,
@@ -1373,12 +1258,7 @@ impl EngineCore {
         self.last_chain_seal = ckpt.chain_seal;
         self.obs
             .state_hashes_computed(ckpt.component_hashes.len() as u64 + 1);
-        count(&self.metrics.checkpoints, 1);
-        count(&self.metrics.checkpoint_bytes, bytes);
-        if mode == CheckpointMode::Incremental {
-            count(&self.metrics.delta_checkpoints, 1);
-            count(&self.metrics.delta_checkpoint_bytes, bytes);
-        }
+        self.obs.checkpoint_taken(bytes);
         // Persist BEFORE shipping: once anyone can see this checkpoint, it
         // must be able to survive a whole-cluster crash.
         let persisted = match &self.durable {
@@ -1518,7 +1398,6 @@ impl EngineCore {
             h.estimator
                 .apply_fault(fault)
                 .expect("fault log is monotone per component");
-            count(&self.metrics.determinism_faults, 1);
             // Replay must not re-tune a second time at a different point:
             // the logged fault already covers this component.
             h.calibrator = None;
@@ -1647,7 +1526,6 @@ impl EngineCore {
                 continue;
             };
             for (vt, payload) in buf.replay_from(VirtualTime::ZERO) {
-                count(&self.metrics.outputs_emitted, 1);
                 let _ = self.output_tx.send(OutputRecord {
                     consumer: consumer.clone(),
                     wire: *w,
@@ -1721,7 +1599,6 @@ impl EngineCore {
         h.estimator
             .apply_fault(&fault)
             .expect("switch time is past every earlier switch");
-        count(&self.metrics.determinism_faults, 1);
         self.obs.recalibration(component, vt);
     }
 }
@@ -1779,6 +1656,11 @@ mod tests {
         core.outputs.iter().map(|(w, o)| (*w, o.sent)).collect()
     }
 
+    /// What `core` recorded into its (detached) obs hub.
+    fn obs(core: &EngineCore) -> tart_obs::ObsSnapshot {
+        core.obs.hub().snapshot()
+    }
+
     fn retained(core: &mut EngineCore, wire: WireId) -> &RetentionBuffer {
         let out = core.outputs.get_mut(&wire).unwrap();
         out.retention_mut().unwrap()
@@ -1820,7 +1702,7 @@ mod tests {
         assert_eq!(outs[1].vt, vt(1_002_000));
         assert_eq!(outs[0].payload.get("seq").unwrap(), &Value::I64(1));
         assert_eq!(outs[1].payload.get("seq").unwrap(), &Value::I64(2));
-        assert_eq!(core.metrics().processed, 4);
+        assert_eq!(obs(&core).delivered, 4);
     }
 
     #[test]
@@ -1830,7 +1712,11 @@ mod tests {
         core.handle(data(w1, 50_000, 0, "a"));
         core.handle(data(w1, 50_000, 0, "a")); // duplicated by the link
         core.pump();
-        assert_eq!(core.metrics().duplicates_dropped, 1);
+        assert_eq!(
+            obs(&core).delivered,
+            1,
+            "the duplicate never runs a handler"
+        );
     }
 
     #[test]
@@ -1840,10 +1726,8 @@ mod tests {
         core.handle(data(w1, 50_000, 0, "a"));
         // The message at 60 000 was lost; its successor names it.
         core.handle(data(w1, 70_000, 60_000, "c"));
-        assert!(core.is_recovering());
-        let m = core.metrics();
-        assert_eq!(m.losses_detected, 1);
-        assert_eq!(m.replay_requests_sent, 1);
+        assert!(core.is_recovering(), "the loss was detected");
+        assert_eq!(obs(&core).replay_requests, 1);
         // The replay arrives (external wires are served by the cluster; here
         // we hand-feed what the log would resend).
         core.handle(data(w1, 60_000, 50_000, "b"));
@@ -1855,7 +1739,7 @@ mod tests {
         assert!(!core.is_recovering());
         core.pump();
         assert_eq!(
-            core.metrics().processed,
+            obs(&core).delivered,
             3,
             "all three sentences processed in order"
         );
@@ -1891,7 +1775,7 @@ mod tests {
             .expect("restore verifies against recorded hashes");
         assert!(b.is_recovering());
         assert_eq!(
-            b.metrics().replay_requests_sent,
+            obs(&b).replay_requests,
             4,
             "all four input wires (two external, two internal) ask for replay"
         );
@@ -1958,9 +1842,10 @@ mod tests {
             .map(|c| tart_codec::Encode::to_bytes(c).len())
             .sum();
         assert_eq!(bytes, 788);
+        let snap = obs(&core);
         assert_eq!(
-            core.metrics().checkpoint_bytes,
-            788,
+            (snap.checkpoints, snap.checkpoint_bytes),
+            (3, 788),
             "the seal step reports the encoded length"
         );
         assert_eq!(
@@ -2043,7 +1928,7 @@ mod tests {
         a.restore(&replica.chain(), &[])
             .expect("restore verifies against recorded hashes");
         assert!(a.is_recovering());
-        assert_eq!(a.metrics().replay_requests_sent, 4);
+        assert_eq!(obs(&a).replay_requests, 4);
     }
 
     #[test]
@@ -2082,7 +1967,7 @@ mod tests {
         let (mut b, _out_b) = single_core();
         b.restore(&replica.chain(), &replica.faults())
             .expect("restore verifies against recorded hashes");
-        assert_eq!(b.metrics().determinism_faults, 1);
+        assert_eq!(obs(&b).recalibrations, 0, "restore is not a live re-tune");
         for wire in [w1, w2] {
             let frames = if wire == w1 {
                 b.handle(data(w1, 900_000, 50_000, "d e f"));
@@ -2293,11 +2178,8 @@ mod tests {
         core.handle(data(w1, 150_000, 50_000, "d e"));
         core.handle(data(w1, 250_000, 150_000, "f g h i"));
         core.pump();
-        let m = core.metrics();
-        assert!(
-            m.determinism_faults >= 1,
-            "dynamic re-tuning should have fired, metrics: {m:?}"
-        );
+        let fired = obs(&core).recalibrations;
+        assert!(fired >= 1, "dynamic re-tuning should have fired");
         assert!(!replica.faults().is_empty(), "fault logged synchronously");
 
         // A restored engine replays the fault and does not re-tune again.
@@ -2314,6 +2196,11 @@ mod tests {
         restored
             .restore(&replica.chain(), &replica.faults())
             .expect("restore verifies against recorded hashes");
-        assert!(restored.metrics().determinism_faults >= 1);
+        assert_eq!(obs(&restored).recalibrations, 0, "no second re-tune");
+        let faulted = replica.faults()[0].0;
+        assert!(
+            restored.hosted[&faulted].calibrator.is_none(),
+            "the logged fault disarmed the calibrator"
+        );
     }
 }

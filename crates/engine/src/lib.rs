@@ -82,7 +82,7 @@ pub use cluster::{
     RecoveryReport,
 };
 pub use config::{ClusterConfig, DurabilityConfig, Placement, StandbyConfig, SupervisionConfig};
-pub use core::{EngineCore, EngineMetrics, Flow, OutputRecord, SharedEngineMetrics};
+pub use core::{EngineCore, Flow, OutputRecord};
 pub use envelope::Envelope;
 pub use log::{LogCrash, LogError, MessageLog};
 pub use retention::RetentionBuffer;

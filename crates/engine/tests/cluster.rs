@@ -4,9 +4,12 @@
 // Test code: free to use wall clocks and hash maps (the determinism fence guards production code only).
 #![allow(clippy::disallowed_methods)]
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tart_engine::{Cluster, ClusterConfig, FaultPlan, OutputRecord, Placement};
+use tart_engine::{
+    Cluster, ClusterConfig, FaultPlan, ObsSnapshot, OutputRecord, Placement, StandbyConfig,
+};
 use tart_estimator::EstimatorSpec;
 use tart_model::reference::{self, fan_in_app};
 use tart_model::{BlockId, Value};
@@ -282,8 +285,8 @@ fn metrics_and_replica_depth_are_observable() {
     }
     cluster.finish_inputs();
     let _ = await_outputs(&cluster, SENTENCES.len());
-    let metrics = cluster.engine_metrics(EngineId::new(0)).expect("engine 0");
-    assert!(metrics.processed >= 12, "senders + merger deliveries");
+    let delivered = cluster.obs().engine_snapshot(EngineId::new(0)).delivered;
+    assert!(delivered >= 12, "senders + merger deliveries");
     assert!(cluster.replica_depth(EngineId::new(0)) >= 1);
     assert_eq!(cluster.fault_counts(), (0, 0));
     let _ = cluster.shutdown();
@@ -501,4 +504,115 @@ fn two_way_calls_work_through_the_cluster() {
     let mut totals: Vec<i64> = outs.iter().map(|o| o.payload.as_i64().unwrap()).collect();
     totals.sort();
     assert_eq!(totals, vec![33, 77, 121], "order + 10×order per request");
+}
+
+/// What the engine cores count, in one array: every other snapshot counter
+/// is recorded by the cluster plane.
+fn engine_counters(snap: &ObsSnapshot) -> [u64; 7] {
+    [
+        snap.delivered,
+        snap.silence_adverts,
+        snap.probes,
+        snap.replay_requests,
+        snap.recalibrations,
+        snap.checkpoints,
+        snap.checkpoint_bytes,
+    ]
+}
+
+fn send(cluster: &Cluster, sentences: &[(&str, &str)]) {
+    for (client, sentence) in sentences {
+        cluster
+            .injector(client)
+            .expect("injector exists")
+            .send(Value::from(*sentence));
+    }
+}
+
+/// Engine counters are kept per engine id and survive the incarnations of
+/// that id: killing and promoting the merger's engine — cold, then onto a
+/// warm standby — resets none of them, and the cluster snapshot is the sum
+/// of the two engines' shards.
+#[test]
+fn engine_counters_are_cumulative_across_promotion() {
+    let standby = StandbyConfig {
+        trailing_horizon_ticks: 1,
+        apply_interval: Duration::from_millis(1),
+    };
+    for standby in [None, Some(standby)] {
+        let warm = standby.is_some();
+        let spec = fan_in_app(2).expect("valid app");
+        let mut config = paper_config(&spec).with_checkpoint_every(1);
+        if let Some(standby) = standby {
+            config = config.with_warm_standby(standby);
+        }
+        let mut cluster =
+            Cluster::deploy(spec.clone(), two_engine_placement(&spec), config).expect("deploys");
+        let (senders, merger) = (EngineId::new(0), EngineId::new(1));
+        let hub = Arc::clone(cluster.obs());
+        send(&cluster, &SENTENCES[..3]);
+        let mut outs = await_outputs(&cluster, 1);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while warm && !cluster.standby_status(merger).is_some_and(|s| s.anchored) {
+            assert!(Instant::now() < deadline, "the standby never anchored");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let before = hub.engine_snapshot(merger);
+        assert!(before.delivered >= 1 && before.checkpoints >= 1);
+
+        cluster.kill(merger);
+        cluster.promote(merger).expect("promotes");
+        send(&cluster, &SENTENCES[3..]);
+        cluster.finish_inputs();
+        outs.extend(cluster.shutdown());
+        assert_eq!(Cluster::dedup_outputs(outs).len(), SENTENCES.len());
+
+        // Every sentence ran the merger in one incarnation or the other,
+        // and each run was checkpointed: a count that restarted at the
+        // promotion would miss the ones the first incarnation ran.
+        let after = hub.engine_snapshot(merger);
+        let runs = SENTENCES.len() as u64;
+        assert!(
+            after.delivered >= runs && after.checkpoints >= after.delivered,
+            "before the kill {:?}, after {:?}",
+            engine_counters(&before),
+            engine_counters(&after)
+        );
+        assert!(after.checkpoint_bytes > before.checkpoint_bytes);
+        let snap = hub.snapshot();
+        let promotions = (snap.warm_promotions, snap.cold_promotions);
+        assert_eq!(promotions, if warm { (1, 0) } else { (0, 1) });
+        let mut sum = engine_counters(&hub.engine_snapshot(senders));
+        for (total, n) in sum.iter_mut().zip(engine_counters(&after)) {
+            *total += n;
+        }
+        assert_eq!(engine_counters(&snap), sum, "warm: {warm}");
+    }
+}
+
+/// `delivered` counts handler runs, once each, whether the gate orders
+/// deliveries or the arrival-order baseline runs them at once. Each
+/// sentence runs its sender once and the merger once, and every merger run
+/// emits one output.
+#[test]
+fn delivered_counts_each_handler_run_once() {
+    for deterministic in [true, false] {
+        let spec = fan_in_app(2).expect("valid app");
+        let mut config = paper_config(&spec);
+        if !deterministic {
+            config = config.non_deterministic();
+        }
+        let cluster =
+            Cluster::deploy(spec.clone(), two_engine_placement(&spec), config).expect("deploys");
+        let hub = Arc::clone(cluster.obs());
+        send(&cluster, SENTENCES);
+        cluster.finish_inputs();
+        assert_eq!(cluster.shutdown().len(), SENTENCES.len());
+        let runs = 2 * SENTENCES.len() as u64;
+        assert_eq!(
+            hub.snapshot().delivered,
+            runs,
+            "deterministic: {deterministic}"
+        );
+    }
 }

@@ -8,11 +8,12 @@
 //! the measured handler cost, and what actually happened — in order — when
 //! a replica was promoted. `tart-obs` provides those as:
 //!
-//! * a **metrics registry** ([`ObsHub`]): atomic counters plus fixed-bucket
-//!   [`Histogram`]s, cheap enough for the delivery hot path;
-//! * a **flight recorder** ([`FlightRecorder`]): a bounded ring of
-//!   structured [`ObsEvent`]s dumped as JSON on panic, on crash drills and
-//!   on failover promotions;
+//! * a **metrics registry** ([`ObsHub`]): counters plus fixed-bucket
+//!   [`Histogram`]s, sharded per engine so the delivery hot path takes one
+//!   uncontended lock;
+//! * a **flight recorder**: each shard's bounded ring of structured
+//!   [`ObsEvent`]s, dumped as JSON on panic, on crash drills and on failover
+//!   promotions;
 //! * a **snapshot export** ([`ObsSnapshot`]): the canonical
 //!   `obs-report.json` consumed by the `observability-gate` CI job via
 //!   `tart-obs --check-report`.
@@ -29,7 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -43,11 +44,11 @@ pub mod recorder;
 pub mod snapshot;
 
 pub use hist::{Histogram, LAST_BUCKET, NUM_BUCKETS};
-pub use recorder::{FlightRecorder, ObsEvent, ObsEventKind};
+pub use recorder::{ObsEvent, ObsEventKind};
 pub use snapshot::{check_report, ObsSnapshot, ReportRequirements, SNAPSHOT_VERSION};
 
-/// Flight-recorder capacity: enough for the full timeline of a CI soak,
-/// bounded against unbounded growth in long benches.
+/// Flight-recorder capacity of each shard's ring: enough for the full
+/// timeline of a CI soak, bounded against unbounded growth in long benches.
 const RECORDER_CAP: usize = 4096;
 
 /// Cap on outstanding arrival stamps per (engine, wire): a wire that never
@@ -55,17 +56,15 @@ const RECORDER_CAP: usize = 4096;
 /// not grow the map without bound.
 const PENDING_CAP: usize = 8192;
 
-/// Engine id used for cluster-level events recorded outside any engine.
+/// Shard id of cluster-level events recorded outside any engine thread
+/// (promotions, standby demotions, divergences).
 const NO_ENGINE: u32 = u32::MAX;
 
+/// Cluster-plane counters: recorded by the WAL, the checkpoint store, the
+/// standby plane and the promotion path, never by an engine's hot path.
 #[derive(Default)]
 struct Counters {
-    delivered: AtomicU64,
-    silence_adverts: AtomicU64,
-    probes: AtomicU64,
-    replay_requests: AtomicU64,
     failovers: AtomicU64,
-    recalibrations: AtomicU64,
     wal_syncs: AtomicU64,
     checkpoint_persists: AtomicU64,
     state_hashes_computed: AtomicU64,
@@ -86,20 +85,28 @@ struct Inner {
     promotion_latency_ns: Histogram,
 }
 
-/// Hot-path recording state, sharded per engine so the per-delivery path
-/// (arrival stamp, pessimism match, timeline event, residual) takes one
-/// mutex that only its own engine thread contends on. The cluster-wide
-/// `Inner` mutex is reserved for cold paths (WAL, checkpoints, standby).
+/// Everything one engine records, keyed by engine id and cumulative across
+/// its incarnations: a promoted replica (and a warm standby's passive core)
+/// records into the same shard. The per-delivery path (counter, arrival
+/// stamp, pessimism match, timeline event, residual) takes this one mutex,
+/// which only its own engine thread contends on. The cluster-wide `Inner`
+/// mutex is reserved for cold paths (WAL, checkpoint persists, standby).
 #[derive(Default)]
 struct Shard {
+    delivered: u64,
+    silence_adverts: u64,
+    probes: u64,
+    replay_requests: u64,
+    recalibrations: u64,
+    checkpoints: u64,
+    checkpoint_bytes: u64,
     pessimism_wait_ns: Histogram,
     estimator_residual_ns: Histogram,
     silence_per_wire: BTreeMap<u32, u64>,
     /// wire → vt ticks → arrival stamp (ns since hub epoch).
     pending: BTreeMap<u32, BTreeMap<u64, u64>>,
-    /// Per-engine slice of the flight-recorder timeline, bounded at
-    /// [`RECORDER_CAP`] events like the cluster-level ring.
-    events: std::collections::VecDeque<ObsEvent>,
+    /// This shard's flight-recorder ring, bounded at [`RECORDER_CAP`].
+    events: VecDeque<ObsEvent>,
     events_dropped: u64,
 }
 
@@ -111,16 +118,34 @@ impl Shard {
         }
         self.events.push_back(event);
     }
+
+    /// Adds this shard's counters, histograms and timeline into `snap`.
+    fn add_to(&self, snap: &mut ObsSnapshot) {
+        snap.delivered += self.delivered;
+        snap.silence_adverts += self.silence_adverts;
+        snap.probes += self.probes;
+        snap.replay_requests += self.replay_requests;
+        snap.recalibrations += self.recalibrations;
+        snap.checkpoints += self.checkpoints;
+        snap.checkpoint_bytes += self.checkpoint_bytes;
+        snap.events_dropped += self.events_dropped;
+        snap.pessimism_wait_ns.merge(&self.pessimism_wait_ns);
+        snap.estimator_residual_ns
+            .merge(&self.estimator_residual_ns);
+        for (wire, n) in &self.silence_per_wire {
+            *snap.silence_per_wire.entry(*wire).or_insert(0) += n;
+        }
+        snap.events.extend(self.events.iter().cloned());
+    }
 }
 
-/// The shared metrics registry + flight recorder. One hub serves a whole
+/// The shared metrics registry and flight recorder. One hub serves a whole
 /// cluster; engines record through per-engine [`EngineObs`] handles.
 pub struct ObsHub {
     epoch: Instant,
     counters: Counters,
     inner: Mutex<Inner>,
     shards: Mutex<Vec<(u32, Arc<Mutex<Shard>>)>>,
-    recorder: FlightRecorder,
 }
 
 impl Default for ObsHub {
@@ -139,7 +164,6 @@ impl ObsHub {
             counters: Counters::default(),
             inner: Mutex::new(Inner::default()),
             shards: Mutex::new(Vec::new()),
-            recorder: FlightRecorder::new(RECORDER_CAP),
         }
     }
 
@@ -150,47 +174,37 @@ impl ObsHub {
         u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
     }
 
+    /// The shard for `engine`, created on first use.
+    fn shard(&self, engine: u32) -> Arc<Mutex<Shard>> {
+        let mut shards = self.shards.lock().expect("obs shards poisoned");
+        if let Some((_, shard)) = shards.iter().find(|(e, _)| *e == engine) {
+            return Arc::clone(shard);
+        }
+        let shard = Arc::new(Mutex::new(Shard::default()));
+        shards.push((engine, Arc::clone(&shard)));
+        shard
+    }
+
     /// A recording handle bound to one engine. Handles for the same engine
-    /// id share one hot-path shard.
+    /// id share one shard.
     pub fn engine(self: &Arc<Self>, id: EngineId) -> EngineObs {
-        let shard = {
-            let mut shards = self.shards.lock().expect("obs shards poisoned");
-            match shards.iter().find(|(e, _)| *e == id.raw()) {
-                Some((_, shard)) => Arc::clone(shard),
-                None => {
-                    let shard = Arc::new(Mutex::new(Shard::default()));
-                    shards.push((id.raw(), Arc::clone(&shard)));
-                    shard
-                }
-            }
-        };
         EngineObs {
             hub: Arc::clone(self),
             engine: id.raw(),
-            shard,
+            shard: self.shard(id.raw()),
         }
     }
 
-    /// The full timeline — cluster-level ring plus every engine shard's
-    /// slice — merged in stamp order, with the total evicted-event count.
-    fn merged_events(&self) -> (Vec<ObsEvent>, u64) {
-        let mut events = self.recorder.events();
-        let mut dropped = self.recorder.dropped();
-        for (_, shard) in self.shards.lock().expect("obs shards poisoned").iter() {
-            let shard = shard.lock().expect("obs shard poisoned");
-            events.extend(shard.events.iter().cloned());
-            dropped = dropped.saturating_add(shard.events_dropped);
-        }
-        events.sort_by_key(|e| e.at_ns);
-        (events, dropped)
-    }
-
+    /// Appends a cluster-level event about `engine` to the [`NO_ENGINE`]
+    /// shard's ring.
     fn push_event(&self, engine: u32, kind: ObsEventKind) {
-        self.recorder.push(ObsEvent {
+        let event = ObsEvent {
             at_ns: self.now_ns(),
             engine,
             kind,
-        });
+        };
+        let shard = self.shard(NO_ENGINE);
+        shard.lock().expect("obs shard poisoned").push_event(event);
     }
 
     /// Records a replica promotion (supervisor- or operator-driven).
@@ -306,53 +320,54 @@ impl ObsHub {
     /// Like [`ObsHub::dump_events_json`] but bounded to the newest `limit`
     /// events (older ones fold into the dump's `events_dropped`).
     pub fn dump_events_json_tail(&self, limit: usize) -> String {
-        let (events, dropped) = self.merged_events();
-        recorder::render_dump(&events, dropped, limit)
+        let snap = self.snapshot();
+        render_dump(&snap.events, snap.events_dropped, limit)
     }
 
-    /// Copies every metric and the event timeline into an [`ObsSnapshot`].
+    /// Copies every metric and the event timeline into an [`ObsSnapshot`]:
+    /// the cluster-plane counters plus the sum of every shard.
     pub fn snapshot(&self) -> ObsSnapshot {
-        let mut pessimism_wait_ns = Histogram::new();
-        let mut estimator_residual_ns = Histogram::new();
-        let mut silence_per_wire: BTreeMap<u32, u64> = BTreeMap::new();
-        for (_, shard) in self.shards.lock().expect("obs shards poisoned").iter() {
-            let shard = shard.lock().expect("obs shard poisoned");
-            pessimism_wait_ns.merge(&shard.pessimism_wait_ns);
-            estimator_residual_ns.merge(&shard.estimator_residual_ns);
-            for (wire, n) in &shard.silence_per_wire {
-                *silence_per_wire.entry(*wire).or_insert(0) += n;
+        let mut snap = {
+            let inner = self.lock();
+            let c = &self.counters;
+            ObsSnapshot {
+                version: SNAPSHOT_VERSION,
+                failovers: c.failovers.load(Ordering::Relaxed),
+                wal_syncs: c.wal_syncs.load(Ordering::Relaxed),
+                checkpoint_persists: c.checkpoint_persists.load(Ordering::Relaxed),
+                state_hashes_computed: c.state_hashes_computed.load(Ordering::Relaxed),
+                divergences_detected: c.divergences_detected.load(Ordering::Relaxed),
+                standby_applied: c.standby_applied.load(Ordering::Relaxed),
+                standby_demotions: c.standby_demotions.load(Ordering::Relaxed),
+                warm_promotions: c.warm_promotions.load(Ordering::Relaxed),
+                cold_promotions: c.cold_promotions.load(Ordering::Relaxed),
+                wal_group_occupancy: inner.wal_group_occupancy.clone(),
+                wal_fsync_strict_ns: inner.wal_fsync_strict_ns.clone(),
+                wal_fsync_buffered_ns: inner.wal_fsync_buffered_ns.clone(),
+                checkpoint_persist_ns: inner.checkpoint_persist_ns.clone(),
+                standby_lag_ticks: inner.standby_lag_ticks.clone(),
+                promotion_latency_ns: inner.promotion_latency_ns.clone(),
+                ..ObsSnapshot::default()
             }
+        };
+        for (_, shard) in self.shards.lock().expect("obs shards poisoned").iter() {
+            shard.lock().expect("obs shard poisoned").add_to(&mut snap);
         }
-        let (events, events_dropped) = self.merged_events();
-        let inner = self.lock();
-        ObsSnapshot {
+        snap.events.sort_by_key(|e| e.at_ns);
+        snap
+    }
+
+    /// One engine's shard alone: what its handles recorded, across every
+    /// incarnation. Cluster-plane counters read zero; [`ObsHub::snapshot`]
+    /// is those plus the sum of every shard.
+    pub fn engine_snapshot(&self, engine: EngineId) -> ObsSnapshot {
+        let mut snap = ObsSnapshot {
             version: SNAPSHOT_VERSION,
-            delivered: self.counters.delivered.load(Ordering::Relaxed),
-            silence_adverts: self.counters.silence_adverts.load(Ordering::Relaxed),
-            probes: self.counters.probes.load(Ordering::Relaxed),
-            replay_requests: self.counters.replay_requests.load(Ordering::Relaxed),
-            failovers: self.counters.failovers.load(Ordering::Relaxed),
-            recalibrations: self.counters.recalibrations.load(Ordering::Relaxed),
-            wal_syncs: self.counters.wal_syncs.load(Ordering::Relaxed),
-            checkpoint_persists: self.counters.checkpoint_persists.load(Ordering::Relaxed),
-            state_hashes_computed: self.counters.state_hashes_computed.load(Ordering::Relaxed),
-            divergences_detected: self.counters.divergences_detected.load(Ordering::Relaxed),
-            standby_applied: self.counters.standby_applied.load(Ordering::Relaxed),
-            standby_demotions: self.counters.standby_demotions.load(Ordering::Relaxed),
-            warm_promotions: self.counters.warm_promotions.load(Ordering::Relaxed),
-            cold_promotions: self.counters.cold_promotions.load(Ordering::Relaxed),
-            events_dropped,
-            pessimism_wait_ns,
-            estimator_residual_ns,
-            wal_group_occupancy: inner.wal_group_occupancy.clone(),
-            wal_fsync_strict_ns: inner.wal_fsync_strict_ns.clone(),
-            wal_fsync_buffered_ns: inner.wal_fsync_buffered_ns.clone(),
-            checkpoint_persist_ns: inner.checkpoint_persist_ns.clone(),
-            standby_lag_ticks: inner.standby_lag_ticks.clone(),
-            promotion_latency_ns: inner.promotion_latency_ns.clone(),
-            silence_per_wire,
-            events,
-        }
+            ..ObsSnapshot::default()
+        };
+        let shard = self.shard(engine.raw());
+        shard.lock().expect("obs shard poisoned").add_to(&mut snap);
+        snap
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -402,79 +417,78 @@ impl EngineObs {
         pending.insert(vt.as_ticks(), now);
     }
 
+    /// Updates this engine's shard with `count` and appends `kind` to its
+    /// ring, under one lock; `count` also gets the event's stamp.
+    fn record(&self, kind: ObsEventKind, count: impl FnOnce(&mut Shard, u64)) {
+        let at_ns = self.hub.now_ns();
+        let mut shard = self.shard_lock();
+        count(&mut shard, at_ns);
+        shard.push_event(ObsEvent {
+            at_ns,
+            engine: self.engine,
+            kind,
+        });
+    }
+
     /// Records a delivery: counts it, appends a timeline event, and — when
     /// the arrival was stamped — records the pessimism wait.
     pub fn message_delivered(&self, wire: WireId, vt: VirtualTime) {
-        self.hub.counters.delivered.fetch_add(1, Ordering::Relaxed);
-        let now = self.hub.now_ns();
-        let mut shard = self.shard_lock();
-        if let Some(arrived) = shard
-            .pending
-            .get_mut(&wire.raw())
-            .and_then(|p| p.remove(&vt.as_ticks()))
-        {
-            let wait = now.saturating_sub(arrived);
-            shard.pessimism_wait_ns.record(wait);
-        }
-        shard.push_event(ObsEvent {
-            at_ns: now,
-            engine: self.engine,
-            kind: ObsEventKind::Delivery {
-                wire: wire.raw(),
-                vt: vt.as_ticks(),
-            },
+        let (wire, vt) = (wire.raw(), vt.as_ticks());
+        self.record(ObsEventKind::Delivery { wire, vt }, |shard, now| {
+            shard.delivered += 1;
+            if let Some(arrived) = shard.pending.get_mut(&wire).and_then(|p| p.remove(&vt)) {
+                shard.pessimism_wait_ns.record(now.saturating_sub(arrived));
+            }
         });
     }
 
     /// Records a silence advert for `wire` advancing its watermark
     /// `through` the given virtual time.
     pub fn silence_sent(&self, wire: WireId, through: VirtualTime) {
-        self.hub
-            .counters
-            .silence_adverts
-            .fetch_add(1, Ordering::Relaxed);
-        let now = self.hub.now_ns();
-        let mut shard = self.shard_lock();
-        *shard.silence_per_wire.entry(wire.raw()).or_insert(0) += 1;
-        shard.push_event(ObsEvent {
-            at_ns: now,
-            engine: self.engine,
-            kind: ObsEventKind::SilenceAdvance {
-                wire: wire.raw(),
-                through: through.as_ticks(),
+        let (wire, through) = (wire.raw(), through.as_ticks());
+        self.record(
+            ObsEventKind::SilenceAdvance { wire, through },
+            |shard, _| {
+                shard.silence_adverts += 1;
+                *shard.silence_per_wire.entry(wire).or_insert(0) += 1;
             },
-        });
+        );
     }
 
     /// Records a curiosity probe asking for silence through `needed`.
     pub fn probe_sent(&self, wire: WireId, needed: VirtualTime) {
-        self.hub.counters.probes.fetch_add(1, Ordering::Relaxed);
-        let now = self.hub.now_ns();
-        self.shard_lock().push_event(ObsEvent {
-            at_ns: now,
-            engine: self.engine,
-            kind: ObsEventKind::Probe {
-                wire: wire.raw(),
-                needed: needed.as_ticks(),
-            },
-        });
+        let kind = ObsEventKind::Probe {
+            wire: wire.raw(),
+            needed: needed.as_ticks(),
+        };
+        self.record(kind, |shard, _| shard.probes += 1);
     }
 
     /// Records a replay request for the gap starting after `from`.
     pub fn replay_requested(&self, wire: WireId, from: VirtualTime) {
-        self.hub
-            .counters
-            .replay_requests
-            .fetch_add(1, Ordering::Relaxed);
-        let now = self.hub.now_ns();
-        self.shard_lock().push_event(ObsEvent {
-            at_ns: now,
-            engine: self.engine,
-            kind: ObsEventKind::ReplayRequest {
-                wire: wire.raw(),
-                from: from.as_ticks(),
-            },
-        });
+        let kind = ObsEventKind::ReplayRequest {
+            wire: wire.raw(),
+            from: from.as_ticks(),
+        };
+        self.record(kind, |shard, _| shard.replay_requests += 1);
+    }
+
+    /// Records a determinism fault: a recalibrated estimator scheduled for
+    /// `component` effective at `vt`.
+    pub fn recalibration(&self, component: ComponentId, vt: VirtualTime) {
+        let kind = ObsEventKind::RecalibrationFault {
+            component: component.raw(),
+            vt: vt.as_ticks(),
+        };
+        self.record(kind, |shard, _| shard.recalibrations += 1);
+    }
+
+    /// Records one checkpoint taken and shipped to the replica, `bytes`
+    /// long once encoded.
+    pub fn checkpoint_taken(&self, bytes: u64) {
+        let mut shard = self.shard_lock();
+        shard.checkpoints += 1;
+        shard.checkpoint_bytes += bytes;
     }
 
     /// Records the estimator residual for one handler run: the estimate in
@@ -496,28 +510,24 @@ impl EngineObs {
         self.hub
             .divergence(EngineId::new(self.engine), component, vt);
     }
-
-    /// Records a determinism fault: a recalibrated estimator scheduled for
-    /// `component` effective at `vt`.
-    pub fn recalibration(&self, component: ComponentId, vt: VirtualTime) {
-        self.hub
-            .counters
-            .recalibrations
-            .fetch_add(1, Ordering::Relaxed);
-        self.hub.push_event(
-            self.engine,
-            ObsEventKind::RecalibrationFault {
-                component: component.raw(),
-                vt: vt.as_ticks(),
-            },
-        );
-    }
 }
 
-/// Records an event not attributable to any engine (reserved for future
-/// cluster-level timeline entries).
-pub fn cluster_event(hub: &ObsHub, kind: ObsEventKind) {
-    hub.push_event(NO_ENGINE, kind);
+/// Renders an event timeline as the canonical dump object
+/// (`{"events_dropped":…,"events":[…]}`), keeping only the newest `limit`
+/// events and folding everything older into `events_dropped`.
+fn render_dump(events: &[ObsEvent], dropped: u64, limit: usize) -> String {
+    let skip = events.len().saturating_sub(limit);
+    let mut w = json::JsonWriter::new();
+    w.begin_obj();
+    w.field_u64("events_dropped", dropped.saturating_add(skip as u64));
+    w.key("events");
+    w.begin_arr();
+    for e in &events[skip..] {
+        w.arr_item(|w| e.write_json(w));
+    }
+    w.end_arr();
+    w.end_obj();
+    w.finish()
 }
 
 /// Where `obs-report.json` goes: `$TART_OBS_REPORT` when set, otherwise
@@ -626,10 +636,85 @@ mod tests {
     }
 
     #[test]
-    fn dump_contains_failover_timeline() {
+    fn snapshot_sums_the_engine_shards() {
         let hub = Arc::new(ObsHub::new());
+        let (a, b) = (hub.engine(EngineId::new(0)), hub.engine(EngineId::new(1)));
+        a.message_delivered(wire(1), VirtualTime::from_ticks(1));
+        b.message_delivered(wire(2), VirtualTime::from_ticks(1));
+        b.checkpoint_taken(40);
+        // A second handle for engine 1 — a promoted incarnation — shares
+        // its shard.
+        hub.engine(EngineId::new(1)).checkpoint_taken(60);
         hub.failover(EngineId::new(1));
-        let dump = hub.dump_events_json();
-        assert!(dump.contains("failover_promotion"), "{dump}");
+        let one = hub.engine_snapshot(EngineId::new(1));
+        assert_eq!(
+            (one.delivered, one.checkpoints, one.checkpoint_bytes),
+            (1, 2, 100)
+        );
+        assert_eq!(one.failovers, 0, "cluster-plane counters are not a shard's");
+        let all = hub.snapshot();
+        assert_eq!((all.delivered, all.checkpoints, all.failovers), (2, 2, 1));
+    }
+
+    /// Records `n` probes on engine 0, the `i`th needing tick `i`.
+    fn probes(n: u64) -> Arc<ObsHub> {
+        let hub = Arc::new(ObsHub::new());
+        let obs = hub.engine(EngineId::new(0));
+        for i in 0..n {
+            obs.probe_sent(wire(1), VirtualTime::from_ticks(i));
+        }
+        hub
+    }
+
+    fn needed(event: &ObsEvent) -> u64 {
+        match event.kind {
+            ObsEventKind::Probe { needed, .. } => needed,
+            _ => panic!("not a probe: {event:?}"),
+        }
+    }
+
+    #[test]
+    fn rings_evict_oldest_and_count_drops() {
+        let snap = probes(RECORDER_CAP as u64 + 2).snapshot();
+        assert_eq!(snap.events.len(), RECORDER_CAP);
+        assert_eq!(needed(&snap.events[0]), 2, "the two oldest were evicted");
+        assert_eq!(snap.events_dropped, 2);
+
+        let hub = Arc::new(ObsHub::new());
+        for _ in 0..RECORDER_CAP + 3 {
+            hub.failover(EngineId::new(1));
+        }
+        let snap = hub.snapshot();
+        assert_eq!((snap.events.len(), snap.events_dropped), (RECORDER_CAP, 3));
+    }
+
+    #[test]
+    fn tail_dump_folds_older_events_into_the_drop_count() {
+        let dump = probes(6).dump_events_json_tail(2);
+        let parsed = json::parse(&dump).expect("valid json");
+        let events = parsed.get("events").and_then(json::Json::as_arr).unwrap();
+        assert_eq!(events.len(), 2);
+        assert_eq!(
+            events[0].get("needed").and_then(json::Json::as_u64),
+            Some(4)
+        );
+        assert_eq!(
+            parsed.get("events_dropped").and_then(json::Json::as_u64),
+            Some(4),
+            "the four skipped events count as dropped"
+        );
+    }
+
+    #[test]
+    fn dump_merges_engine_and_cluster_rings_in_stamp_order() {
+        let hub = probes(1);
+        hub.failover(EngineId::new(1));
+        let parsed = json::parse(&hub.dump_events_json()).expect("valid json");
+        let events = parsed.get("events").and_then(json::Json::as_arr).unwrap();
+        let kinds: Vec<_> = events
+            .iter()
+            .map(|e| e.get("kind").and_then(json::Json::as_str))
+            .collect();
+        assert_eq!(kinds, [Some("probe"), Some("failover_promotion")]);
     }
 }

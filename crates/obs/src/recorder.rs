@@ -1,25 +1,22 @@
-//! The flight recorder: a bounded ring of structured engine events.
+//! Flight-recorder events: the structured timeline entries each
+//! [`crate::ObsHub`] shard keeps in its bounded ring.
 //!
 //! Chaos-soak failures used to come with a bare output diff; the flight
 //! recorder attaches a causal timeline — what was delivered, which silence
 //! adverts moved the watermark, which probes fired, which replays ran and
 //! which engines were promoted — so a diverging run can be read like a
-//! black-box transcript. The ring is bounded ([`FlightRecorder::new`] takes
-//! the capacity): old events are evicted, never allocated past the cap, and
-//! the eviction count is reported so a truncated timeline is visible as
-//! such.
+//! black-box transcript. Rings evict their oldest events, never allocate
+//! past the cap, and report the eviction count, so a truncated timeline is
+//! visible as such.
 //!
 //! Events carry a wall-clock offset in nanoseconds since the owning hub was
 //! created. That stamp is *telemetry about* the run, taken on the ops
 //! plane; it never feeds back into virtual time or checkpointed state.
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
-
 use bytes::BytesMut;
 use tart_codec::{Decode, DecodeError, Encode, Reader};
 
-use crate::json::{self, JsonWriter};
+use crate::json::JsonWriter;
 
 /// What happened. Field meanings follow the engine wire protocol: `wire` is
 /// the raw `WireId`, `vt`/`through`/`needed`/`from` are virtual-time ticks.
@@ -127,8 +124,7 @@ impl ObsEventKind {
 pub struct ObsEvent {
     /// Nanoseconds since the owning [`crate::ObsHub`] was created.
     pub at_ns: u64,
-    /// Raw id of the engine the event happened on (`u32::MAX` for
-    /// cluster-level events recorded outside any engine).
+    /// Raw id of the engine the event happened on or concerns.
     pub engine: u32,
     /// What happened.
     pub kind: ObsEventKind,
@@ -273,118 +269,9 @@ impl Decode for ObsEvent {
     }
 }
 
-struct RecorderInner {
-    events: VecDeque<ObsEvent>,
-    dropped: u64,
-}
-
-/// Bounded ring buffer of [`ObsEvent`]s, safe to push from any thread.
-pub struct FlightRecorder {
-    cap: usize,
-    inner: Mutex<RecorderInner>,
-}
-
-impl FlightRecorder {
-    /// Creates a recorder holding at most `cap` events (minimum 1).
-    pub fn new(cap: usize) -> Self {
-        FlightRecorder {
-            cap: cap.max(1),
-            inner: Mutex::new(RecorderInner {
-                events: VecDeque::new(),
-                dropped: 0,
-            }),
-        }
-    }
-
-    /// Appends an event, evicting the oldest when full.
-    pub fn push(&self, event: ObsEvent) {
-        let mut inner = self.inner.lock().expect("flight recorder poisoned");
-        if inner.events.len() == self.cap {
-            inner.events.pop_front();
-            inner.dropped = inner.dropped.saturating_add(1);
-        }
-        inner.events.push_back(event);
-    }
-
-    /// Copies out the current timeline, oldest first.
-    pub fn events(&self) -> Vec<ObsEvent> {
-        let inner = self.inner.lock().expect("flight recorder poisoned");
-        inner.events.iter().cloned().collect()
-    }
-
-    /// How many events have been evicted to stay within the cap.
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("flight recorder poisoned").dropped
-    }
-
-    /// Renders the timeline as one canonical JSON object
-    /// (`{"events_dropped":…,"events":[…]}`), the dump format used on
-    /// panics, crashes and promotions.
-    pub fn dump_json(&self) -> String {
-        self.dump_json_tail(usize::MAX)
-    }
-
-    /// Like [`FlightRecorder::dump_json`], but keeps only the newest
-    /// `limit` events; everything older is folded into `events_dropped`.
-    /// Used where a full ring would drown the log (the stderr fallback).
-    pub fn dump_json_tail(&self, limit: usize) -> String {
-        let (events, dropped) = {
-            let inner = self.inner.lock().expect("flight recorder poisoned");
-            (
-                inner.events.iter().cloned().collect::<Vec<_>>(),
-                inner.dropped,
-            )
-        };
-        render_dump(&events, dropped, limit)
-    }
-}
-
-/// Renders an event timeline as the canonical dump object
-/// (`{"events_dropped":…,"events":[…]}`), keeping only the newest `limit`
-/// events and folding everything older into `events_dropped`.
-pub fn render_dump(events: &[ObsEvent], dropped: u64, limit: usize) -> String {
-    let skip = events.len().saturating_sub(limit);
-    let dropped = dropped.saturating_add(skip as u64);
-    let mut w = JsonWriter::new();
-    w.begin_obj();
-    w.field_u64("events_dropped", dropped);
-    w.key("events");
-    w.begin_arr();
-    for e in &events[skip..] {
-        w.arr_item(|w| e.write_json(w));
-    }
-    w.end_arr();
-    w.end_obj();
-    w.finish()
-}
-
-/// Convenience used by tests: parse a dump back into a JSON value.
-pub fn parse_dump(dump: &str) -> Result<json::Json, String> {
-    json::parse(dump)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(at: u64) -> ObsEvent {
-        ObsEvent {
-            at_ns: at,
-            engine: 0,
-            kind: ObsEventKind::Delivery { wire: 1, vt: at },
-        }
-    }
-
-    #[test]
-    fn ring_evicts_oldest_and_counts_drops() {
-        let rec = FlightRecorder::new(3);
-        for i in 0..5 {
-            rec.push(ev(i));
-        }
-        let events: Vec<u64> = rec.events().iter().map(|e| e.at_ns).collect();
-        assert_eq!(events, vec![2, 3, 4]);
-        assert_eq!(rec.dropped(), 2);
-    }
 
     #[test]
     fn all_event_kinds_round_trip() {
@@ -427,42 +314,5 @@ mod tests {
             let bytes = event.to_bytes();
             assert_eq!(ObsEvent::from_bytes(&bytes).unwrap(), event);
         }
-    }
-
-    #[test]
-    fn tail_dump_folds_older_events_into_the_drop_count() {
-        let rec = FlightRecorder::new(8);
-        for i in 0..6 {
-            rec.push(ev(i));
-        }
-        let dump = rec.dump_json_tail(2);
-        let parsed = parse_dump(&dump).expect("valid json");
-        let events = parsed.get("events").and_then(json::Json::as_arr).unwrap();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].get("at_ns").and_then(json::Json::as_u64), Some(4));
-        assert_eq!(
-            parsed.get("events_dropped").and_then(json::Json::as_u64),
-            Some(4),
-            "the four skipped events count as dropped"
-        );
-    }
-
-    #[test]
-    fn dump_is_parseable_json() {
-        let rec = FlightRecorder::new(8);
-        rec.push(ev(1));
-        rec.push(ObsEvent {
-            at_ns: 2,
-            engine: 9,
-            kind: ObsEventKind::FailoverPromotion,
-        });
-        let dump = rec.dump_json();
-        let parsed = parse_dump(&dump).expect("valid json");
-        let events = parsed.get("events").and_then(json::Json::as_arr).unwrap();
-        assert_eq!(events.len(), 2);
-        assert_eq!(
-            events[1].get("kind").and_then(json::Json::as_str),
-            Some("failover_promotion")
-        );
     }
 }

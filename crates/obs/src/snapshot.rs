@@ -30,8 +30,10 @@ use crate::recorder::ObsEvent;
 /// (`standby_applied`, `standby_demotions`, `warm_promotions`,
 /// `cold_promotions`) and histograms (`standby_lag_ticks`,
 /// `promotion_latency_ns`); v4 added the per-tier WAL fsync-latency
-/// histograms (`wal_fsync_strict_ns`, `wal_fsync_buffered_ns`).
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// histograms (`wal_fsync_strict_ns`, `wal_fsync_buffered_ns`); v5 added
+/// the engine checkpoint counters (`checkpoints`, `checkpoint_bytes`), and
+/// every engine-recorded counter became a sum over per-engine shards.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Point-in-time export of every obs metric plus the flight-recorder
 /// timeline. See the module docs for the serialization contract.
@@ -53,6 +55,10 @@ pub struct ObsSnapshot {
     pub recalibrations: u64,
     /// WAL fsync windows closed (group commits).
     pub wal_syncs: u64,
+    /// Soft checkpoints engines took and shipped to their replicas.
+    pub checkpoints: u64,
+    /// Encoded bytes of those checkpoints.
+    pub checkpoint_bytes: u64,
     /// Checkpoints persisted to the durable store.
     pub checkpoint_persists: u64,
     /// Deterministic state hashes computed by verified replay (per-component
@@ -108,6 +114,8 @@ impl Encode for ObsSnapshot {
         self.failovers.encode(buf);
         self.recalibrations.encode(buf);
         self.wal_syncs.encode(buf);
+        self.checkpoints.encode(buf);
+        self.checkpoint_bytes.encode(buf);
         self.checkpoint_persists.encode(buf);
         self.state_hashes_computed.encode(buf);
         self.divergences_detected.encode(buf);
@@ -140,6 +148,8 @@ impl Decode for ObsSnapshot {
             failovers: u64::decode(r)?,
             recalibrations: u64::decode(r)?,
             wal_syncs: u64::decode(r)?,
+            checkpoints: u64::decode(r)?,
+            checkpoint_bytes: u64::decode(r)?,
             checkpoint_persists: u64::decode(r)?,
             state_hashes_computed: u64::decode(r)?,
             divergences_detected: u64::decode(r)?,
@@ -195,6 +205,8 @@ impl ObsSnapshot {
         w.field_u64("failovers", self.failovers);
         w.field_u64("recalibrations", self.recalibrations);
         w.field_u64("wal_syncs", self.wal_syncs);
+        w.field_u64("checkpoints", self.checkpoints);
+        w.field_u64("checkpoint_bytes", self.checkpoint_bytes);
         w.field_u64("checkpoint_persists", self.checkpoint_persists);
         w.field_u64("state_hashes_computed", self.state_hashes_computed);
         w.field_u64("divergences_detected", self.divergences_detected);
@@ -256,6 +268,8 @@ const REQUIRED_KEYS: &[&str] = &[
     "failovers",
     "recalibrations",
     "wal_syncs",
+    "checkpoints",
+    "checkpoint_bytes",
     "checkpoint_persists",
     "state_hashes_computed",
     "divergences_detected",
@@ -389,6 +403,8 @@ mod tests {
             failovers: 1,
             recalibrations: 0,
             wal_syncs: 3,
+            checkpoints: 7,
+            checkpoint_bytes: 2_048,
             checkpoint_persists: 5,
             state_hashes_computed: 20,
             divergences_detected: 0,

@@ -49,7 +49,7 @@ fn arb_hist() -> impl Strategy<Value = Histogram> {
 
 fn arb_snapshot() -> impl Strategy<Value = ObsSnapshot> {
     (
-        proptest::collection::vec(any::<u64>(), 15),
+        proptest::collection::vec(any::<u64>(), 17),
         // Two nested 4-tuples: the proptest shim implements `Strategy` for
         // tuples of limited arity, so eight histograms ride as 4 + 4.
         (
@@ -73,14 +73,16 @@ fn arb_snapshot() -> impl Strategy<Value = ObsSnapshot> {
                 failovers: counters[4],
                 recalibrations: counters[5],
                 wal_syncs: counters[6],
-                checkpoint_persists: counters[7],
-                state_hashes_computed: counters[8],
-                divergences_detected: counters[9],
-                standby_applied: counters[10],
-                standby_demotions: counters[11],
-                warm_promotions: counters[12],
-                cold_promotions: counters[13],
-                events_dropped: counters[14],
+                checkpoints: counters[7],
+                checkpoint_bytes: counters[8],
+                checkpoint_persists: counters[9],
+                state_hashes_computed: counters[10],
+                divergences_detected: counters[11],
+                standby_applied: counters[12],
+                standby_demotions: counters[13],
+                warm_promotions: counters[14],
+                cold_promotions: counters[15],
+                events_dropped: counters[16],
                 pessimism_wait_ns: pessimism,
                 estimator_residual_ns: residual,
                 wal_group_occupancy: occupancy,

@@ -8,9 +8,6 @@
 //! demonstrating how the incremental `CkptMap` journal keeps frequent
 //! checkpoints cheap compared to full-state captures.
 
-// Measurement harness (tart-lint tier: Exempt): its entire purpose is wall-clock timing.
-#![allow(clippy::disallowed_methods)]
-
 use tart_bench::{print_table, quick_mode};
 use tart_engine::{Cluster, ClusterConfig, Placement};
 use tart_estimator::EstimatorSpec;

@@ -6,9 +6,6 @@
 //! (Fig 5) and describes aggressive/hyper-aggressive qualitatively; this
 //! ablation quantifies all four under identical load.
 
-// Measurement harness (tart-lint tier: Exempt): its entire purpose is wall-clock timing.
-#![allow(clippy::disallowed_types)]
-
 use tart_bench::{print_table, quick_mode};
 use tart_silence::SilencePolicy;
 use tart_sim::{ExecMode, FanInSim, SimConfig};

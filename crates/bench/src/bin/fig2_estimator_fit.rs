@@ -12,9 +12,6 @@
 //! differ from a 2009 ThinkPad; the shape (high R², right skew, ~zero
 //! correlation) is the reproduced result.
 
-// Measurement harness (tart-lint tier: Exempt): its entire purpose is wall-clock timing.
-#![allow(clippy::disallowed_methods)]
-
 use std::time::Instant;
 
 use tart_bench::{print_table, quick_mode};

@@ -9,9 +9,6 @@
 //! interval (the paper's "checkpoint frequency is a tuning parameter"
 //! trade-off, §II.F.2).
 
-// Measurement harness (tart-lint tier: Exempt): its entire purpose is wall-clock timing.
-#![allow(clippy::disallowed_methods)]
-
 use std::time::Duration;
 
 use tart_bench::{print_table, quick_mode};

@@ -22,8 +22,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Measurement harness (tart-lint tier: Exempt): its entire purpose is wall-clock timing.
-#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

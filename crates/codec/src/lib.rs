@@ -87,7 +87,6 @@ pub trait Decode: Sized {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_types)] // proptests exercise the canonical HashMap codec
 mod proptests {
     use super::*;
     use proptest::prelude::*;

@@ -1,7 +1,6 @@
 //! `Encode`/`Decode` implementations for primitives, std containers and the
 //! `tart-vtime` vocabulary types.
 
-#[allow(clippy::disallowed_types)]
 // tart-lint: allow(HASH-ITER) -- codec support for hash maps is deliberately canonical: encode sorts by key before emission, decode is order-independent
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasher, Hash};
@@ -267,7 +266,6 @@ impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
 /// Hash maps encode *canonically*: entries are sorted by key bytes first, so
 /// two maps with equal contents produce identical encodings regardless of
 /// iteration order.
-#[allow(clippy::disallowed_types)]
 // tart-lint: allow(HASH-ITER) -- Encode for HashMap sorts entries by key first; the image is canonical (see the doc comment and the codec proptest)
 impl<K, V, S> Encode for HashMap<K, V, S>
 where
@@ -286,7 +284,6 @@ where
     }
 }
 
-#[allow(clippy::disallowed_types)]
 // tart-lint: allow(HASH-ITER) -- Decode fills a fresh map; no order observed
 impl<K, V, S> Decode for HashMap<K, V, S>
 where
@@ -437,7 +434,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::disallowed_types)] // exercises the canonical HashMap codec
     fn maps_round_trip() {
         let mut h = HashMap::new();
         h.insert(String::from("alpha"), 1u64);

@@ -2,9 +2,6 @@
 //! corrupt checkpoints and log records have to fail *gracefully* for
 //! recovery to stay available.
 
-// Test code: free to use wall clocks and hash maps (the determinism fence guards production code only).
-#![allow(clippy::disallowed_types)]
-
 use proptest::prelude::*;
 use tart_codec::{Decode, Encode};
 use tart_vtime::{Interval, IntervalSet, VirtualTime};

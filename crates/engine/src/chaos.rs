@@ -13,9 +13,6 @@
 //! injecting a crash it waits for the supervisor to complete the failover
 //! before firing the next event.
 
-// Ops-plane module (tart-lint tier: Ops): wall-clock reads and hash maps never flow into the replayable core; the interprocedural TAINT-FLOW pass fences the boundary, so raw reads need no per-line allows here.
-#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
-
 use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;

@@ -2,7 +2,7 @@
 //! sanctioned wall-clock access: handler-duration measurement.
 //!
 //! Everything in the replayable core observes time through this module.
-//! tart-lint enforces that (`WALLCLOCK` rule, DESIGN.md §11): the two
+//! tart-lint enforces that (`WALLCLOCK` rule, DESIGN.md §12): the two
 //! `Instant::now` reads below carry the only `allow` fences in the
 //! deterministic engine tier, so any new wall-clock read elsewhere in the
 //! scheduler fails the audit.
@@ -43,7 +43,6 @@ pub struct RealClock {
 
 impl RealClock {
     /// Creates a clock whose tick zero is now.
-    #[allow(clippy::disallowed_methods)] // sanctioned wall-clock boundary
     pub fn new() -> Self {
         RealClock {
             // tart-lint: allow(WALLCLOCK) -- RealClock *is* the sanctioned boundary: §II.E logs the stamp, so replay reads the log, not the clock
@@ -119,7 +118,6 @@ pub struct HandlerTimer {
 
 impl HandlerTimer {
     /// Starts measuring.
-    #[allow(clippy::disallowed_methods)] // sanctioned wall-clock boundary
     pub fn start() -> Self {
         HandlerTimer {
             // tart-lint: allow(WALLCLOCK) -- measures real handler duration for calibration; consumed via the logged DeterminismFault path, never by replayed code

@@ -1,8 +1,5 @@
 //! Cluster deployment, external I/O, failover orchestration.
 
-// Ops-plane module (tart-lint tier: Ops): wall-clock reads and hash maps never flow into the replayable core; the interprocedural TAINT-FLOW pass fences the boundary, so raw reads need no per-line allows here.
-#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
-
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;

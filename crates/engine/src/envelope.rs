@@ -150,7 +150,12 @@ impl Envelope {
             | Envelope::TrimAck { wire, .. }
             | Envelope::Eos { wire, .. }
             | Envelope::StandbyInput { wire, .. } => Some(*wire),
-            _ => None,
+            Envelope::Checkpoint
+            | Envelope::Die
+            | Envelope::Drain
+            | Envelope::SetSilencePolicy { .. }
+            | Envelope::Recalibrate { .. }
+            | Envelope::Heartbeat { .. } => None,
         }
     }
 
@@ -335,10 +340,31 @@ mod tests {
         VirtualTime::from_ticks(t)
     }
 
+    /// The wire tag of `env`'s variant. No `_` arm: a new variant does not
+    /// compile until it is listed here.
+    fn tag_of(env: &Envelope) -> u8 {
+        match env {
+            Envelope::Data { .. } => TAG_DATA,
+            Envelope::Silence { .. } => TAG_SILENCE,
+            Envelope::Probe { .. } => TAG_PROBE,
+            Envelope::ReplayRequest { .. } => TAG_REPLAY_REQUEST,
+            Envelope::ReplayDone { .. } => TAG_REPLAY_DONE,
+            Envelope::TrimAck { .. } => TAG_TRIM_ACK,
+            Envelope::Checkpoint => TAG_CHECKPOINT,
+            Envelope::Die => TAG_DIE,
+            Envelope::Drain => TAG_DRAIN,
+            Envelope::Recalibrate { .. } => TAG_RECALIBRATE,
+            Envelope::Eos { .. } => TAG_EOS,
+            Envelope::SetSilencePolicy { .. } => TAG_SET_SILENCE,
+            Envelope::Heartbeat { .. } => TAG_HEARTBEAT,
+            Envelope::StandbyInput { .. } => TAG_STANDBY_INPUT,
+        }
+    }
+
     #[test]
     fn all_variants_round_trip() {
         let w = WireId::new(3);
-        let variants = vec![
+        let samples = vec![
             Envelope::Data {
                 wire: w,
                 vt: vt(100),
@@ -391,8 +417,22 @@ mod tests {
                 vt: vt(123),
             },
         ];
-        for env in variants {
+        // Every tag `decode` knows needs exactly one sample, so a variant
+        // added to the codec fails here until it has one.
+        let known: Vec<u8> = (0..=u8::MAX)
+            .filter(|&t| {
+                !matches!(
+                    Envelope::from_bytes(&[t]),
+                    Err(DecodeError::InvalidTag { .. })
+                )
+            })
+            .collect();
+        let mut sampled: Vec<u8> = samples.iter().map(tag_of).collect();
+        sampled.sort_unstable();
+        assert_eq!(sampled, known, "one sample per decodable tag");
+        for env in samples {
             let bytes = env.to_bytes();
+            assert_eq!(bytes[0], tag_of(&env), "{env:?}");
             assert_eq!(Envelope::from_bytes(&bytes).unwrap(), env, "{env:?}");
         }
     }

@@ -39,11 +39,6 @@
 //! (one TCP stream), and loss on a broken link is counted in
 //! [`LinkState`] and recovered by the replay protocol exactly as before.
 
-// Ops-plane module (tart-lint tier: Ops): wall-clock reads (reconnect
-// backoff, readiness ticks) never flow into the replayable core; the
-// interprocedural TAINT-FLOW pass fences the boundary.
-#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
-
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -239,9 +234,8 @@ impl LinkTask {
         let mut progress = false;
 
         let give_up = self.policy.max_attempts > 0 && self.attempts >= self.policy.max_attempts;
-        if self.stream.is_none() && give_up && !self.state.gave_up.load(Ordering::SeqCst) {
-            self.state
-                .update(|st| st.gave_up.store(true, Ordering::SeqCst));
+        if self.stream.is_none() && give_up {
+            self.state.update(|h| h.gave_up = true);
         }
         if self.stream.is_none() && !give_up && Instant::now() >= self.next_attempt {
             progress |= self.try_reconnect();
@@ -273,9 +267,7 @@ impl LinkTask {
                 } else {
                     // Broken or absent connection: the whole batch is
                     // in-transit loss (replay recovers the stream).
-                    self.state.update(|st| {
-                        st.dropped_frames.fetch_add(count, Ordering::SeqCst);
-                    });
+                    self.state.update(|h| h.dropped_frames += count);
                 }
             }
         }
@@ -312,9 +304,9 @@ impl LinkTask {
                     self.written += n;
                     if self.written == self.outbuf.len() {
                         let count = self.outbuf_envs;
-                        self.state.update(|st| {
-                            st.batches_sent.fetch_add(1, Ordering::SeqCst);
-                            st.envelopes_batched.fetch_add(count, Ordering::SeqCst);
+                        self.state.update(|h| {
+                            h.batches_sent += 1;
+                            h.envelopes_batched += count;
                         });
                         self.outbuf.clear();
                         self.written = 0;
@@ -340,9 +332,9 @@ impl LinkTask {
         self.outbuf.clear();
         self.written = 0;
         self.outbuf_envs = 0;
-        self.state.update(|st| {
-            st.dropped_frames.fetch_add(pending, Ordering::SeqCst);
-            st.connected.store(false, Ordering::SeqCst);
+        self.state.update(|h| {
+            h.dropped_frames += pending;
+            h.connected = false;
         });
         self.backoff = self.policy.initial_backoff;
         self.attempts = 0;
@@ -370,10 +362,10 @@ impl LinkTask {
                     return false;
                 }
                 self.stream = Some(s);
-                self.state.update(|st| {
-                    st.connected.store(true, Ordering::SeqCst);
-                    st.epoch.fetch_add(1, Ordering::SeqCst);
-                    st.reconnects.fetch_add(1, Ordering::SeqCst);
+                self.state.update(|h| {
+                    h.connected = true;
+                    h.epoch += 1;
+                    h.reconnects += 1;
                 });
                 self.backoff = self.policy.initial_backoff;
                 self.attempts = 0;

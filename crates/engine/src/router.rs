@@ -13,9 +13,6 @@
 //! when no fault plan or chaos schedule is armed, `send` never touches
 //! either mutex.
 
-// Ops-plane module (tart-lint tier: Ops): wall-clock reads and hash maps never flow into the replayable core; the interprocedural TAINT-FLOW pass fences the boundary, so raw reads need no per-line allows here.
-#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
-
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -26,9 +26,6 @@
 //! only the chain tail after that and runs the ordinary tail-digest
 //! activation.
 
-// Ops-plane module (tart-lint tier: Ops): the standby plane runs on wall-clock pacing and never feeds state back into the replayable core until promotion swaps a verified core in; the interprocedural TAINT-FLOW pass fences the boundary, so raw reads need no per-line allows here.
-#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
-
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
@@ -346,5 +343,34 @@ fn apply_one(
             );
             false
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::FaultPlan;
+    use tart_vtime::WireId;
+
+    #[test]
+    fn input_heads_advance_only_their_engines_slot() {
+        let router = Router::new(FaultPlan::none());
+        let plane = StandbyPlane::start(StandbyConfig::default(), router, Weak::new());
+        let (watched, other) = (EngineId::new(1), EngineId::new(2));
+        assert!(plane.attach(watched, ReplicaStore::new()).is_none());
+        let input = |engine, vt| Envelope::StandbyInput {
+            engine,
+            wire: WireId::new(0),
+            vt: VirtualTime::from_ticks(vt),
+        };
+        for env in [input(watched, 40), input(watched, 30), input(other, 90)] {
+            on_envelope(&plane.shared, env);
+        }
+        let slots = plane.shared.slots.lock();
+        assert_eq!(slots[&watched].head, VirtualTime::from_ticks(40));
+        assert!(
+            !slots.contains_key(&other),
+            "unattached engines get no slot"
+        );
     }
 }

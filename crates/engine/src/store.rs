@@ -307,7 +307,6 @@ impl CheckpointStore {
     /// # Errors
     ///
     /// As [`CheckpointStore::persist`].
-    #[allow(clippy::disallowed_methods)] // timed below; ops-plane only
     pub fn persist_with(&self, ckpt: &EngineCheckpoint, sync: bool) -> Result<u64, StoreError> {
         let persist_started = std::time::Instant::now();
         let engine = ckpt.engine.raw();

@@ -18,9 +18,6 @@
 //! still believes alive, so a test (or operator) that fail-stops an engine
 //! deliberately keeps control of when it comes back.
 
-// Ops-plane module (tart-lint tier: Ops): wall-clock reads and hash maps never flow into the replayable core; the interprocedural TAINT-FLOW pass fences the boundary, so raw reads need no per-line allows here.
-#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
-
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

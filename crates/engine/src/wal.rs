@@ -77,7 +77,6 @@ const PREALLOC_LIMIT: u64 = 1 << 30;
 /// `Instant`s here — this is the one reasoned TAINT-FLOW boundary for the
 /// module. Commit pacing decides *when* bytes reach disk, never *which*
 /// bytes, so replayed logic cannot observe it.
-#[allow(clippy::disallowed_methods)]
 fn wall_now() -> Instant {
     Instant::now()
 }

@@ -8,9 +8,6 @@
 //! kill → promote → replay drill on its own, while the chaos driver is
 //! simultaneously dropping and delaying payload traffic.
 
-// Test code: free to use wall clocks and hash maps (the determinism fence guards production code only).
-#![allow(clippy::disallowed_methods)]
-
 use std::time::{Duration, Instant};
 
 use tart_engine::{

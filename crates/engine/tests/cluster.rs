@@ -1,9 +1,6 @@
 //! Threaded end-to-end tests of the TART cluster: determinism across runs,
 //! failover with transparent recovery, and lossy/duplicating links.
 
-// Test code: free to use wall clocks and hash maps (the determinism fence guards production code only).
-#![allow(clippy::disallowed_methods)]
-
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

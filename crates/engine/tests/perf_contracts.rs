@@ -12,8 +12,6 @@
 //!
 //! Absolute numbers, end to end and per layer, come from `benchmark/`.
 
-#![allow(clippy::disallowed_methods)] // wall-clock timing is the point
-
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;

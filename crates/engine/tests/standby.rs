@@ -4,9 +4,6 @@
 //! hash-diverged standby, mistimed promotion — falls back to the cold
 //! hash-verified drill without losing byte-identical convergence.
 
-// Test code: free to use wall clocks (the determinism fence guards production code only).
-#![allow(clippy::disallowed_methods)]
-
 use std::time::{Duration, Instant};
 
 use tart_engine::{Cluster, ClusterConfig, OutputRecord, Placement, PromoteError, StandbyConfig};

@@ -6,9 +6,6 @@
 //! The outputs must be identical to the single-process deployment of the
 //! same workload: placement (and transport!) transparency.
 
-// Test code: free to use wall clocks and hash maps (the determinism fence guards production code only).
-#![allow(clippy::disallowed_methods)]
-
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::unbounded;

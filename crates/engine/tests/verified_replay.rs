@@ -11,9 +11,6 @@
 //! longest verified prefix; the offline bisector must name the first
 //! divergent member and virtual time.
 
-// Test code: free to use wall clocks (the determinism fence guards production code only).
-#![allow(clippy::disallowed_methods)]
-
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 

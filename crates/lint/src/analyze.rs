@@ -14,26 +14,24 @@
 //! suppressed nothing is flagged (`UNUSED-ALLOW`) so stale fences get
 //! cleaned up instead of silently widening.
 
+use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::concurrency::concurrency_pass;
 use crate::lexer::{lex, CommentLine, Token, TokenKind};
-use crate::manifest::{tier_for, unsafe_allowed, Tier};
-use crate::protocol::protocol_pass;
-use crate::rules::{scan, RuleId, Severity};
+use crate::manifest::{tier_for, Tier};
+use crate::rules::{scan, RuleId};
 use crate::symbols::{FileUnit, SymbolGraph};
 use crate::taint::taint_pass;
 
-/// One diagnostic, post-suppression.
+/// One diagnostic, post-suppression. Every finding is an error.
 #[derive(Clone, Debug)]
 pub struct Finding {
     /// Workspace-relative path with `/` separators.
     pub file: String,
     pub line: u32,
     pub rule: RuleId,
-    pub severity: Severity,
     pub message: String,
     /// Witness for interprocedural findings (call path down to the raw
     /// hazard, outermost frame first); empty for single-line rules.
@@ -60,22 +58,36 @@ pub struct Audit {
 }
 
 impl Audit {
-    pub fn errors(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Error)
-            .count()
-    }
-
-    pub fn warnings(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Warn)
-            .count()
-    }
-
     pub fn suppressed(&self) -> u32 {
         self.suppressions.iter().map(|s| s.hits).sum()
+    }
+
+    /// Human-oriented diagnostics, one per line (plus indented call-path
+    /// witness lines for interprocedural findings), and a summary line.
+    pub fn render_text(&self) -> String {
+        let mut out = String::new();
+        for f in &self.findings {
+            let _ = writeln!(
+                out,
+                "{}:{} [{}] {}",
+                f.file,
+                f.line,
+                f.rule.as_str(),
+                f.message
+            );
+            for step in &f.path {
+                let _ = writeln!(out, "    | {step}");
+            }
+        }
+        let _ = writeln!(
+            out,
+            "tart-lint: {} files scanned, {} errors, {} findings suppressed by {} allow(s)",
+            self.files_scanned,
+            self.findings.len(),
+            self.suppressed(),
+            self.suppressions.len(),
+        );
+        out
     }
 }
 
@@ -90,9 +102,8 @@ pub fn audit_workspace(root: &Path) -> io::Result<Audit> {
 }
 
 /// Reads every production source file under `root` as `(relative path,
-/// source)` pairs, in sorted order — the input shape of [`audit_sources`]
-/// and [`build_graph`].
-pub fn collect_workspace_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
+/// source)` pairs, in sorted order — the input shape of [`audit_sources`].
+fn collect_workspace_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
     let mut files = Vec::new();
     collect_rs(&root.join("src"), &mut files)?;
     let crates_dir = root.join("crates");
@@ -122,18 +133,8 @@ pub fn collect_workspace_sources(root: &Path) -> io::Result<Vec<(String, String)
     Ok(sources)
 }
 
-/// Builds the workspace symbol graph for a set of sources without running
-/// the audit (used by `--symbols` and the self-inspection tests).
-pub fn build_graph(files: &[(String, String)]) -> SymbolGraph {
-    let units: Vec<FileUnit> = files
-        .iter()
-        .filter(|(rel, _)| tier_for(rel) != Tier::Exempt)
-        .map(|(rel, src)| make_unit(rel, src))
-        .collect();
-    SymbolGraph::build(&units)
-}
-
-fn make_unit(rel: &str, src: &str) -> FileUnit {
+/// Lexes one file and marks its `#[cfg(test)]` line ranges.
+pub(crate) fn make_unit(rel: &str, src: &str) -> FileUnit {
     let lexed = lex(src);
     let excluded = test_ranges(&lexed.tokens);
     FileUnit {
@@ -145,86 +146,57 @@ fn make_unit(rel: &str, src: &str) -> FileUnit {
 }
 
 /// Audits a set of `(workspace-relative path, source)` pairs as one
-/// workspace: per-file lexical rules plus the cross-file passes (taint,
-/// protocol exhaustiveness, concurrency discipline), all reconciled
-/// against the same in-source suppressions. This is the engine behind
-/// [`audit_workspace`]; fixture tests call it directly to exercise
-/// multi-file scenarios without a filesystem layout.
+/// workspace: the per-file lexical rules, then the interprocedural taint
+/// pass over the symbol graph, all reconciled against the same in-source
+/// suppressions. This is the engine behind [`audit_workspace`]; tests call
+/// it directly with in-memory files.
 pub fn audit_sources(files: &[(String, String)]) -> Audit {
     let mut audit = Audit {
         files_scanned: files.len(),
         ..Audit::default()
     };
 
-    // Phase 1: per-file preparation. Exempt files flush their directive
-    // hygiene immediately and do not join the workspace graph.
+    // Per-file lexical rules. Exempt files are not scanned and do not join
+    // the graph, but reasonless directives in them are still hygiene
+    // errors (no unused-check: nothing can match in an unscanned file).
     let mut units: Vec<FileUnit> = Vec::new();
     let mut directives: Vec<Vec<Suppression>> = Vec::new();
     for (rel, src) in files {
-        let tier = tier_for(rel);
-        let lexed = lex(src);
-        let parsed = parse_directives(rel, &lexed.comments);
-        if tier == Tier::Exempt {
-            flush_directives(rel, parsed, false, &mut audit);
-            continue;
-        }
         let unit = make_unit(rel, src);
-        let mut parsed = parsed;
-        parsed.retain(|d| !unit.excluded.iter().any(|r| r.contains(&d.line)));
+        let mut dirs = parse_directives(rel, &unit.lexed.comments);
+        if unit.tier == Tier::Exempt {
+            flush_directives(rel, dirs, false, &mut audit);
+            continue;
+        }
+        // Directives inside test code suppress nothing by construction;
+        // drop them rather than flagging them as stale.
+        dirs.retain(|d| !unit.is_test_line(d.line));
+        for hit in scan(&unit.lexed.tokens, unit.tier) {
+            if !unit.is_test_line(hit.line) {
+                let finding = Finding {
+                    file: rel.clone(),
+                    line: hit.line,
+                    rule: hit.rule,
+                    message: hit.message,
+                    path: Vec::new(),
+                };
+                reconcile(finding, &mut dirs, &mut audit);
+            }
+        }
         units.push(unit);
-        directives.push(parsed);
+        directives.push(dirs);
     }
 
-    // Phase 2: per-file lexical rules.
-    for (unit, dirs) in units.iter().zip(directives.iter_mut()) {
-        let hits = scan(&unit.lexed.tokens, unit.tier, unsafe_allowed(&unit.rel));
-        for hit in hits {
-            if unit.is_test_line(hit.line) {
-                continue;
-            }
-            let severity = hit
-                .rule
-                .severity_in(unit.tier)
-                .expect("scan only emits applicable rules");
-            reconcile(
-                &unit.rel,
-                hit.line,
-                hit.rule,
-                severity,
-                hit.message,
-                Vec::new(),
-                dirs,
-                &mut audit,
-            );
+    // The one workspace pass: interprocedural taint over the symbol graph.
+    let graph = SymbolGraph::build(&units);
+    for finding in taint_pass(&units, &graph) {
+        if let Some(idx) = units.iter().position(|u| u.rel == finding.file) {
+            reconcile(finding, &mut directives[idx], &mut audit);
         }
     }
 
-    // Phase 3: workspace passes over the symbol graph.
-    let graph = SymbolGraph::build(&units);
-    let mut pass_hits = taint_pass(&units, &graph);
-    pass_hits.extend(protocol_pass(&units, &graph));
-    pass_hits.extend(concurrency_pass(&units, &graph));
-    for hit in pass_hits {
-        let Some(idx) = units.iter().position(|u| u.rel == hit.file) else {
-            continue;
-        };
-        let Some(severity) = hit.rule.severity_in(units[idx].tier) else {
-            continue;
-        };
-        reconcile(
-            &hit.file.clone(),
-            hit.line,
-            hit.rule,
-            severity,
-            hit.message,
-            hit.path,
-            &mut directives[idx],
-            &mut audit,
-        );
-    }
-
-    // Phase 4: directive hygiene, after every pass had its chance to
-    // consume an allow.
+    // Directive hygiene, after every rule had its chance to consume an
+    // allow.
     for (unit, dirs) in units.into_iter().zip(directives) {
         flush_directives(&unit.rel, dirs, true, &mut audit);
     }
@@ -236,88 +208,25 @@ pub fn audit_sources(files: &[(String, String)]) -> Audit {
     audit
 }
 
-/// Matches one pre-suppression hit against a file's directives: a
-/// directive on the hit's line or the line directly above consumes it;
-/// otherwise it becomes a finding.
-#[allow(clippy::too_many_arguments)]
-fn reconcile(
-    file: &str,
-    line: u32,
-    rule: RuleId,
-    severity: Severity,
-    message: String,
-    path: Vec<String>,
-    directives: &mut [Suppression],
-    audit: &mut Audit,
-) {
+/// Matches one pre-suppression finding against its file's directives: a
+/// directive on the finding's line or the line directly above consumes
+/// it; otherwise it is reported.
+fn reconcile(finding: Finding, directives: &mut [Suppression], audit: &mut Audit) {
     // Same-line (trailing) directives take precedence so that two adjacent
     // annotated lines each consume their own directive.
+    let names = |d: &Suppression| d.rules.contains(&finding.rule);
     let matched = directives
         .iter()
-        .position(|d| d.line == line && d.rules.contains(&rule))
+        .position(|d| d.line == finding.line && names(d))
         .or_else(|| {
             directives
                 .iter()
-                .position(|d| d.line + 1 == line && d.rules.contains(&rule))
+                .position(|d| d.line + 1 == finding.line && names(d))
         });
-    if let Some(idx) = matched {
-        directives[idx].hits += 1;
-        return;
+    match matched {
+        Some(idx) => directives[idx].hits += 1,
+        None => audit.findings.push(finding),
     }
-    audit.findings.push(Finding {
-        file: file.to_string(),
-        line,
-        rule,
-        severity,
-        message,
-        path,
-    });
-}
-
-/// Audits a single file's source text into `audit` — per-file lexical
-/// rules only (the cross-file passes need the whole workspace; see
-/// [`audit_sources`]). Public so fixture tests can drive the engine
-/// without touching the filesystem layout.
-pub fn audit_source(rel_path: &str, src: &str, audit: &mut Audit) {
-    let tier = tier_for(rel_path);
-    if tier == Tier::Exempt {
-        // Exempt files are not scanned, but reasonless directives in them
-        // are still hygiene errors (they'd rot silently otherwise). No
-        // unused-check: nothing can match in an unscanned file.
-        let lexed = lex(src);
-        let directives = parse_directives(rel_path, &lexed.comments);
-        flush_directives(rel_path, directives, false, audit);
-        return;
-    }
-
-    let unit = make_unit(rel_path, src);
-    let mut directives = parse_directives(rel_path, &unit.lexed.comments);
-    // Directives inside test code suppress nothing by construction; drop
-    // them rather than flagging them as stale.
-    directives.retain(|d| !unit.excluded.iter().any(|r| r.contains(&d.line)));
-    let hits = scan(&unit.lexed.tokens, tier, unsafe_allowed(rel_path));
-
-    for hit in hits {
-        if unit.is_test_line(hit.line) {
-            continue;
-        }
-        let severity = hit
-            .rule
-            .severity_in(tier)
-            .expect("scan only emits applicable rules");
-        reconcile(
-            rel_path,
-            hit.line,
-            hit.rule,
-            severity,
-            hit.message,
-            Vec::new(),
-            &mut directives,
-            audit,
-        );
-    }
-
-    flush_directives(rel_path, directives, true, audit);
 }
 
 /// Moves directives into the audit, flagging undocumented and unused ones.
@@ -328,31 +237,31 @@ fn flush_directives(
     audit: &mut Audit,
 ) {
     for d in directives {
-        if d.reason.is_none() {
-            audit.findings.push(Finding {
-                file: rel_path.to_string(),
-                line: d.line,
-                rule: RuleId::UndocAllow,
-                severity: Severity::Error,
-                message: "suppression without a reason: write \
-                          `// tart-lint: allow(RULE) -- why this is sound`"
+        let hygiene = if d.reason.is_none() {
+            Some((
+                RuleId::UndocAllow,
+                "suppression without a reason: write \
+                 `// tart-lint: allow(RULE) -- why this is sound`"
                     .to_string(),
-                path: Vec::new(),
-            });
+            ))
         } else if check_unused && d.hits == 0 {
+            let names: Vec<&str> = d.rules.iter().map(|r| r.as_str()).collect();
+            Some((
+                RuleId::UnusedAllow,
+                format!(
+                    "allow({}) suppressed nothing; remove the stale directive",
+                    names.join(", ")
+                ),
+            ))
+        } else {
+            None
+        };
+        if let Some((rule, message)) = hygiene {
             audit.findings.push(Finding {
                 file: rel_path.to_string(),
                 line: d.line,
-                rule: RuleId::UnusedAllow,
-                severity: Severity::Error,
-                message: format!(
-                    "allow({}) suppressed nothing; remove the stale directive",
-                    d.rules
-                        .iter()
-                        .map(|r| r.as_str())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
+                rule,
+                message,
                 path: Vec::new(),
             });
         }
@@ -530,9 +439,7 @@ mod tests {
     use super::*;
 
     fn run(rel: &str, src: &str) -> Audit {
-        let mut a = Audit::default();
-        audit_source(rel, src, &mut a);
-        a
+        audit_sources(&[(rel.to_string(), src.to_string())])
     }
 
     #[test]
@@ -557,7 +464,7 @@ let b = Instant::now(); // tart-lint: allow(WALLCLOCK) -- also fine\n";
     fn reasonless_allow_is_an_error() {
         let src = "// tart-lint: allow(WALLCLOCK)\nlet a = Instant::now();\n";
         let a = run("crates/sched/src/lib.rs", src);
-        assert_eq!(a.errors(), 1);
+        assert_eq!(a.findings.len(), 1);
         assert_eq!(a.findings[0].rule, RuleId::UndocAllow);
     }
 
@@ -565,7 +472,7 @@ let b = Instant::now(); // tart-lint: allow(WALLCLOCK) -- also fine\n";
     fn unused_allow_is_an_error() {
         let src = "// tart-lint: allow(WALLCLOCK) -- nothing here\nlet a = 1;\n";
         let a = run("crates/sched/src/lib.rs", src);
-        assert_eq!(a.errors(), 1);
+        assert_eq!(a.findings.len(), 1);
         assert_eq!(a.findings[0].rule, RuleId::UnusedAllow);
     }
 
@@ -574,6 +481,16 @@ let b = Instant::now(); // tart-lint: allow(WALLCLOCK) -- also fine\n";
         let src = "// tart-lint: allow(HASH-ITER) -- wrong rule\nlet a = Instant::now();\n";
         let a = run("crates/sched/src/lib.rs", src);
         // WALLCLOCK still fires, and the HASH-ITER allow is unused.
-        assert_eq!(a.errors(), 2, "{:?}", a.findings);
+        assert_eq!(a.findings.len(), 2, "{:?}", a.findings);
+    }
+
+    #[test]
+    fn text_lines_have_the_documented_shape() {
+        let a = run("crates/sched/src/x.rs", "let t = Instant::now();");
+        let text = a.render_text();
+        assert!(
+            text.starts_with("crates/sched/src/x.rs:1 [WALLCLOCK] `Instant::now()`"),
+            "{text}"
+        );
     }
 }

@@ -9,8 +9,9 @@
 //!
 //! Handled: line comments (`//`, `///`, `//!`), nested block comments,
 //! string literals with escapes, raw (and byte/raw-byte) strings with any
-//! `#` count, char literals vs. lifetimes, and numeric literals (kept as
-//! tokens so float-accumulation heuristics can see them).
+//! `#` count, char literals vs. lifetimes, and numeric literals (one token
+//! each, so a suffix like the `u64` in `1_000u64` never lexes as an
+//! identifier).
 
 /// One lexical token with its 1-based source line.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -22,7 +23,7 @@ pub struct Token {
 /// Classified token payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TokenKind {
-    /// Identifier or keyword (`Instant`, `unsafe`, `fold`, ...).
+    /// Identifier or keyword (`Instant`, `fn`, `impl`, ...).
     Ident(String),
     /// A single punctuation character (`:`, `{`, `#`, ...).
     Punct(char),

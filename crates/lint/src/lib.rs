@@ -2,56 +2,47 @@
 //!
 //! TART recovers failed components by restoring a checkpoint and replaying
 //! logged messages (PAPER.md §II). That is only *correct* if the replayable
-//! core is deterministic: a component handler, codec path, or checkpointed
-//! container that observes wall-clock time, ambient randomness, or
-//! hash-iteration order will diverge on replay — silently, and usually only
-//! under failure, which is exactly when it must not.
+//! core never reads an unlogged input: a component handler, codec path, or
+//! checkpointed container that observes wall-clock time, ambient
+//! randomness, the environment, or hash-iteration order will diverge on
+//! replay — silently, and usually only under failure, which is exactly
+//! when it must not.
 //!
-//! This crate is a source-level static analysis pass that fences that
-//! boundary mechanically:
+//! This crate fences that boundary with the checks nothing else in the
+//! build makes (the compiler already forbids `unsafe` and checks match
+//! exhaustiveness; `Mutex` types already keep guarded state together):
 //!
 //! - a small [comment/string-aware lexer](lexer) (std-only: no registry,
 //!   no `syn`),
 //! - a [tier manifest](manifest) declaring which paths are deterministic,
 //!   ops-plane, or exempt,
 //! - a per-file [rule catalogue](rules) — `WALLCLOCK`, `AMBIENT-RAND`,
-//!   `HASH-ITER`, `AMBIENT-ENV`, `UNSAFE`, `FLOAT-ACCUM`,
+//!   `HASH-ITER`, `AMBIENT-ENV`,
 //! - a whole-workspace [symbol graph](symbols) (items + identifier-resolved
-//!   call edges) feeding three cross-file passes: [interprocedural
-//!   taint](taint) (`TAINT-FLOW`), [protocol
-//!   exhaustiveness](protocol) (`ENVELOPE-NONEXHAUSTIVE`), and
-//!   [concurrency discipline](concurrency) (`LOCK-ACROSS-SEND`,
-//!   `SEQLOCK-MISUSE`),
+//!   call edges) feeding one cross-file pass, [interprocedural
+//!   taint](taint) (`TAINT-FLOW`),
 //! - an [analysis engine](analyze) with explicit, counted
-//!   `// tart-lint: allow(RULE) -- reason` suppressions,
-//! - [text and JSON reporting](report) with call-path witnesses.
+//!   `// tart-lint: allow(RULE) -- reason` suppressions (`UNDOC-ALLOW`,
+//!   `UNUSED-ALLOW` keep them honest) and text reports with call-path
+//!   witnesses.
 //!
-//! It ships three ways: the `tart-lint` binary (`--deny` for CI, plus
-//! `--symbols` for the graph artifact), the `workspace_audit` integration
-//! test (plain `cargo test` enforces the fence), and the
-//! `determinism-lint` CI job. See DESIGN.md §12 for the hazard taxonomy
-//! and tier table, §17 for the symbol graph and workspace passes.
+//! It ships two ways: the `workspace_audit` integration test (plain
+//! `cargo test` enforces the fence) and the `tart-lint` binary for local
+//! use (`--deny` exits 1 on findings). See DESIGN.md §12 for the hazard
+//! taxonomy and tier table, §17 for the symbol graph and the taint pass.
 
 #![forbid(unsafe_code)]
 
 pub mod analyze;
-pub mod concurrency;
 pub mod lexer;
 pub mod manifest;
-pub mod protocol;
-pub mod report;
 pub mod rules;
 pub mod symbols;
 pub mod taint;
 
-pub use analyze::{
-    audit_source, audit_sources, audit_workspace, build_graph, collect_workspace_sources, Audit,
-    Finding, Suppression,
-};
+pub use analyze::{audit_sources, audit_workspace, Audit, Finding, Suppression};
 pub use manifest::{tier_for, Tier};
-pub use report::{render_json, render_text};
-pub use rules::{RuleId, Severity};
-pub use symbols::SymbolGraph;
+pub use rules::RuleId;
 
 use std::path::{Path, PathBuf};
 

@@ -1,42 +1,38 @@
 //! The `tart-lint` CLI.
 //!
 //! ```text
-//! tart-lint [--root PATH] [--format text|json] [--deny] [--quiet]
-//!           [--symbols PATH]
+//! tart-lint [--root PATH] [--deny] [--quiet]
 //! ```
 //!
-//! Exit status discipline (greppable in CI logs):
+//! Exit status discipline:
 //!
 //! - `0` — audit ran and is clean (or findings were only reported).
-//! - `1` — `--deny` and at least one error-severity finding survived
-//!   suppression. The last line on stderr is a one-line summary count.
-//! - `2` — the audit itself failed: bad usage, I/O errors, an empty file
-//!   set (a fence that scanned nothing proves nothing), or a `--symbols`
-//!   write failure. Never used for findings.
+//! - `1` — `--deny` and at least one finding survived suppression. The
+//!   last line on stderr is a one-line summary count.
+//! - `2` — the audit itself failed: bad usage, I/O errors, or an empty
+//!   file set (a fence that scanned nothing proves nothing). Never used
+//!   for findings.
+
+#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tart_lint::{
-    audit_workspace, build_graph, collect_workspace_sources, find_workspace_root, render_json,
-    render_text, SymbolGraph,
-};
+use tart_lint::{audit_workspace, find_workspace_root};
+
+const USAGE: &str = "usage: tart-lint [--root PATH] [--deny] [--quiet]";
 
 struct Args {
     root: Option<PathBuf>,
-    json: bool,
     deny: bool,
     quiet: bool,
-    symbols: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: None,
-        json: false,
         deny: false,
         quiet: false,
-        symbols: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -45,25 +41,10 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--root requires a path")?;
                 args.root = Some(PathBuf::from(v));
             }
-            "--format" => match it.next().as_deref() {
-                Some("json") => args.json = true,
-                Some("text") => args.json = false,
-                other => return Err(format!("--format expects text|json, got {other:?}")),
-            },
             "--deny" => args.deny = true,
             "--quiet" => args.quiet = true,
-            "--symbols" => {
-                let v = it.next().ok_or("--symbols requires a path")?;
-                args.symbols = Some(PathBuf::from(v));
-            }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: tart-lint [--root PATH] [--format text|json] [--deny] [--quiet] \
-                     [--symbols PATH]"
-                        .to_string(),
-                )
-            }
-            other => return Err(format!("unknown argument {other:?} (try --help)")),
+            "--help" | "-h" => return Err(USAGE.to_string()),
+            other => return Err(format!("unknown argument {other:?}\n{USAGE}")),
         }
     }
     Ok(args)
@@ -95,34 +76,16 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     }
-    if let Some(path) = &args.symbols {
-        let graph: SymbolGraph = match collect_workspace_sources(&root) {
-            Ok(sources) => build_graph(&sources),
-            Err(e) => {
-                eprintln!("tart-lint: failed to re-read sources for --symbols: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        if let Err(e) = std::fs::write(path, graph.render_json()) {
-            eprintln!("tart-lint: failed to write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-    if args.json {
-        println!("{}", render_json(&audit));
-    } else if !args.quiet || audit.errors() > 0 {
-        print!("{}", render_text(&audit));
+    let errors = audit.findings.len();
+    if !args.quiet || errors > 0 {
+        print!("{}", audit.render_text());
     }
     if args.deny {
-        // One greppable line, win or lose, on stderr so it survives
-        // `--format json` on stdout.
         eprintln!(
-            "tart-lint: deny: {} error(s), {} warning(s) across {} file(s)",
-            audit.errors(),
-            audit.warnings(),
+            "tart-lint: deny: {errors} error(s) across {} file(s)",
             audit.files_scanned
         );
-        if audit.errors() > 0 {
+        if errors > 0 {
             return ExitCode::from(1);
         }
     }

@@ -5,8 +5,8 @@
 //! replay. That is only sound if the *replayable core* — everything whose
 //! behaviour is reconstructed from the message log — never observes
 //! wall-clock time, ambient randomness, hash-iteration order, or the
-//! environment. The manifest pins each path to a tier; rules pick their
-//! severity per tier (see [`crate::rules`]).
+//! environment. The manifest pins each path to a tier; each rule decides
+//! per tier whether it applies (see [`crate::rules`]).
 //!
 //! Longest-prefix match wins, so a specific file entry overrides its
 //! crate's default. New engine modules default to [`Tier::Deterministic`]:
@@ -15,7 +15,7 @@
 /// How strictly a path is audited.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Tier {
-    /// Part of the replayable core: all determinism rules at full severity.
+    /// Part of the replayable core: every determinism rule applies.
     /// Handlers, codecs, schedulers, checkpointed containers.
     Deterministic,
     /// Ops plane: runs *around* the replayable core (failure detection,
@@ -86,13 +86,8 @@ pub const TIERS: &[(&str, Tier)] = &[
     ("crates/bench/", Tier::Exempt),
 ];
 
-/// Modules allowed to contain `unsafe` blocks. Currently empty: every crate
-/// carries `#![forbid(unsafe_code)]`, and the auditor enforces that no
-/// future module quietly drops the attribute.
-pub const UNSAFE_ALLOWLIST: &[&str] = &[];
-
 /// Resolves the tier for a workspace-relative path (longest prefix wins).
-/// Unknown paths are audited at full severity.
+/// Unknown paths are audited as Deterministic.
 pub fn tier_for(rel_path: &str) -> Tier {
     let mut best: Option<(&str, Tier)> = None;
     for (prefix, tier) in TIERS {
@@ -102,11 +97,6 @@ pub fn tier_for(rel_path: &str) -> Tier {
         }
     }
     best.map(|(_, t)| t).unwrap_or(Tier::Deterministic)
-}
-
-/// True when `rel_path` is allowed to contain `unsafe`.
-pub fn unsafe_allowed(rel_path: &str) -> bool {
-    UNSAFE_ALLOWLIST.iter().any(|p| rel_path.starts_with(p))
 }
 
 #[cfg(test)]

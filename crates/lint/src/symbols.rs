@@ -4,7 +4,7 @@
 //!
 //! The graph deliberately trades resolution fidelity for zero dependencies:
 //!
-//! - **Items** (`fn` / `struct` / `enum`, with their `impl`/`trait`
+//! - **Items** (`fn` / `struct`, with their `impl`/`trait`
 //!   context) are recovered by brace-tracking over the token stream.
 //! - **Call edges** are *identifier approximations*: `foo(..)` edges to
 //!   every workspace function named `foo`; `Type::foo(..)` resolves by
@@ -16,10 +16,6 @@
 //!   call chains) edge to every candidate, an over-approximation the
 //!   taint pass inherits (rare collisions are suppressed at the call
 //!   site with a reasoned `allow`, see DESIGN.md §17).
-//! - **Qualified references** (`Enum::Variant`, used by the protocol pass)
-//!   are recorded for every `A::B` pair inside a function body, so a
-//!   `match` arm, an `if let`, and a construction site all count as
-//!   "mentions".
 //!
 //! Functions inside `#[cfg(test)]` ranges are excluded: test code may
 //! freely read clocks, and test helpers must not become call-edge targets.
@@ -28,13 +24,12 @@
 //! name collision.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::ops::RangeInclusive;
 
 use crate::lexer::{Lexed, Token, TokenKind};
 use crate::manifest::Tier;
 
-/// One analyzed source file, shared by every workspace-level pass.
+/// One analyzed source file, shared by the graph and the taint pass.
 pub struct FileUnit {
     /// Workspace-relative path with `/` separators.
     pub rel: String,
@@ -68,15 +63,11 @@ pub struct FnSym {
     /// returning `()` cannot hand wall-clock data back to its caller
     /// (out-parameter flows are out of scope, documented in DESIGN.md §17).
     pub returns_value: bool,
-    /// `true` for trait-method declarations without a body.
-    pub has_body: bool,
     /// Named parameters as `(name, type identifiers)` pairs (receiver
     /// `self` and pattern parameters are skipped); used to type
     /// `param.method(..)` receivers.
     pub params: Vec<(String, Vec<String>)>,
     pub calls: Vec<CallRef>,
-    /// Every `A::B` pair in the body (protocol-pass "mentions").
-    pub qualified_refs: Vec<(String, String)>,
 }
 
 /// One call site inside a function body.
@@ -110,21 +101,10 @@ pub enum Recv {
     Var(String),
 }
 
-/// An enum definition with its variant names.
-#[derive(Clone, Debug)]
-pub struct EnumSym {
-    pub name: String,
-    pub file: String,
-    pub line: u32,
-    pub variants: Vec<String>,
-}
-
 /// A struct definition with its named fields (as `(name, type
 /// identifiers)` pairs: every identifier in the declared type, in order,
-/// so `Arc<Mutex<Router>>` yields `[Arc, Mutex, Router]`). The first
-/// identifier is enough for the seqlock pass to find `Atomic*` counter
-/// groups; the full list lets call resolution type `self.field.m(..)`
-/// receivers through wrapper types.
+/// so `Arc<Mutex<Router>>` yields `[Arc, Mutex, Router]`), which lets call
+/// resolution type `self.field.m(..)` receivers through wrapper types.
 #[derive(Clone, Debug)]
 pub struct StructSym {
     pub name: String,
@@ -137,7 +117,6 @@ pub struct StructSym {
 #[derive(Default)]
 pub struct SymbolGraph {
     pub fns: Vec<FnSym>,
-    pub enums: Vec<EnumSym>,
     pub structs: Vec<StructSym>,
     by_name: BTreeMap<String, Vec<usize>>,
 }
@@ -258,97 +237,6 @@ impl SymbolGraph {
             .filter(|(_, f)| f.file == file && f.line <= line && line <= f.end_line)
             .min_by_key(|(_, f)| f.end_line - f.line)
             .map(|(i, _)| i)
-    }
-
-    /// Serializes the graph as a single-line JSON document
-    /// (`lint-symbols.json`, uploaded by CI for offline inspection).
-    pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push('{');
-        let _ = write!(out, "\"version\":1,\"functions\":[");
-        for (i, f) in self.fns.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let impl_type = match &f.impl_type {
-                Some(t) => crate::report::json_str(t),
-                None => "null".to_string(),
-            };
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"impl\":{},\"file\":{},\"line\":{},\"end_line\":{},\
-                 \"returns_value\":{},\"calls\":[",
-                crate::report::json_str(&f.name),
-                impl_type,
-                crate::report::json_str(&f.file),
-                f.line,
-                f.end_line,
-                f.returns_value,
-            );
-            for (j, c) in f.calls.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let q = match &c.qualifier {
-                    Some(q) => crate::report::json_str(q),
-                    None => "null".to_string(),
-                };
-                let _ = write!(
-                    out,
-                    "{{\"name\":{},\"qualifier\":{},\"line\":{}}}",
-                    crate::report::json_str(&c.name),
-                    q,
-                    c.line
-                );
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"enums\":[");
-        for (i, e) in self.enums.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let variants: Vec<String> = e
-                .variants
-                .iter()
-                .map(|v| crate::report::json_str(v))
-                .collect();
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"file\":{},\"line\":{},\"variants\":[{}]}}",
-                crate::report::json_str(&e.name),
-                crate::report::json_str(&e.file),
-                e.line,
-                variants.join(",")
-            );
-        }
-        out.push_str("],\"structs\":[");
-        for (i, s) in self.structs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let fields: Vec<String> = s
-                .fields
-                .iter()
-                .map(|(n, t)| {
-                    format!(
-                        "{{\"name\":{},\"type\":{}}}",
-                        crate::report::json_str(n),
-                        crate::report::json_str(&t.join(" "))
-                    )
-                })
-                .collect();
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"file\":{},\"line\":{},\"fields\":[{}]}}",
-                crate::report::json_str(&s.name),
-                crate::report::json_str(&s.file),
-                s.line,
-                fields.join(",")
-            );
-        }
-        out.push_str("]}");
-        out
     }
 }
 
@@ -492,10 +380,8 @@ fn parse_file(unit: &FileUnit, g: &mut SymbolGraph) {
                             end_line,
                             tier: unit.tier,
                             returns_value,
-                            has_body: body.is_some(),
                             params,
                             calls: Vec::new(),
-                            qualified_refs: Vec::new(),
                         },
                         body,
                     });
@@ -503,12 +389,6 @@ fn parse_file(unit: &FileUnit, g: &mut SymbolGraph) {
                 // Continue INTO the signature/body so nested fns are found;
                 // brace depth stays consistent because we only advanced past
                 // the `fn` keyword.
-                i += 1;
-            }
-            TokenKind::Ident(s) if s == "enum" && !unit.is_test_line(toks[i].line) => {
-                if let Some(e) = parse_enum(toks, i, &unit.rel) {
-                    g.enums.push(e);
-                }
                 i += 1;
             }
             TokenKind::Ident(s) if s == "struct" && !unit.is_test_line(toks[i].line) => {
@@ -521,9 +401,8 @@ fn parse_file(unit: &FileUnit, g: &mut SymbolGraph) {
         }
     }
 
-    // Pass 2: attribute calls and qualified refs to the innermost
-    // enclosing function body.
-    collect_refs(toks, &mut spans);
+    // Pass 2: attribute calls to the innermost enclosing function body.
+    collect_calls(toks, &mut spans);
 
     for span in spans {
         g.fns.push(span.sym);
@@ -714,70 +593,6 @@ fn match_brace(toks: &[Token], open: usize) -> (usize, u32) {
     (toks.len(), line)
 }
 
-fn parse_enum(toks: &[Token], i: usize, file: &str) -> Option<EnumSym> {
-    let name = toks.get(i + 1)?.kind.as_ident()?.to_string();
-    let open = {
-        // Skip generics between the name and `{`; a `;` first means this
-        // was `enum` used as an identifier or a malformed item.
-        let mut j = i + 2;
-        let mut angle = 0i32;
-        loop {
-            match &toks.get(j)?.kind {
-                TokenKind::Punct('<') => angle += 1,
-                TokenKind::Punct('>') => angle -= 1,
-                TokenKind::Punct('{') if angle <= 0 => break j,
-                TokenKind::Punct(';') if angle <= 0 => return None,
-                _ => {}
-            }
-            j += 1;
-        }
-    };
-    let (close, _) = match_brace(toks, open);
-    let mut variants = Vec::new();
-    let mut j = open + 1;
-    let mut depth = 0i32; // depth of nested braces/parens/brackets inside the body
-    let mut expect_variant = true;
-    while j < close {
-        match &toks[j].kind {
-            TokenKind::Punct('{') | TokenKind::Punct('(') | TokenKind::Punct('[') => depth += 1,
-            TokenKind::Punct('}') | TokenKind::Punct(')') | TokenKind::Punct(']') => depth -= 1,
-            TokenKind::Punct(',') if depth == 0 => expect_variant = true,
-            TokenKind::Punct('#') if depth == 0 => {
-                // Attribute before a variant: skip `#[...]`.
-                if let Some(open_b) = toks.get(j + 1).filter(|t| t.kind.is_punct('[')) {
-                    let _ = open_b;
-                    let mut d = 0i32;
-                    while j < close {
-                        match &toks[j].kind {
-                            TokenKind::Punct('[') => d += 1,
-                            TokenKind::Punct(']') => {
-                                d -= 1;
-                                if d == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        j += 1;
-                    }
-                }
-            }
-            TokenKind::Ident(s) if depth == 0 && expect_variant => {
-                variants.push(s.clone());
-                expect_variant = false;
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    Some(EnumSym {
-        name,
-        file: file.to_string(),
-        line: toks[i].line,
-        variants,
-    })
-}
-
 fn parse_struct(toks: &[Token], i: usize, file: &str) -> Option<StructSym> {
     let name = toks.get(i + 1)?.kind.as_ident()?.to_string();
     // Find `{` before any `;` (unit struct) or `(` (tuple struct).
@@ -828,9 +643,8 @@ fn parse_struct(toks: &[Token], i: usize, file: &str) -> Option<StructSym> {
     })
 }
 
-/// Attributes every call and qualified reference to the innermost function
-/// body containing it.
-fn collect_refs(toks: &[Token], spans: &mut [FnSpan]) {
+/// Attributes every call to the innermost function body containing it.
+fn collect_calls(toks: &[Token], spans: &mut [FnSpan]) {
     // Sort body ranges for an innermost-wins sweep.
     let mut order: Vec<usize> = (0..spans.len())
         .filter(|&s| spans[s].body.is_some())
@@ -846,25 +660,6 @@ fn collect_refs(toks: &[Token], spans: &mut [FnSpan]) {
         }
         let owner = innermost_owner(spans, &order, k);
         let Some(owner) = owner else { continue };
-
-        // Qualified reference `name :: member`.
-        if toks
-            .get(k + 1)
-            .map(|t| t.kind.is_punct(':'))
-            .unwrap_or(false)
-            && toks
-                .get(k + 2)
-                .map(|t| t.kind.is_punct(':'))
-                .unwrap_or(false)
-        {
-            if let Some(member) = toks.get(k + 3).and_then(|t| t.kind.as_ident()) {
-                let q = resolve_self(name, &spans[owner].sym);
-                spans[owner]
-                    .sym
-                    .qualified_refs
-                    .push((q, member.to_string()));
-            }
-        }
 
         // Call site: `name (` — optionally through a turbofish
         // `name :: < .. > (`. Macro invocations (`name !`) are skipped.
@@ -1033,7 +828,7 @@ mod tests {
     }
 
     #[test]
-    fn call_edges_and_qualified_refs() {
+    fn call_edges() {
         let g = graph(&[(
             "crates/sched/src/a.rs",
             "fn a() { b(); T::c(); x.d(); E::Variant; println!(\"e()\"); }\n\
@@ -1047,9 +842,6 @@ mod tests {
         assert!(!names.contains(&"println"));
         let c = a.calls.iter().find(|c| c.name == "c").unwrap();
         assert_eq!(c.qualifier.as_deref(), Some("T"));
-        assert!(a
-            .qualified_refs
-            .contains(&("E".to_string(), "Variant".to_string())));
     }
 
     #[test]
@@ -1063,22 +855,12 @@ mod tests {
     }
 
     #[test]
-    fn enum_variants_extracted_including_struct_and_tuple() {
-        let g = graph(&[(
-            "crates/engine/src/envelope.rs",
-            "pub enum Envelope {\n    Data { wire: u8, vt: u64 },\n    Probe(u8),\n    Die,\n    #[doc = \"x\"]\n    Drain,\n}",
-        )]);
-        assert_eq!(g.enums.len(), 1);
-        assert_eq!(g.enums[0].variants, vec!["Data", "Probe", "Die", "Drain"]);
-    }
-
-    #[test]
     fn struct_fields_with_types() {
         let g = graph(&[(
             "crates/engine/src/net.rs",
-            "struct LinkState { seq: AtomicU64, connected: AtomicBool, epoch: Arc<Mutex<Router>> }",
+            "struct Link { seq: AtomicU64, connected: AtomicBool, epoch: Arc<Mutex<Router>> }",
         )]);
-        assert_eq!(g.structs[0].name, "LinkState");
+        assert_eq!(g.structs[0].name, "Link");
         assert_eq!(
             g.structs[0].fields[0],
             ("seq".to_string(), vec!["AtomicU64".to_string()])
@@ -1253,21 +1035,5 @@ mod tests {
         assert!(outer.calls.iter().any(|c| c.name == "inner"));
         assert!(!outer.calls.iter().any(|c| c.name == "leaf"));
         assert!(inner.calls.iter().any(|c| c.name == "leaf"));
-    }
-
-    #[test]
-    fn symbols_json_is_balanced() {
-        let g = graph(&[(
-            "crates/sched/src/a.rs",
-            "enum E { A, B }\nstruct S { x: u8 }\nfn f() -> u8 { g() }\nfn g() -> u8 { 1 }\n",
-        )]);
-        let json = g.render_json();
-        let depth = json.chars().fold(0i64, |d, c| match c {
-            '{' | '[' => d + 1,
-            '}' | ']' => d - 1,
-            _ => d,
-        });
-        assert_eq!(depth, 0, "{json}");
-        assert!(json.contains("\"variants\":[\"A\",\"B\"]"));
     }
 }

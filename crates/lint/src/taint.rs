@@ -2,7 +2,7 @@
 //! from the function that *reads* it to the deterministic-tier call edge
 //! that *imports* it.
 //!
-//! PR 3's lexical fence catches `Instant::now()` written inside a
+//! The lexical rules catch `Instant::now()` written inside a
 //! Deterministic-tier file. It cannot catch the laundered form — a
 //! deterministic handler calling an innocent-looking ops helper whose
 //! return value is derived from the clock one hop (or three hops) away.
@@ -13,7 +13,7 @@
 //!
 //! - **Seed:** any non-exempt, *value-returning* function whose body
 //!   contains a raw WALLCLOCK / AMBIENT-RAND / AMBIENT-ENV hazard
-//!   (scanned at full severity regardless of the file's tier — an
+//!   (scanned under the Deterministic policy whatever the file's tier — an
 //!   ops-plane clock read is locally legal but still taints what it
 //!   returns). Functions returning `()` absorb their hazards: they cannot
 //!   hand the value back (out-parameter flows are out of scope, §17).
@@ -38,8 +38,9 @@
 
 use std::collections::BTreeMap;
 
+use crate::analyze::Finding;
 use crate::manifest::Tier;
-use crate::rules::{is_taint_source, scan, PassHit, RuleId};
+use crate::rules::{is_taint_source, scan, RuleId};
 use crate::symbols::{FileUnit, SymbolGraph};
 
 /// Why a function is tainted.
@@ -53,12 +54,12 @@ enum Cause {
 
 /// Runs the taint pass over the workspace. `units` must be the non-exempt
 /// file set the graph was built from.
-pub fn taint_pass(units: &[FileUnit], graph: &SymbolGraph) -> Vec<PassHit> {
+pub fn taint_pass(units: &[FileUnit], graph: &SymbolGraph) -> Vec<Finding> {
     // Seed: raw hazards inside value-returning function bodies. The scan
-    // runs at Deterministic severity so ops files yield hits too.
+    // runs under the Deterministic policy so ops files yield hits too.
     let mut tainted: BTreeMap<usize, Cause> = BTreeMap::new();
     for unit in units {
-        for hit in scan(&unit.lexed.tokens, Tier::Deterministic, true) {
+        for hit in scan(&unit.lexed.tokens, Tier::Deterministic) {
             if !is_taint_source(hit.rule) || unit.is_test_line(hit.line) {
                 continue;
             }
@@ -121,7 +122,7 @@ pub fn taint_pass(units: &[FileUnit], graph: &SymbolGraph) -> Vec<PassHit> {
             seen.push(key);
             let path = witness(graph, &tainted, f, call.line, target);
             let t = &graph.fns[target];
-            out.push(PassHit {
+            out.push(Finding {
                 file: caller.file.clone(),
                 line: call.line,
                 rule: RuleId::TaintFlow,
@@ -201,27 +202,13 @@ fn display_name(graph: &SymbolGraph, f: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::test_ranges;
-    use crate::lexer::lex;
-    use crate::manifest::tier_for;
+    use crate::analyze::make_unit;
 
     fn units(files: &[(&str, &str)]) -> Vec<FileUnit> {
-        files
-            .iter()
-            .map(|(rel, src)| {
-                let lexed = lex(src);
-                let excluded = test_ranges(&lexed.tokens);
-                FileUnit {
-                    rel: rel.to_string(),
-                    tier: tier_for(rel),
-                    lexed,
-                    excluded,
-                }
-            })
-            .collect()
+        files.iter().map(|(rel, src)| make_unit(rel, src)).collect()
     }
 
-    fn run(files: &[(&str, &str)]) -> Vec<PassHit> {
+    fn run(files: &[(&str, &str)]) -> Vec<Finding> {
         let us = units(files);
         let graph = SymbolGraph::build(&us);
         taint_pass(&us, &graph)

@@ -1,16 +1,15 @@
-//! Fixture tests for the cross-file passes (taint, protocol
-//! exhaustiveness, concurrency discipline), plus the fixture-manifest
-//! sync gate and the analyzer's self-audit.
+//! Fixture tests for the cross-file taint pass, plus the fixture-manifest
+//! sync gate.
 //!
-//! Unlike `rule_fixtures.rs` (single files through `audit_source`),
-//! these feed multi-file workspaces through `audit_sources` so the
-//! symbol graph, call resolution, and path witnesses are all exercised.
+//! Unlike `rule_fixtures.rs` (one file at a time), these feed multi-file
+//! workspaces through `audit_sources` so the symbol graph, call
+//! resolution, and path witnesses are all exercised.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
 
-use tart_lint::{audit_sources, build_graph, Audit, RuleId};
+use tart_lint::{audit_sources, Audit, RuleId};
 
 /// Runs the full analyzer over `(workspace-relative path, source)` pairs.
 fn audit(files: &[(&str, &str)]) -> Audit {
@@ -74,115 +73,6 @@ fn taint_flow_suppressed_by_a_reasoned_allow_at_the_call_edge() {
     assert!(a.suppressions.iter().all(|s| s.reason.is_some()));
 }
 
-// ------------------------------------------------------------- protocol
-
-#[test]
-fn envelope_nonexhaustive_fires_on_both_all_requirement_sites() {
-    let a = audit(&[(
-        "crates/engine/src/envelope.rs",
-        include_str!("fixtures/envelope_nonexhaustive.rs"),
-    )]);
-    assert_eq!(
-        fired(&a),
-        vec![RuleId::EnvelopeNonexhaustive, RuleId::EnvelopeNonexhaustive],
-        "{:?}",
-        a.findings
-    );
-    // Both findings name the missing variant and land on the fn lines.
-    for f in &a.findings {
-        assert!(f.message.contains("Bogus"), "{:?}", f);
-        assert!(!f.path.is_empty(), "witness should point at the variant");
-    }
-}
-
-#[test]
-fn envelope_exhaustive_is_clean() {
-    let a = audit(&[(
-        "crates/engine/src/envelope.rs",
-        include_str!("fixtures/envelope_exhaustive.rs"),
-    )]);
-    assert!(a.findings.is_empty(), "{:?}", a.findings);
-}
-
-#[test]
-fn envelope_nonexhaustive_suppressed_at_the_fn_line() {
-    let a = audit(&[(
-        "crates/engine/src/envelope.rs",
-        include_str!("fixtures/envelope_nonexhaustive_allowed.rs"),
-    )]);
-    assert!(a.findings.is_empty(), "{:?}", a.findings);
-    assert_eq!(a.suppressed(), 2);
-}
-
-// ---------------------------------------------------------- concurrency
-
-#[test]
-fn lock_across_send_pos_neg_and_suppressed() {
-    let pos = audit(&[(
-        "crates/sched/src/fixture.rs",
-        include_str!("fixtures/lock_across_send_pos.rs"),
-    )]);
-    assert_eq!(
-        fired(&pos),
-        vec![RuleId::LockAcrossSend],
-        "{:?}",
-        pos.findings
-    );
-    assert!(pos.findings[0].message.contains("guard `guard`"));
-
-    let neg = audit(&[(
-        "crates/sched/src/fixture.rs",
-        include_str!("fixtures/lock_across_send_neg.rs"),
-    )]);
-    assert!(neg.findings.is_empty(), "{:?}", neg.findings);
-
-    let sup = audit(&[(
-        "crates/sched/src/fixture.rs",
-        include_str!("fixtures/lock_across_send_allowed.rs"),
-    )]);
-    assert!(sup.findings.is_empty(), "{:?}", sup.findings);
-    assert_eq!(sup.suppressed(), 1);
-}
-
-#[test]
-fn lock_across_send_is_an_ops_plane_freedom() {
-    // The same guarded send in an ops-tier file is not a finding: ops
-    // threads own their queues and may block on them.
-    let a = audit(&[(
-        "crates/engine/src/router.rs",
-        include_str!("fixtures/lock_across_send_pos.rs"),
-    )]);
-    assert!(a.findings.is_empty(), "{:?}", a.findings);
-}
-
-#[test]
-fn seqlock_pos_neg_and_suppressed() {
-    let pos = audit(&[(
-        "crates/sched/src/fixture.rs",
-        include_str!("fixtures/seqlock_pos.rs"),
-    )]);
-    assert_eq!(
-        fired(&pos),
-        vec![RuleId::SeqlockMisuse],
-        "{:?}",
-        pos.findings
-    );
-    assert!(pos.findings[0].message.contains("epoch"));
-
-    let neg = audit(&[(
-        "crates/sched/src/fixture.rs",
-        include_str!("fixtures/seqlock_neg.rs"),
-    )]);
-    assert!(neg.findings.is_empty(), "{:?}", neg.findings);
-
-    let sup = audit(&[(
-        "crates/sched/src/fixture.rs",
-        include_str!("fixtures/seqlock_allowed.rs"),
-    )]);
-    assert!(sup.findings.is_empty(), "{:?}", sup.findings);
-    assert_eq!(sup.suppressed(), 1);
-}
-
 // ------------------------------------------------------- manifest gate
 
 #[test]
@@ -211,46 +101,4 @@ fn fixture_manifest_is_in_sync_with_the_directory() {
         untracked.is_empty() && stale.is_empty(),
         "fixture MANIFEST out of sync — untracked: {untracked:?}, stale: {stale:?}"
     );
-}
-
-// ----------------------------------------------------------- self-audit
-
-#[test]
-fn the_analyzer_maps_its_own_pass_pipeline() {
-    // Build the symbol graph over the lint crate's own sources and check
-    // that the audit engine is call-connected to all three workspace
-    // passes — a smoke test that fn extraction and call resolution work
-    // on real (not fixture) code.
-    let src_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
-    let mut files: Vec<(String, String)> = fs::read_dir(&src_dir)
-        .expect("lint src dir")
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().map(|x| x == "rs").unwrap_or(false))
-        .map(|p| {
-            let rel = format!(
-                "crates/lint/src/{}",
-                p.file_name().unwrap().to_string_lossy()
-            );
-            (rel, fs::read_to_string(&p).expect("readable source"))
-        })
-        .collect();
-    files.sort();
-    let g = build_graph(&files);
-
-    let idx_of = |name: &str| {
-        g.fns
-            .iter()
-            .position(|f| f.name == name)
-            .unwrap_or_else(|| panic!("fn `{name}` missing from the self-graph"))
-    };
-    let engine = idx_of("audit_sources");
-    for pass in ["taint_pass", "protocol_pass", "concurrency_pass"] {
-        let target = idx_of(pass);
-        let reached = g.fns[engine]
-            .calls
-            .iter()
-            .any(|c| g.resolve(c).contains(&target));
-        assert!(reached, "audit_sources has no call edge to `{pass}`");
-    }
 }

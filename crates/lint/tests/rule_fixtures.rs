@@ -1,11 +1,11 @@
 //! Fixture-based rule tests: every rule has a positive fixture it must fire
 //! on and a negative fixture it must stay silent on, plus suppression, tier,
-//! lexer-inertness, and JSON-schema checks.
+//! and lexer-inertness checks.
 //!
 //! Fixtures live under `tests/fixtures/` — a directory `audit_workspace`
 //! deliberately skips, so the positive fixtures never trip the real audit.
 
-use tart_lint::{audit_source, render_json, Audit, RuleId, Severity};
+use tart_lint::{audit_sources, Audit, RuleId};
 
 /// Audits fixture text as if it were a deterministic-tier production file.
 fn audit_det(src: &str) -> Audit {
@@ -13,10 +13,7 @@ fn audit_det(src: &str) -> Audit {
 }
 
 fn audit_at(rel_path: &str, src: &str) -> Audit {
-    let mut a = Audit::default();
-    audit_source(rel_path, src, &mut a);
-    a.files_scanned = 1;
-    a
+    audit_sources(&[(rel_path.to_string(), src.to_string())])
 }
 
 fn fired_rules(a: &Audit) -> Vec<RuleId> {
@@ -84,32 +81,6 @@ fn ambient_env_pos_and_neg() {
 }
 
 #[test]
-fn unsafe_pos_and_neg() {
-    assert_pos_neg(
-        RuleId::Unsafe,
-        include_str!("fixtures/unsafe_pos.rs"),
-        include_str!("fixtures/unsafe_neg.rs"),
-    );
-}
-
-#[test]
-fn float_accum_pos_and_neg() {
-    assert_pos_neg(
-        RuleId::FloatAccum,
-        include_str!("fixtures/float_accum_pos.rs"),
-        include_str!("fixtures/float_accum_neg.rs"),
-    );
-}
-
-#[test]
-fn float_accum_is_warn_level() {
-    let a = audit_det(include_str!("fixtures/float_accum_pos.rs"));
-    assert_eq!(a.errors(), 0, "{:?}", a.findings);
-    assert!(a.warnings() >= 1);
-    assert!(a.findings.iter().all(|f| f.severity == Severity::Warn));
-}
-
-#[test]
 fn documented_allows_suppress_and_are_counted() {
     let a = audit_det(include_str!("fixtures/allow_suppression.rs"));
     assert!(a.findings.is_empty(), "{:?}", a.findings);
@@ -144,27 +115,27 @@ fn ops_tier_permits_hash_iter_and_wallclock_but_not_rand() {
         "crates/engine/src/chaos.rs",
         include_str!("fixtures/wallclock_pos.rs"),
     );
-    assert_eq!(clock.errors(), 0, "{:?}", clock.findings);
+    assert!(clock.findings.is_empty(), "{:?}", clock.findings);
 
     let rand = audit_at(
         "crates/engine/src/chaos.rs",
         include_str!("fixtures/ambient_rand_pos.rs"),
     );
-    assert!(rand.errors() >= 1, "{:?}", rand.findings);
+    assert!(!rand.findings.is_empty(), "{:?}", rand.findings);
 }
 
 #[test]
 fn verified_replay_paths_audit_at_full_severity() {
     // The hashing and bisection modules back the divergence detector; a
     // wall-clock read there would make replay disagree with itself. Their
-    // explicit manifest entries must keep them fenced at error severity.
+    // explicit manifest entries must keep them fenced.
     for path in [
         "crates/model/src/hash.rs",
         "crates/engine/src/checkpoint.rs",
         "crates/engine/src/verify.rs",
     ] {
         let a = audit_at(path, include_str!("fixtures/wallclock_pos.rs"));
-        assert_eq!(a.errors(), 1, "{path}: {:?}", a.findings);
+        assert_eq!(a.findings.len(), 1, "{path}: {:?}", a.findings);
         let h = audit_at(path, include_str!("fixtures/hash_iter_pos.rs"));
         assert!(
             !h.findings.is_empty(),
@@ -180,41 +151,4 @@ fn exempt_tier_is_not_scanned() {
         include_str!("fixtures/wallclock_pos.rs"),
     );
     assert!(a.findings.is_empty(), "{:?}", a.findings);
-}
-
-#[test]
-fn json_report_has_the_documented_schema() {
-    let mut a = audit_det(include_str!("fixtures/wallclock_pos.rs"));
-    let mut b = audit_det(include_str!("fixtures/allow_suppression.rs"));
-    a.findings.append(&mut b.findings);
-    a.suppressions.append(&mut b.suppressions);
-    a.files_scanned = 2;
-
-    let json = render_json(&a);
-    for key in [
-        "\"version\":2",
-        "\"path\":[]",
-        "\"files_scanned\":2",
-        "\"summary\":{\"errors\":1,\"warnings\":0,\"suppressed\":2}",
-        "\"findings\":[",
-        "\"rule\":\"WALLCLOCK\"",
-        "\"severity\":\"error\"",
-        "\"suppressions\":[",
-        "\"rules\":[\"WALLCLOCK\"]",
-        "\"hits\":1",
-        "\"reason\":\"fixture: the sanctioned boundary read\"",
-    ] {
-        assert!(json.contains(key), "missing {key} in {json}");
-    }
-    // Hand-rolled JSON stays structurally balanced even with escaped text.
-    let depth = json.chars().fold(0i64, |d, c| match c {
-        '{' | '[' => d + 1,
-        '}' | ']' => d - 1,
-        _ => d,
-    });
-    assert_eq!(depth, 0);
-    assert!(
-        !json.contains('\n'),
-        "report is a single line for CI tooling"
-    );
 }

@@ -157,7 +157,6 @@ impl Default for ObsHub {
 impl ObsHub {
     /// A fresh hub. The creation instant becomes the zero point for every
     /// event stamp.
-    #[allow(clippy::disallowed_methods)]
     pub fn new() -> Self {
         ObsHub {
             epoch: Instant::now(),
@@ -168,7 +167,6 @@ impl ObsHub {
     }
 
     /// Nanoseconds since the hub was created.
-    #[allow(clippy::disallowed_methods)]
     fn now_ns(&self) -> u64 {
         let elapsed = Instant::now().saturating_duration_since(self.epoch);
         u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)

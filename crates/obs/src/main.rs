@@ -13,6 +13,8 @@
 //! valid report, 1 on violations (each printed on its own line), 2 on
 //! usage errors.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use tart_obs::{check_report, ReportRequirements};

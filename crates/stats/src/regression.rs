@@ -73,8 +73,8 @@ pub fn fit_simple(x: &[f64], y: &[f64]) -> Fit {
     assert_eq!(x.len(), y.len(), "regressor and response lengths differ");
     assert!(x.len() >= 2, "simple regression needs at least two samples");
     let n = x.len() as f64;
-    let mean_x = x.iter().sum::<f64>() / n; // tart-lint: allow(FLOAT-ACCUM) -- input is a slice; summation order is fixed by construction
-    let mean_y = y.iter().sum::<f64>() / n; // tart-lint: allow(FLOAT-ACCUM) -- input is a slice; summation order is fixed by construction
+    let mean_x = x.iter().sum::<f64>() / n;
+    let mean_y = y.iter().sum::<f64>() / n;
     let sxx: f64 = x.iter().map(|v| (v - mean_x).powi(2)).sum();
     assert!(sxx > 0.0, "regressor has zero variance");
     let sxy: f64 = x
@@ -89,7 +89,7 @@ pub fn fit_simple(x: &[f64], y: &[f64]) -> Fit {
 
 fn finish_fit(intercept: f64, slope: f64, x: &[f64], y: &[f64]) -> Fit {
     let n = x.len() as f64;
-    let mean_y = y.iter().sum::<f64>() / n; // tart-lint: allow(FLOAT-ACCUM) -- input is a slice; summation order is fixed by construction
+    let mean_y = y.iter().sum::<f64>() / n;
     let mut ss_res = 0.0;
     let mut ss_tot = 0.0;
     let mut residuals = OnlineStats::new();
@@ -129,8 +129,8 @@ pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "correlation inputs differ in length");
     assert!(!x.is_empty(), "correlation of empty samples");
     let n = x.len() as f64;
-    let mx = x.iter().sum::<f64>() / n; // tart-lint: allow(FLOAT-ACCUM) -- input is a slice; summation order is fixed by construction
-    let my = y.iter().sum::<f64>() / n; // tart-lint: allow(FLOAT-ACCUM) -- input is a slice; summation order is fixed by construction
+    let mx = x.iter().sum::<f64>() / n;
+    let my = y.iter().sum::<f64>() / n;
     let mut sxy = 0.0;
     let mut sxx = 0.0;
     let mut syy = 0.0;
@@ -288,7 +288,6 @@ impl MultiFit {
     /// Panics if `xs` has a different length than the fitted columns.
     pub fn predict(&self, xs: &[f64]) -> f64 {
         assert_eq!(xs.len(), self.slopes.len(), "regressor count mismatch");
-        // tart-lint: allow(FLOAT-ACCUM) -- input is a slice; summation order is fixed by construction
         self.intercept + self.slopes.iter().zip(xs).map(|(b, x)| b * x).sum::<f64>()
     }
 }
@@ -411,7 +410,7 @@ pub fn fit_multiple(rows: &[Vec<f64>], y: &[f64]) -> Result<MultiFit, MultiFitEr
     let beta: Vec<f64> = (0..p).map(|i| b[i] / a[i][i]).collect();
 
     // Diagnostics.
-    let mean_y = y.iter().sum::<f64>() / n as f64; // tart-lint: allow(FLOAT-ACCUM) -- input is a slice; summation order is fixed by construction
+    let mean_y = y.iter().sum::<f64>() / n as f64;
     let mut ss_res = 0.0;
     let mut ss_tot = 0.0;
     let mut residuals = OnlineStats::new();
@@ -421,7 +420,7 @@ pub fn fit_multiple(rows: &[Vec<f64>], y: &[f64]) -> Result<MultiFit, MultiFitEr
                 .iter()
                 .zip(&beta[1..])
                 .map(|(x, b)| x * b)
-                .sum::<f64>(); // tart-lint: allow(FLOAT-ACCUM) -- input is a slice; summation order is fixed by construction
+                .sum::<f64>();
         let r = y[row] - pred;
         ss_res += r * r;
         ss_tot += (y[row] - mean_y).powi(2);

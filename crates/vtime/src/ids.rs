@@ -102,7 +102,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::disallowed_types)] // verifies the Hash impl specifically
     fn ids_usable_as_map_keys() {
         use std::collections::HashMap;
         let mut m = HashMap::new();

@@ -17,9 +17,6 @@
 //! cargo run --example calibration
 //! ```
 
-// Test code: free to use wall clocks and hash maps (the determinism fence guards production code only).
-#![allow(clippy::disallowed_methods)]
-
 use std::time::Instant;
 
 use tart::prelude::*;

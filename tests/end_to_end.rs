@@ -2,9 +2,6 @@
 //! to end — determinism, recovery, and the simulation studies, through the
 //! same facade a downstream user sees.
 
-// Test code: free to use wall clocks and hash maps (the determinism fence guards production code only).
-#![allow(clippy::disallowed_methods)]
-
 use tart::prelude::*;
 use tart::reference::{self, SENDER_LOOP_BLOCK};
 use tart::{Cluster, ExecMode, FanInSim, SimConfig};

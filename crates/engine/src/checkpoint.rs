@@ -361,8 +361,8 @@ impl HeldChain {
 /// (readers) behind a mutex; checkpoint shipping is "asynchronous" in the
 /// sense that the engine never waits for the replica to apply anything.
 ///
-/// Bounded the way the on-disk store is: only the newest
-/// [`KEPT_GENERATIONS`] anchored chains are held, so a promotion restores
+/// Bounded the way the on-disk store is: only the newest two
+/// (`KEPT_GENERATIONS`) anchored chains are held, so a promotion restores
 /// one full and its delta tail however old the incarnation is. *Positions*
 /// stay absolute — members ever shipped — so a cursor into the chain keeps
 /// its meaning across pruning.
@@ -390,7 +390,7 @@ impl ReplicaStore {
 
     /// Accepts a shipped checkpoint and the mode the engine captured it in.
     /// A [`CheckpointMode::Full`] member anchors a new chain; once more than
-    /// [`KEPT_GENERATIONS`] chains are held the oldest is dropped whole.
+    /// two (`KEPT_GENERATIONS`) chains are held the oldest is dropped whole.
     /// Order of arrival is the order of application.
     pub fn push_checkpoint(&self, ckpt: EngineCheckpoint, mode: CheckpointMode) {
         let held = &mut self.inner.lock().held;

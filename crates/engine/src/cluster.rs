@@ -148,7 +148,9 @@ impl Injector {
     ///
     /// # Panics
     ///
-    /// Panics if [`Injector::finish`] was already called.
+    /// Panics if [`Injector::finish`] was already called, or if the
+    /// external-input log refuses the append (a WAL write or fsync failed:
+    /// `log storage failed: …`). The message is never delivered unlogged.
     pub fn send(&self, payload: Value) -> VirtualTime {
         let mut state = self.state.lock();
         assert!(!state.finished, "injector {} already finished", self.name);
@@ -163,7 +165,7 @@ impl Injector {
         self.log
             .lock()
             .append(state.wire, ts, &payload)
-            .expect("timestamps are monotone by construction");
+            .unwrap_or_else(|e| panic!("{e}"));
         self.router.send(
             state.target,
             Envelope::Data {
@@ -328,29 +330,21 @@ impl EngineHost {
     /// **strictest** tier across its hosted components (one Strict
     /// component on an engine pins the whole engine's checkpoints to
     /// fsynced persists — engines checkpoint atomically, so the plane
-    /// cannot split one engine's generation across tiers). `None` — the
-    /// legacy always-durable path — when durability is off or any hosted
-    /// component resolves to no tier.
-    fn engine_tier(&self, engine: EngineId) -> Option<DurabilityPolicy> {
-        let d = self.config.durability.as_ref()?;
-        let mut tier: Option<DurabilityPolicy> = None;
-        for c in self.placement.components_on(engine) {
-            match d.tier_for(c, Some(engine)) {
-                Some(t) => tier = Some(tier.map_or(t, |cur| cur.max(t))),
-                None => return None,
-            }
-        }
-        tier
+    /// cannot split one engine's generation across tiers).
+    fn engine_tier(&self, d: &DurabilityConfig, engine: EngineId) -> DurabilityPolicy {
+        self.placement
+            .components_on(engine)
+            .into_iter()
+            .map(|c| d.tier_for(c, Some(engine)))
+            .max()
+            .unwrap_or(d.default_tier)
     }
 
     /// The one place an [`EngineCore`] is assembled — fresh starts, every
     /// restore attempt and the standby's passive cores all come through
     /// here, so none of them can drift apart in wiring. The checkpoint
-    /// store is attached per the engine's resolved tier: Strict (and
-    /// legacy) persist-and-fsync before shipping, Buffered persists without
-    /// the fsync, InMemory skips the store entirely — its only recovery
-    /// sources are the passive replica and peer replay, so a whole-process
-    /// crash restarts it from scratch.
+    /// store is attached per the engine's resolved tier
+    /// ([`EngineCore::set_durable`]).
     pub(crate) fn build_core(&self, engine: EngineId, replica: ReplicaStore) -> EngineCore {
         let mut core = EngineCore::new(
             engine,
@@ -361,15 +355,8 @@ impl EngineHost {
             replica,
             self.outputs_tx.clone(),
         );
-        if let Some(store) = &self.durable {
-            match self.engine_tier(engine) {
-                Some(DurabilityPolicy::InMemory) => {}
-                Some(DurabilityPolicy::Buffered { .. }) => {
-                    core.set_durable(Arc::clone(store));
-                    core.set_durable_sync(false);
-                }
-                Some(DurabilityPolicy::Strict) | None => core.set_durable(Arc::clone(store)),
-            }
+        if let (Some(store), Some(d)) = (&self.durable, &self.config.durability) {
+            core.set_durable(Arc::clone(store), self.engine_tier(d, engine));
         }
         core.set_obs(self.obs.engine(engine));
         core
@@ -773,7 +760,7 @@ impl Cluster {
         };
         let unavailable = |e: &dyn fmt::Display| DeployError::DurabilityUnavailable(e.to_string());
         let (log, wal_recovery) =
-            MessageLog::durable(d.dir.join("wal"), d.wal_segment_bytes, d.policy)
+            MessageLog::durable(d.dir.join("wal"), d.wal_segment_bytes, d.default_tier)
                 .map_err(|e| unavailable(&e))?;
         let store =
             Arc::new(CheckpointStore::open(d.dir.join("ckpt")).map_err(|e| unavailable(&e))?);
@@ -1045,17 +1032,19 @@ impl Cluster {
         }
     }
 
-    /// Fail-stops `engine` (the manual failure drill; see
-    /// [`EngineHost::kill`]). Under supervision, the supervisor leaves
+    /// Fail-stops `engine` (the manual failure drill): its thread exits
+    /// immediately, losing all state and all envelopes in its inbox (the
+    /// §II.A failure model). Under supervision, the supervisor leaves
     /// manually killed engines alone — recovery stays manual via
     /// [`Cluster::promote`].
     pub fn kill(&mut self, engine: EngineId) {
         self.host.kill(engine);
     }
 
-    /// Promotes `engine`'s passive replica (the manual recovery drill; see
-    /// [`EngineHost::promote`]). Warm when a standby slot is anchored,
-    /// cold otherwise.
+    /// Promotes `engine`'s passive replica (the manual recovery drill):
+    /// rebuilds its components from the checkpoint chain and replays its
+    /// inputs (§II.F.3–4). Warm when a standby slot is anchored, cold
+    /// otherwise.
     ///
     /// # Errors
     ///
@@ -1310,9 +1299,8 @@ pub struct RecoveryReport {
 pub struct ComponentRecovery {
     /// The component.
     pub component: ComponentId,
-    /// Its resolved durability tier; `None` means the legacy engine-wide
-    /// fsync policy governed its inputs.
-    pub tier: Option<DurabilityPolicy>,
+    /// Its resolved durability tier.
+    pub tier: DurabilityPolicy,
     /// External-input records recovered from the WAL for this component's
     /// wires. Compared against the pre-crash append count, the shortfall
     /// is exactly what sat inside the open flush window (Buffered) or was
@@ -1336,9 +1324,8 @@ pub struct CrashReport {
     pub memory_only_inputs: BTreeMap<ComponentId, u64>,
 }
 
-/// Pins every tiered external-input wire of `log` to its resolved
-/// durability tier (component → engine → cluster default). Unresolved
-/// wires keep the legacy engine-wide fsync-policy path.
+/// Pins every external-input wire of `log` to its destination component's
+/// resolved durability tier (component → engine → cluster default).
 fn apply_wire_tiers(
     spec: &AppSpec,
     placement: &Placement,
@@ -1349,9 +1336,7 @@ fn apply_wire_tiers(
         let Some(c) = w.to().component() else {
             continue;
         };
-        if let Some(tier) = d.tier_for(c, placement.engine_of(c)) {
-            log.set_wire_tier(w.id(), tier);
-        }
+        log.set_wire_tier(w.id(), d.tier_for(c, placement.engine_of(c)));
     }
 }
 
@@ -1374,7 +1359,7 @@ fn component_recoveries(
             component: c,
             tier,
             recovered_inputs: 0,
-            replay_from_peers_only: matches!(tier, Some(DurabilityPolicy::InMemory)),
+            replay_from_peers_only: tier == DurabilityPolicy::InMemory,
         });
         entry.recovered_inputs += log.wire_len(w.id()) as u64;
     }
@@ -1412,8 +1397,9 @@ fn open_fresh_durability(
     }
     std::fs::create_dir_all(&d.dir)
         .map_err(|e| DeployError::DurabilityUnavailable(e.to_string()))?;
-    let (log, _recovery) = MessageLog::durable(d.dir.join("wal"), d.wal_segment_bytes, d.policy)
-        .map_err(|e| DeployError::DurabilityUnavailable(e.to_string()))?;
+    let (log, _recovery) =
+        MessageLog::durable(d.dir.join("wal"), d.wal_segment_bytes, d.default_tier)
+            .map_err(|e| DeployError::DurabilityUnavailable(e.to_string()))?;
     let store = CheckpointStore::open(d.dir.join("ckpt"))
         .map_err(|e| DeployError::DurabilityUnavailable(e.to_string()))?;
     Ok((log, Arc::new(store)))

@@ -9,7 +9,7 @@ use tart_model::{AppSpec, BlockId};
 use tart_silence::SilencePolicy;
 use tart_vtime::{ComponentId, EngineId, VirtualDuration, WireId};
 
-use crate::{DurabilityPolicy, FaultPlan, FsyncPolicy, LogicalClock, RealClock, TimeSource};
+use crate::{DurabilityPolicy, FaultPlan, LogicalClock, RealClock, TimeSource};
 
 /// Assigns components to execution engines — the placement service of
 /// §II.C ("a placement service assigns individual components to execution
@@ -181,20 +181,15 @@ impl Default for StandbyConfig {
 /// from `dir`.
 ///
 /// The tier table (`component_tiers` / `engine_tiers` / `default_tier`)
-/// refines the single cluster-wide `policy` into per-component
-/// [`DurabilityPolicy`] contracts (see `DURABILITY.md`): a component's tier
-/// decides how its external inputs ride the shared WAL (Strict closes the
-/// group-commit window, Buffered rides it, InMemory skips the log) and how
-/// its engine's checkpoints persist. Components with no resolved tier keep
-/// the legacy behaviour: WAL appends follow `policy` and checkpoint
-/// persists fsync.
+/// is the only durability setting: every component resolves to a
+/// [`DurabilityPolicy`] contract (see `DURABILITY.md`) that decides how its
+/// external inputs ride the shared WAL (Strict closes the group-commit
+/// window, Buffered rides it, InMemory skips the log) and how its engine's
+/// checkpoints persist.
 #[derive(Clone, Debug)]
 pub struct DurabilityConfig {
     /// Root directory for all persistent state.
     pub dir: std::path::PathBuf,
-    /// When WAL appends are forced to disk (legacy cluster-wide lane, used
-    /// by wires whose destination component resolves to no tier).
-    pub policy: FsyncPolicy,
     /// WAL segment rotation threshold in bytes.
     pub wal_segment_bytes: u64,
     /// Persist a full (self-contained) checkpoint every this many durable
@@ -204,8 +199,8 @@ pub struct DurabilityConfig {
     /// deltas) for much smaller steady-state checkpoint writes.
     pub full_checkpoint_every: u32,
     /// Cluster-wide default durability tier for components without a more
-    /// specific entry. `None` keeps the legacy (untiered) contract.
-    pub default_tier: Option<DurabilityPolicy>,
+    /// specific entry.
+    pub default_tier: DurabilityPolicy,
     /// Per-engine tier overrides: apply to every component placed on the
     /// engine unless the component has its own entry.
     pub engine_tiers: BTreeMap<EngineId, DurabilityPolicy>,
@@ -215,38 +210,32 @@ pub struct DurabilityConfig {
 }
 
 impl DurabilityConfig {
-    /// A durability config rooted at `dir` with the given legacy fsync
-    /// policy, default segment threshold (1 MiB), full-checkpoint cadence
-    /// (4) and an empty tier table.
-    pub fn new(dir: impl Into<std::path::PathBuf>, policy: FsyncPolicy) -> Self {
+    /// A durability config rooted at `dir` with `default_tier` as the
+    /// cluster default, default segment threshold (1 MiB), full-checkpoint
+    /// cadence (4) and no engine or component entries.
+    pub fn new(
+        dir: impl Into<std::path::PathBuf>,
+        default_tier: impl Into<DurabilityPolicy>,
+    ) -> Self {
         DurabilityConfig {
             dir: dir.into(),
-            policy,
             wal_segment_bytes: 1 << 20,
             full_checkpoint_every: 4,
-            default_tier: None,
+            default_tier: default_tier.into(),
             engine_tiers: BTreeMap::new(),
             component_tiers: BTreeMap::new(),
         }
     }
 
     /// Resolves `component`'s durability tier: component entry, else its
-    /// engine's entry, else the cluster default, else `None` (legacy
-    /// untiered contract).
-    pub fn tier_for(
-        &self,
-        component: ComponentId,
-        engine: Option<EngineId>,
-    ) -> Option<DurabilityPolicy> {
-        if let Some(t) = self.component_tiers.get(&component) {
-            return Some(*t);
-        }
-        if let Some(e) = engine {
-            if let Some(t) = self.engine_tiers.get(&e) {
-                return Some(*t);
-            }
-        }
-        self.default_tier
+    /// engine's entry, else the cluster default.
+    pub fn tier_for(&self, component: ComponentId, engine: Option<EngineId>) -> DurabilityPolicy {
+        let engine_tier = engine.and_then(|e| self.engine_tiers.get(&e));
+        *self
+            .component_tiers
+            .get(&component)
+            .or(engine_tier)
+            .unwrap_or(&self.default_tier)
     }
 }
 
@@ -364,22 +353,24 @@ impl ClusterConfig {
     }
 
     /// Enables the crash-safe durability layer rooted at `dir` (builder
-    /// style): external inputs go through a fsync-policied segmented WAL,
-    /// checkpoints are persisted to a generation-managed on-disk store, and
-    /// the cluster becomes cold-restartable via
+    /// style) with `default_tier` as every component's tier until a more
+    /// specific entry says otherwise: external inputs go through a
+    /// segmented WAL, checkpoints are persisted to a generation-managed
+    /// on-disk store, and the cluster becomes cold-restartable via
     /// [`crate::Cluster::recover_from_disk`]. Uses a 1 MiB WAL segment
     /// threshold and a full checkpoint every 4 durable generations; set
     /// [`ClusterConfig::durability`] directly to tune them.
     pub fn with_durability(
         mut self,
         dir: impl Into<std::path::PathBuf>,
-        policy: FsyncPolicy,
+        default_tier: impl Into<DurabilityPolicy>,
     ) -> Self {
-        self.durability = Some(DurabilityConfig::new(dir, policy));
+        self.durability = Some(DurabilityConfig::new(dir, default_tier));
         self
     }
 
-    /// Sets the cluster-wide default durability tier (builder style): every
+    /// Overrides the cluster-wide default durability tier that
+    /// [`ClusterConfig::with_durability`] set (builder style): every
     /// component without a more specific engine or component entry resolves
     /// to `tier`. See `DURABILITY.md` for the contract each tier carries.
     ///
@@ -390,7 +381,7 @@ impl ClusterConfig {
         self.durability
             .as_mut()
             .expect("enable durability before assigning tiers")
-            .default_tier = Some(tier);
+            .default_tier = tier;
         self
     }
 
@@ -662,21 +653,57 @@ mod tests {
             flush_window: Duration::from_millis(5),
         };
         let cfg = ClusterConfig::logical_time()
-            .with_durability("/tmp/unused", FsyncPolicy::Always)
+            .with_durability("/tmp/unused", DurabilityPolicy::Strict)
             .with_default_tier(buffered)
             .with_engine_tier(e1, DurabilityPolicy::InMemory)
             .with_component_tier(c0, DurabilityPolicy::Strict);
         let d = cfg.durability.expect("enabled");
         // Component entry wins over everything, even its engine's.
-        assert_eq!(d.tier_for(c0, Some(e1)), Some(DurabilityPolicy::Strict));
+        assert_eq!(d.tier_for(c0, Some(e1)), DurabilityPolicy::Strict);
         // Engine entry wins over the cluster default.
-        assert_eq!(d.tier_for(c1, Some(e1)), Some(DurabilityPolicy::InMemory));
+        assert_eq!(d.tier_for(c1, Some(e1)), DurabilityPolicy::InMemory);
         // Default covers the rest, with or without a known engine.
-        assert_eq!(d.tier_for(c1, Some(e0)), Some(buffered));
-        assert_eq!(d.tier_for(c2, None), Some(buffered));
-        // No default → legacy untiered contract.
-        let bare = DurabilityConfig::new("/tmp/unused", FsyncPolicy::Always);
-        assert_eq!(bare.tier_for(c2, Some(e0)), None);
+        assert_eq!(d.tier_for(c1, Some(e0)), buffered);
+        assert_eq!(d.tier_for(c2, None), buffered);
+        // No entries at all: every component gets the `with_durability` tier.
+        let bare = ClusterConfig::logical_time().with_durability("/tmp/unused", buffered);
+        let bare = bare.durability.expect("enabled");
+        for c in [c0, c1, c2] {
+            assert_eq!(bare.tier_for(c, Some(e0)), buffered);
+            assert_eq!(bare.tier_for(c, None), buffered);
+        }
+    }
+
+    /// Builds the durability config of the benchmark's `durable_steady`
+    /// workload the way `benchmark/` does, and pins what every fan-in
+    /// component resolves to.
+    #[test]
+    fn frozen_benchmark_durable_config_resolves_every_component_buffered() {
+        let spec = fan_in_app(2).unwrap();
+        let placement = Placement::round_robin(&spec, 2);
+        let cfg = ClusterConfig::logical_time()
+            .with_checkpoint_every(256)
+            .with_durability(
+                "/tmp/unused",
+                crate::FsyncPolicy::GroupCommit {
+                    max_records: 64,
+                    max_delay: Duration::from_millis(5),
+                },
+            )
+            .with_default_tier(DurabilityPolicy::Buffered {
+                flush_window: Duration::from_millis(10),
+            });
+        let d = cfg.durability.expect("enabled");
+        for c in spec.components() {
+            assert_eq!(
+                d.tier_for(c.id(), placement.engine_of(c.id())),
+                DurabilityPolicy::Buffered {
+                    flush_window: Duration::from_millis(10)
+                },
+                "{}",
+                c.name()
+            );
+        }
     }
 
     #[test]

@@ -20,8 +20,8 @@ use tart_vtime::{ComponentId, EngineId, PortId, VirtualDuration, VirtualTime, Wi
 use crate::checkpoint::{combined_state_hash, DivergenceFault};
 use crate::ctx::EngineCtx;
 use crate::{
-    CheckpointStore, ClusterConfig, EngineCheckpoint, Envelope, Placement, ReplicaStore,
-    RetentionBuffer, Router,
+    CheckpointStore, ClusterConfig, DurabilityPolicy, EngineCheckpoint, Envelope, Placement,
+    ReplicaStore, RetentionBuffer, Router,
 };
 use tart_model::StateHash;
 
@@ -184,13 +184,10 @@ pub struct EngineCore {
     held_probes: BTreeMap<WireId, VirtualTime>,
     router: Router,
     replica: ReplicaStore,
-    /// On-disk checkpoint store, when the cluster runs with durability.
+    /// On-disk checkpoint store, when the cluster runs with durability,
+    /// and whether persists fsync ([`CheckpointStore::persist_with`]).
     /// Checkpoints tee here; `TrimAck`s wait for the persist to succeed.
-    durable: Option<Arc<CheckpointStore>>,
-    /// Whether checkpoint persists fsync before shipping (`true`, the
-    /// Strict/legacy path) or leave writeback to the kernel (`false`, the
-    /// Buffered tier — see [`CheckpointStore::persist_with`]).
-    durable_sync: bool,
+    durable: Option<(Arc<CheckpointStore>, bool)>,
     output_tx: crossbeam::channel::Sender<OutputRecord>,
     processed_since_ckpt: u64,
     ckpt_seq: u64,
@@ -314,7 +311,6 @@ impl EngineCore {
             router,
             replica,
             durable: None,
-            durable_sync: true,
             output_tx: outputs,
             processed_since_ckpt: 0,
             ckpt_seq: 0,
@@ -333,8 +329,9 @@ impl EngineCore {
         self.id
     }
 
-    /// Attaches the on-disk checkpoint store: every checkpoint is now also
-    /// persisted — as a full generation every
+    /// Attaches the on-disk checkpoint store at the engine's durability
+    /// `tier`: every checkpoint is now also persisted — as a full
+    /// generation every
     /// [`crate::DurabilityConfig::full_checkpoint_every`] checkpoints and as
     /// a delta against the last full one in between — and retention
     /// `TrimAck`s are gated on a *full* persist succeeding, one full
@@ -349,22 +346,24 @@ impl EngineCore {
     /// collapsing by timestamp downstream. The buffers hold exactly the
     /// not-yet-drained outputs: [`crate::Cluster::take_outputs`] acks what
     /// it hands to the consumer with ordinary `TrimAck`s.
-    pub fn set_durable(&mut self, store: Arc<CheckpointStore>) {
-        self.durable = Some(store);
+    ///
+    /// The tier picks the checkpoint fsync: [`DurabilityPolicy::Strict`]
+    /// persists with a data fsync before shipping,
+    /// [`DurabilityPolicy::Buffered`] leaves writeback to the kernel
+    /// (persist-before-ship ordering and `TrimAck` gating are the same
+    /// either way), and [`DurabilityPolicy::InMemory`] attaches nothing —
+    /// its only recovery sources are the passive replica and peer replay,
+    /// so a whole-process crash restarts it from scratch.
+    pub fn set_durable(&mut self, store: Arc<CheckpointStore>, tier: DurabilityPolicy) {
+        if tier == DurabilityPolicy::InMemory {
+            return;
+        }
+        self.durable = Some((store, tier == DurabilityPolicy::Strict));
         for (w, out) in &mut self.outputs {
             if let OutputKind::External { retention, .. } = &mut out.kind {
                 retention.get_or_insert_with(|| RetentionBuffer::new(*w));
             }
         }
-    }
-
-    /// Chooses between fsynced (`true`, default — the Strict/legacy
-    /// durability behaviour) and kernel-scheduled (`false` — the
-    /// [`crate::DurabilityPolicy::Buffered`] tier) checkpoint persists.
-    /// Persist-before-ship ordering and TrimAck gating are unchanged either
-    /// way; only the fsync on the checkpoint file moves.
-    pub fn set_durable_sync(&mut self, sync: bool) {
-        self.durable_sync = sync;
     }
 
     /// Attaches the cluster's observability handle. Obs state is telemetry
@@ -1263,7 +1262,7 @@ impl EngineCore {
         // must be able to survive a whole-cluster crash.
         let persisted = match &self.durable {
             // tart-lint: allow(TAINT-FLOW) -- durability ack only: persist's wall-clock read times the fsync; the bool gates shipping and restore re-derives from the store itself
-            Some(store) => store.persist_with(&ckpt, self.durable_sync).is_ok(),
+            Some((store, sync)) => store.persist_with(&ckpt, *sync).is_ok(),
             None => true,
         };
         match mode {
@@ -1588,7 +1587,7 @@ impl EngineCore {
         // part of that guarantee — if it refuses the record, skip the
         // re-calibration entirely (keeping the old estimator is always
         // safe; using a spec a cold restart would never learn of is not).
-        if let Some(store) = &self.durable {
+        if let Some((store, _)) = &self.durable {
             // tart-lint: allow(TAINT-FLOW) -- fault-log ack only: the Err branch deterministically keeps the old estimator; the store's dir scan never reaches engine state
             if store.log_fault(self.id, component, &fault).is_err() {
                 h.calibrator = None;
@@ -1902,7 +1901,7 @@ mod tests {
         let spec = fan_in_app(2).unwrap();
         let config = ClusterConfig::logical_time()
             .with_checkpoint_every(1_000)
-            .with_durability(&dir, crate::FsyncPolicy::Never)
+            .with_durability(&dir, DurabilityPolicy::Strict)
             .with_full_checkpoint_every(4);
         let mut core = EngineCore::new(
             EngineId::new(0),
@@ -1913,7 +1912,10 @@ mod tests {
             ReplicaStore::new(),
             unbounded().0,
         );
-        core.set_durable(Arc::new(CheckpointStore::open(&dir).unwrap()));
+        core.set_durable(
+            Arc::new(CheckpointStore::open(&dir).unwrap()),
+            DurabilityPolicy::Strict,
+        );
         let anchors: Vec<bool> = (0..6)
             .map(|i| checkpoint_after_message(&mut core, i).0)
             .collect();

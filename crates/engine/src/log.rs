@@ -15,7 +15,7 @@ use tart_codec::{Decode, DecodeError, Encode};
 use tart_model::Value;
 use tart_vtime::{VirtualTime, WireId};
 
-use crate::wal::{DurabilityPolicy, FsyncPolicy, Wal, WalError, WalRecovery};
+use crate::wal::{DurabilityPolicy, Wal, WalError, WalRecovery};
 
 /// Errors from the message log.
 #[derive(Debug)]
@@ -117,8 +117,8 @@ pub struct MessageLog {
     /// wire → (vt → payload); BTreeMap gives range replay directly.
     entries: BTreeMap<WireId, BTreeMap<VirtualTime, Value>>,
     backend: Backend,
-    /// Per-wire durability tier overriding the backend-wide policy. Wires
-    /// absent from the map use the legacy engine-wide [`FsyncPolicy`] path.
+    /// Per-wire durability tier. Wires absent from the map ride the WAL's
+    /// default lane.
     wire_tiers: BTreeMap<WireId, DurabilityPolicy>,
     /// Buffered-lane appends that may still be inside the open flush
     /// window: `(wal record index, wire)`. Pruned lazily against the WAL's
@@ -147,7 +147,7 @@ pub struct LogCrash {
 enum Backend {
     /// Nowhere: in-memory only (the "backup machine" flavour).
     Memory,
-    /// The segmented WAL with fsync policy (the durable flavour).
+    /// The segmented WAL, one lane per tier (the durable flavour).
     Wal(Wal),
 }
 
@@ -164,8 +164,9 @@ impl MessageLog {
     }
 
     /// Opens (or creates) a log backed by the segmented [`Wal`] in `dir`,
-    /// replaying whatever it holds. The returned [`WalRecovery`] reports
-    /// the recovered record count and any bytes truncated from a torn tail.
+    /// replaying whatever it holds. Wires without a pinned tier ride the
+    /// `default` lane. The returned [`WalRecovery`] reports the recovered
+    /// record count and any bytes truncated from a torn tail.
     ///
     /// # Errors
     ///
@@ -175,10 +176,10 @@ impl MessageLog {
     pub fn durable(
         dir: impl AsRef<Path>,
         segment_bytes: u64,
-        policy: FsyncPolicy,
+        default: impl Into<DurabilityPolicy>,
     ) -> Result<(Self, WalRecovery), LogError> {
         // tart-lint: allow(TAINT-FLOW) -- recovery boundary: Wal::open re-reads the durable log, which is the replay source itself; same bytes, same recovery
-        let (wal, recovery) = Wal::open(dir, segment_bytes, policy)?;
+        let (wal, recovery) = Wal::open(dir, segment_bytes, default)?;
         let mut log = MessageLog::in_memory();
         for body in &recovery.records {
             let record = LogRecord::from_bytes(body)?;
@@ -197,12 +198,11 @@ impl MessageLog {
         }
     }
 
-    /// Pins `wire` to a durability tier. Appends on pinned wires bypass the
-    /// engine-wide [`FsyncPolicy`]: [`DurabilityPolicy::Strict`] blocks
-    /// until the record is fsynced, [`DurabilityPolicy::Buffered`] rides
-    /// the group-commit window, and [`DurabilityPolicy::InMemory`] skips
-    /// persistence entirely (recovery replays those wires from peers).
-    /// Unpinned wires keep the legacy policy-driven path.
+    /// Pins `wire` to a durability tier: [`DurabilityPolicy::Strict`]
+    /// blocks until the record is fsynced, [`DurabilityPolicy::Buffered`]
+    /// rides the group-commit window, and [`DurabilityPolicy::InMemory`]
+    /// skips persistence entirely (recovery replays those wires from
+    /// peers). Unpinned wires ride the WAL's default lane.
     pub fn set_wire_tier(&mut self, wire: WireId, tier: DurabilityPolicy) {
         self.wire_tiers.insert(wire, tier);
     }
@@ -240,31 +240,29 @@ impl MessageLog {
         };
         let body = record.to_bytes();
         self.insert(record)?;
-        let tier = self.wire_tiers.get(&wire).copied();
-        if tier == Some(DurabilityPolicy::InMemory) {
+        let tier = match (self.wire_tiers.get(&wire), &self.backend) {
+            (Some(&pinned), _) => pinned,
+            (None, Backend::Wal(wal)) => wal.default_tier(),
+            (None, Backend::Memory) => return Ok(()),
+        };
+        if tier == DurabilityPolicy::InMemory {
             // Memory-only tier: never persisted, whatever the backend.
             *self.memory_only.entry(wire).or_insert(0) += 1;
             return Ok(());
         }
-        match &mut self.backend {
-            Backend::Memory => {}
-            Backend::Wal(wal) => match tier {
-                // tart-lint: allow(TAINT-FLOW) -- durable append: the WAL ack carries no clock reading; record bytes, not group-commit times, enter the log
-                None => wal.append(&body)?,
-                Some(t) => {
-                    // tart-lint: allow(TAINT-FLOW) -- durable append (tiered lane): same boundary as above; only record bytes flow back
-                    let idx = wal.append_lane(&body, t)?;
-                    if matches!(t, DurabilityPolicy::Buffered { .. }) {
-                        // Prune entries the flusher has already made
-                        // durable, then track this one until it is.
-                        let durable = wal.durable_index();
-                        while self.window.front().is_some_and(|(i, _)| *i <= durable) {
-                            self.window.pop_front();
-                        }
-                        self.window.push_back((idx, wire));
-                    }
-                }
-            },
+        let Backend::Wal(wal) = &mut self.backend else {
+            return Ok(());
+        };
+        // tart-lint: allow(TAINT-FLOW) -- durable append: the WAL ack carries no clock reading; record bytes, not group-commit times, enter the log
+        let idx = wal.append_lane(&body, tier)?;
+        if matches!(tier, DurabilityPolicy::Buffered { .. }) {
+            // Prune entries the flusher has already made durable, then
+            // track this one until it is.
+            let durable = wal.durable_index();
+            while self.window.front().is_some_and(|(i, _)| *i <= durable) {
+                self.window.pop_front();
+            }
+            self.window.push_back((idx, wire));
         }
         Ok(())
     }
@@ -293,8 +291,8 @@ impl MessageLog {
         crash
     }
 
-    /// Forces any buffered appends to stable storage regardless of the
-    /// fsync policy (no-op for the in-memory flavour).
+    /// Forces any buffered appends to stable storage whatever their lane
+    /// (no-op for the in-memory flavour).
     ///
     /// # Errors
     ///
@@ -401,7 +399,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tart-log-wal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let (mut log, rec) = MessageLog::durable(&dir, 64, FsyncPolicy::Always).unwrap();
+            let (mut log, rec) = MessageLog::durable(&dir, 64, DurabilityPolicy::Strict).unwrap();
             assert_eq!(rec.records.len(), 0);
             for t in 1..=8 {
                 log.append(w(0), vt(t), &Value::from(format!("m{t}")))
@@ -409,7 +407,7 @@ mod tests {
             }
             log.sync().unwrap();
         }
-        let (log, rec) = MessageLog::durable(&dir, 64, FsyncPolicy::Always).unwrap();
+        let (log, rec) = MessageLog::durable(&dir, 64, DurabilityPolicy::Strict).unwrap();
         assert_eq!(rec.records.len(), 8);
         assert_eq!(rec.truncated_bytes, 0);
         assert!(rec.segments > 1, "tiny threshold forces rotation");
@@ -425,7 +423,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let lost_on_w1;
         {
-            let (mut log, rec) = MessageLog::durable(&dir, u64::MAX, FsyncPolicy::Never).unwrap();
+            let (mut log, rec) =
+                MessageLog::durable(&dir, u64::MAX, DurabilityPolicy::Strict).unwrap();
             assert!(rec.records.is_empty());
             log.set_wire_tier(w(0), DurabilityPolicy::Strict);
             log.set_wire_tier(
@@ -454,7 +453,7 @@ mod tests {
             lost_on_w1 = crash.lost.get(&w(1)).copied().unwrap_or(0);
             assert!(lost_on_w1 <= 4);
         }
-        let (log, rec) = MessageLog::durable(&dir, u64::MAX, FsyncPolicy::Never).unwrap();
+        let (log, rec) = MessageLog::durable(&dir, u64::MAX, DurabilityPolicy::Strict).unwrap();
         // Strict records all survive; InMemory never touched the WAL.
         assert_eq!(log.replay_from(w(0), VirtualTime::ZERO).len(), 4);
         assert!(log.replay_from(w(2), VirtualTime::ZERO).is_empty());
@@ -473,7 +472,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tart-log-pin-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let (mut log, _) = MessageLog::durable(&dir, u64::MAX, FsyncPolicy::Never).unwrap();
+            let (mut log, _) =
+                MessageLog::durable(&dir, u64::MAX, DurabilityPolicy::Strict).unwrap();
             log.set_wire_tier(w(0), DurabilityPolicy::Strict);
             log.set_wire_tier(
                 w(1),
@@ -492,7 +492,7 @@ mod tests {
                 "strict barrier pinned the window: {crash:?}"
             );
         }
-        let (log, _) = MessageLog::durable(&dir, u64::MAX, FsyncPolicy::Never).unwrap();
+        let (log, _) = MessageLog::durable(&dir, u64::MAX, DurabilityPolicy::Strict).unwrap();
         assert_eq!(log.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -23,8 +23,8 @@
 //!
 //! I/O model: there is no thread per connection in either direction. Every
 //! outbound [`RemoteLink`] and every accepted [`TcpInbound`] stream is
-//! serviced by the process-wide **reactor** (see [`crate::reactor`] and
-//! DESIGN.md §18) — one thread multiplexing all sockets in nonblocking
+//! serviced by the process-wide **reactor** (the crate-private `reactor`
+//! module; DESIGN.md §18) — one thread multiplexing all sockets in nonblocking
 //! mode, so connection count costs a buffer, not a stack.
 //!
 //! Hot path: the reactor drains a link's whole outbound queue per flush
@@ -267,7 +267,7 @@ pub(crate) fn coalesce_silence(batch: &mut Vec<(EngineId, Envelope)>) {
 /// router — the receive half of a multi-host deployment.
 ///
 /// Connections are *not* threads: the listener and every accepted stream
-/// are handed to the process-wide [`crate::reactor`], whose single thread
+/// are handed to the process-wide reactor, whose single thread
 /// multiplexes them (nonblocking reads, incremental frame reassembly)
 /// alongside every outbound [`RemoteLink`].
 pub struct TcpInbound {
@@ -408,7 +408,7 @@ impl LinkState {
 /// Handle on an outbound link created by [`remote_engine`]: exposes link
 /// health and detaches the link from the reactor (dropping the handle also
 /// detaches it). There is no thread per link — every link is serviced by
-/// the process-wide [`crate::reactor`] thread.
+/// the process-wide reactor thread.
 pub struct RemoteLink {
     engine: EngineId,
     stop: Arc<AtomicBool>,
@@ -465,7 +465,7 @@ pub fn remote_engine(
 
 /// Registers `engine` in `router` as a remote engine reachable at `addr`:
 /// envelopes routed to it are forwarded over a dedicated TCP connection
-/// serviced by the process-wide [`crate::reactor`] thread.
+/// serviced by the process-wide reactor thread.
 ///
 /// The initial connection is made synchronously (so a misconfigured
 /// address fails fast). Afterwards the link self-heals: on a broken

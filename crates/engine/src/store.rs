@@ -162,19 +162,14 @@ fn frame(body: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Writes `bytes` to `path` durably: temp file in the same directory,
-/// fsync, rename over the target, fsync the directory.
-fn write_atomic(dir: &Path, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-    write_atomic_with(dir, path, bytes, true)
-}
-
-/// [`write_atomic`] with the fsyncs optional: `sync = false` keeps the
-/// temp-file-then-rename atomicity (a reader never sees a torn file) but
-/// lets the kernel schedule the writeback — the Buffered durability tier's
-/// checkpoint persist, which trades a machine-crash window for not paying
-/// two fsyncs per generation. Process crashes lose nothing either way:
-/// renamed data survives the process.
-fn write_atomic_with(dir: &Path, path: &Path, bytes: &[u8], sync: bool) -> Result<(), StoreError> {
+/// Writes `bytes` to `path` atomically: temp file in the same directory,
+/// then rename over the target, so a reader never sees a torn file. With
+/// `sync` the temp file is fsynced before the rename and the directory
+/// after it. `sync = false` lets the kernel schedule the writeback — the
+/// Buffered durability tier's checkpoint persist, which trades a
+/// machine-crash window for not paying two fsyncs per generation. Process
+/// crashes lose nothing either way: renamed data survives the process.
+fn write_atomic(dir: &Path, path: &Path, bytes: &[u8], sync: bool) -> Result<(), StoreError> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = OpenOptions::new()
@@ -232,7 +227,7 @@ impl CheckpointStore {
         })
     }
 
-    /// Attaches the observability hub; subsequent [`CheckpointStore::persist`]
+    /// Attaches the observability hub; subsequent [`CheckpointStore::persist_with`]
     /// calls record their latency in its checkpoint-persist histogram.
     pub fn set_obs(&self, hub: std::sync::Arc<tart_obs::ObsHub>) {
         *self.obs.lock() = Some(hub);
@@ -277,13 +272,21 @@ impl CheckpointStore {
 
     /// Persists `ckpt` as a new generation for its engine: checkpoint file
     /// written atomically, manifest updated atomically, generations older
-    /// than the [`KEPT_GENERATIONS`]-th-newest full pruned. Whether the
-    /// generation is full or a delta is derived from the checkpoint itself
-    /// ([`EngineCheckpoint::is_self_contained`]) and recorded in the file
-    /// name. Returns the new generation number.
+    /// than the two (`KEPT_GENERATIONS`) newest fulls' chains pruned.
+    /// Whether the generation is full or a delta is derived from the
+    /// checkpoint itself ([`EngineCheckpoint::is_self_contained`]) and
+    /// recorded in the file name. Returns the new generation number.
     ///
-    /// On return the checkpoint is durable — this is the moment a
-    /// durability-gated `TrimAck` may be emitted.
+    /// With `sync` (the [`crate::DurabilityPolicy::Strict`] tier) the
+    /// checkpoint is durable on return — the moment a durability-gated
+    /// `TrimAck` may be emitted. `sync = false` is the
+    /// [`crate::DurabilityPolicy::Buffered`] tier's persist: the file still
+    /// lands atomically (readers never see a torn generation, and a
+    /// *process* crash loses nothing), but the data fsync is left to the
+    /// kernel, so a *machine* crash may roll the engine back to an older
+    /// generation. The manifest update is always fsynced — it is tiny,
+    /// shared across engines, and a stale manifest would orphan every
+    /// tier's generations, not just the buffered engine's.
     ///
     /// # Errors
     ///
@@ -291,22 +294,6 @@ impl CheckpointStore {
     /// previous generation remains the manifest's newest in that case), or
     /// [`StoreError::Corrupt`] for a delta with no full base on disk —
     /// such a generation could never restore.
-    pub fn persist(&self, ckpt: &EngineCheckpoint) -> Result<u64, StoreError> {
-        self.persist_with(ckpt, true)
-    }
-
-    /// [`CheckpointStore::persist`] with the checkpoint-file fsync
-    /// optional. `sync = false` is the [`crate::DurabilityPolicy::Buffered`]
-    /// tier's persist: the file still lands atomically (readers never see a
-    /// torn generation, and a *process* crash loses nothing), but the data
-    /// fsync is left to the kernel, so a *machine* crash may roll the engine
-    /// back to an older generation. The manifest update is always fsynced —
-    /// it is tiny, shared across engines, and a stale manifest would orphan
-    /// every tier's generations, not just the buffered engine's.
-    ///
-    /// # Errors
-    ///
-    /// As [`CheckpointStore::persist`].
     pub fn persist_with(&self, ckpt: &EngineCheckpoint, sync: bool) -> Result<u64, StoreError> {
         let persist_started = std::time::Instant::now();
         let engine = ckpt.engine.raw();
@@ -321,7 +308,7 @@ impl CheckpointStore {
         }
         let generation = gens.last().map_or(0, |g| g + 1);
         let path = self.dir.join(ckpt_file_name(engine, generation, is_full));
-        write_atomic_with(&self.dir, &path, &frame(&ckpt.to_bytes()), sync)?;
+        write_atomic(&self.dir, &path, &frame(&ckpt.to_bytes()), sync)?;
         gens.push(generation);
         if is_full {
             fulls.push(generation);
@@ -551,7 +538,7 @@ fn read_manifest(path: &Path) -> Option<BTreeMap<u32, Vec<u64>>> {
 }
 
 fn write_manifest(dir: &Path, manifest: &BTreeMap<u32, Vec<u64>>) -> Result<(), StoreError> {
-    write_atomic(dir, &dir.join(MANIFEST), &frame(&manifest.to_bytes()))
+    write_atomic(dir, &dir.join(MANIFEST), &frame(&manifest.to_bytes()), true)
 }
 
 /// Lists the `ckpt-*.bin` files present: `(all generations, full
@@ -580,7 +567,7 @@ fn scan_ckpt_files(dir: &Path) -> Result<CkptListing, StoreError> {
 
 /// Reconstructs the index from a directory listing, keeping generations
 /// back through the [`KEPT_GENERATIONS`]-th-newest full per engine (the
-/// same retention rule [`CheckpointStore::persist`] applies).
+/// same retention rule [`CheckpointStore::persist_with`] applies).
 fn rebuilt_index(mut gens: BTreeMap<u32, Vec<u64>>, mut fulls: BTreeMap<u32, Vec<u64>>) -> Index {
     for (engine, g) in gens.iter_mut() {
         let f = fulls.entry(*engine).or_default();
@@ -669,8 +656,8 @@ mod tests {
         let dir = tmp("reload");
         let store = CheckpointStore::open(&dir).unwrap();
         assert!(store.is_empty());
-        assert_eq!(store.persist(&sample(1, 0)).unwrap(), 0);
-        assert_eq!(store.persist(&sample(1, 1)).unwrap(), 1);
+        assert_eq!(store.persist_with(&sample(1, 0), true).unwrap(), 0);
+        assert_eq!(store.persist_with(&sample(1, 1), true).unwrap(), 1);
         assert_eq!(store.engines(), vec![EngineId::new(1)]);
 
         // A fresh open (new process) sees the same state via the manifest.
@@ -688,7 +675,7 @@ mod tests {
         let dir = tmp("prune");
         let store = CheckpointStore::open(&dir).unwrap();
         for seq in 0..5 {
-            store.persist(&sample(0, seq)).unwrap();
+            store.persist_with(&sample(0, seq), true).unwrap();
         }
         assert_eq!(store.generations(EngineId::new(0)), vec![3, 4]);
         let files: Vec<_> = fs::read_dir(&dir)
@@ -710,8 +697,8 @@ mod tests {
     fn corrupt_newest_generation_falls_back_one() {
         let dir = tmp("fallback");
         let store = CheckpointStore::open(&dir).unwrap();
-        store.persist(&sample(2, 0)).unwrap();
-        store.persist(&sample(2, 1)).unwrap();
+        store.persist_with(&sample(2, 0), true).unwrap();
+        store.persist_with(&sample(2, 1), true).unwrap();
         // Flip a byte in the newest generation's body.
         let newest = dir.join(ckpt_name(2, 1));
         let mut bytes = fs::read(&newest).unwrap();
@@ -731,8 +718,8 @@ mod tests {
     fn all_generations_corrupt_is_an_error() {
         let dir = tmp("allbad");
         let store = CheckpointStore::open(&dir).unwrap();
-        store.persist(&sample(0, 0)).unwrap();
-        store.persist(&sample(0, 1)).unwrap();
+        store.persist_with(&sample(0, 0), true).unwrap();
+        store.persist_with(&sample(0, 1), true).unwrap();
         for g in 0..2 {
             let path = dir.join(ckpt_name(0, g));
             let mut bytes = fs::read(&path).unwrap();
@@ -751,8 +738,8 @@ mod tests {
     fn corrupt_manifest_is_rebuilt_from_directory() {
         let dir = tmp("manifest");
         let store = CheckpointStore::open(&dir).unwrap();
-        store.persist(&sample(3, 0)).unwrap();
-        store.persist(&sample(3, 1)).unwrap();
+        store.persist_with(&sample(3, 0), true).unwrap();
+        store.persist_with(&sample(3, 1), true).unwrap();
         // Stomp the manifest.
         fs::write(dir.join(MANIFEST), b"not a manifest at all").unwrap();
         let store = CheckpointStore::open(&dir).unwrap();
@@ -804,9 +791,9 @@ mod tests {
     fn multiple_engines_are_independent() {
         let dir = tmp("multi");
         let store = CheckpointStore::open(&dir).unwrap();
-        store.persist(&sample(0, 0)).unwrap();
-        store.persist(&sample(1, 0)).unwrap();
-        store.persist(&sample(1, 1)).unwrap();
+        store.persist_with(&sample(0, 0), true).unwrap();
+        store.persist_with(&sample(1, 0), true).unwrap();
+        store.persist_with(&sample(1, 1), true).unwrap();
         assert_eq!(store.generations(EngineId::new(0)), vec![0]);
         assert_eq!(store.generations(EngineId::new(1)), vec![0, 1]);
         assert_eq!(store.engines(), vec![EngineId::new(0), EngineId::new(1)]);
@@ -833,7 +820,7 @@ mod tests {
         let mut want = vec![sample(4, 0), delta_sample(4, 1), delta_sample(4, 2)];
         seal_chain(&mut want);
         for c in &want {
-            store.persist(c).unwrap(); // full g0, delta g1, delta g2
+            store.persist_with(c, true).unwrap(); // full g0, delta g1, delta g2
         }
         assert_eq!(store.full_generations(e), vec![0]);
 
@@ -858,7 +845,7 @@ mod tests {
         let mut persisted = vec![sample(5, 0), delta_sample(5, 1), delta_sample(5, 2)];
         seal_chain(&mut persisted);
         for c in &persisted {
-            store.persist(c).unwrap();
+            store.persist_with(c, true).unwrap();
         }
         // Damage the middle delta: the chain must stop before it, even
         // though the newest delta is intact (it builds on the damaged one).
@@ -888,7 +875,7 @@ mod tests {
         let mut persisted = vec![sample(9, 0), delta_sample(9, 1), delta_sample(9, 2)];
         seal_chain(&mut persisted);
         for c in &persisted {
-            store.persist(c).unwrap();
+            store.persist_with(c, true).unwrap();
         }
         // Rewrite the middle delta's recorded state hash and re-frame it
         // with a freshly computed CRC: the frame verifies, the seal cannot.
@@ -934,7 +921,7 @@ mod tests {
         ];
         seal_chain(&mut persisted);
         for c in &persisted {
-            store.persist(c).unwrap();
+            store.persist_with(c, true).unwrap();
         }
         // Damage the newest full: its delta g3 is orphaned, and the store
         // must fall back to the older full chain g0+g1.
@@ -969,7 +956,7 @@ mod tests {
             .collect();
         seal_chain(&mut persisted);
         for c in &persisted {
-            store.persist(c).unwrap();
+            store.persist_with(c, true).unwrap();
         }
         assert_eq!(store.generations(e), vec![2, 3, 4, 5]);
         assert_eq!(store.full_generations(e), vec![2, 4]);
@@ -989,7 +976,7 @@ mod tests {
         let dir = tmp("orphan-delta");
         let store = CheckpointStore::open(&dir).unwrap();
         assert!(matches!(
-            store.persist(&delta_sample(8, 0)),
+            store.persist_with(&delta_sample(8, 0), true),
             Err(StoreError::Corrupt { .. })
         ));
         fs::remove_dir_all(&dir).ok();

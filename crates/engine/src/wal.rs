@@ -4,10 +4,9 @@
 //! stable storage, or to the backup machine" (§II.E). This module is the
 //! stable-storage half done properly: an append-only log split into
 //! fixed-threshold **segments**, each record framed as
-//! `u32 length (BE) | u32 crc32 (BE) | body`, with a pluggable
-//! [`FsyncPolicy`] governing when appends are forced to disk and a
-//! per-record [`DurabilityPolicy`] lane API ([`Wal::append_lane`]) layered
-//! on top of the same log.
+//! `u32 length (BE) | u32 crc32 (BE) | body`, where each append picks the
+//! [`DurabilityPolicy`] lane that decides when it is forced to disk
+//! ([`Wal::append_lane`]; [`Wal::append`] rides the log's default lane).
 //!
 //! # Write path
 //!
@@ -81,28 +80,31 @@ fn wall_now() -> Instant {
     Instant::now()
 }
 
-/// When appended records are forced to stable storage.
+/// The older spelling of the Buffered lane, kept only because the
+/// benchmark (`benchmark/`) still passes it to [`Wal::create`], [`Wal::open`],
+/// [`crate::MessageLog::durable`] and [`crate::ClusterConfig::with_durability`].
+/// Every such parameter takes `impl Into<DurabilityPolicy>`, and this
+/// converts to [`DurabilityPolicy::Buffered`] with `flush_window:
+/// max_delay`. `max_records` is ignored: the Buffered window is capped at
+/// [`BUFFERED_MAX_RECORDS`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// Fsync after every append: nothing acknowledged is ever lost, at the
-    /// cost of one disk round-trip per record.
-    Always,
-    /// Group commit: one fsync amortized across a commit window. The log
-    /// syncs when `max_records` appends have accumulated, or when the
-    /// oldest staged append turns `max_delay` old (the flusher thread wakes
-    /// on the deadline — no follow-up append is needed). Loss is bounded to
-    /// the open window; rotation and [`Wal::sync`] still force everything
-    /// down regardless.
+    /// One fsync per commit window, closed after `max_delay`.
     GroupCommit {
-        /// Appends that force a sync (clamped to at least 1).
+        /// Ignored; the window closes at [`BUFFERED_MAX_RECORDS`].
         max_records: u32,
-        /// Age of the oldest unsynced append that forces a sync.
+        /// Becomes the Buffered lane's `flush_window`.
         max_delay: Duration,
     },
-    /// Never fsync explicitly; the OS flushes when it pleases. Fastest, and
-    /// a whole-machine crash may lose everything since the last rotation
-    /// (rotation always seals with an fsync).
-    Never,
+}
+
+impl From<FsyncPolicy> for DurabilityPolicy {
+    fn from(policy: FsyncPolicy) -> Self {
+        let FsyncPolicy::GroupCommit { max_delay, .. } = policy;
+        DurabilityPolicy::Buffered {
+            flush_window: max_delay,
+        }
+    }
 }
 
 /// Per-component durability tier (ROADMAP item 3; see DURABILITY.md for the
@@ -529,13 +531,13 @@ fn clear_spares(dir: &Path) -> std::io::Result<()> {
 /// # Example
 ///
 /// ```
-/// use tart_engine::{FsyncPolicy, Wal};
+/// use tart_engine::{DurabilityPolicy, Wal};
 ///
 /// let dir = std::env::temp_dir().join(format!("wal-doc-{}", std::process::id()));
-/// let mut wal = Wal::create(&dir, 1024, FsyncPolicy::Always)?;
+/// let mut wal = Wal::create(&dir, 1024, DurabilityPolicy::Strict)?;
 /// wal.append(b"hello")?;
 /// drop(wal);
-/// let (wal, recovery) = Wal::open(&dir, 1024, FsyncPolicy::Always)?;
+/// let (wal, recovery) = Wal::open(&dir, 1024, DurabilityPolicy::Strict)?;
 /// assert_eq!(recovery.records, vec![b"hello".to_vec()]);
 /// assert_eq!(recovery.truncated_bytes, 0);
 /// drop(wal);
@@ -544,14 +546,16 @@ fn clear_spares(dir: &Path) -> std::io::Result<()> {
 /// ```
 pub struct Wal {
     dir: PathBuf,
-    policy: FsyncPolicy,
+    /// The lane [`Wal::append`] rides.
+    default: DurabilityPolicy,
     shared: Arc<Shared>,
     flusher: Option<JoinHandle<()>>,
 }
 
 impl Wal {
     /// Creates a fresh WAL in `dir` (which must be empty of segments),
-    /// rotating segments once they exceed `segment_bytes`.
+    /// rotating segments once they exceed `segment_bytes`; [`Wal::append`]
+    /// rides the `default` lane.
     ///
     /// # Errors
     ///
@@ -560,7 +564,7 @@ impl Wal {
     pub fn create(
         dir: impl AsRef<Path>,
         segment_bytes: u64,
-        policy: FsyncPolicy,
+        default: impl Into<DurabilityPolicy>,
     ) -> Result<Self, WalError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
@@ -580,7 +584,7 @@ impl Wal {
             first.set_len(segment_bytes)?;
         }
         drop(first);
-        Ok(Wal::start(dir, segment_bytes, policy, 0, 0, 1))
+        Ok(Wal::start(dir, segment_bytes, default.into(), 0, 0, 1))
     }
 
     /// Opens an existing WAL, verifying every record. Sealed segments must
@@ -595,14 +599,14 @@ impl Wal {
     pub fn open(
         dir: impl AsRef<Path>,
         segment_bytes: u64,
-        policy: FsyncPolicy,
+        default: impl Into<DurabilityPolicy>,
     ) -> Result<(Self, WalRecovery), WalError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
         clear_spares(&dir)?;
         let segments = list_segments(&dir)?;
         if segments.is_empty() {
-            let wal = Wal::create(&dir, segment_bytes, policy)?;
+            let wal = Wal::create(&dir, segment_bytes, default)?;
             return Ok((wal, WalRecovery::default()));
         }
         let mut recovery = WalRecovery {
@@ -644,7 +648,7 @@ impl Wal {
         let wal = Wal::start(
             dir,
             segment_bytes,
-            policy,
+            default.into(),
             active_index,
             last_valid_len,
             segments.len() as u64,
@@ -665,7 +669,7 @@ impl Wal {
     fn start(
         dir: PathBuf,
         segment_bytes: u64,
-        policy: FsyncPolicy,
+        default: DurabilityPolicy,
         staging_segment: u64,
         staging_offset: u64,
         segment_count: u64,
@@ -710,7 +714,7 @@ impl Wal {
         };
         Wal {
             dir,
-            policy,
+            default,
             shared,
             flusher: Some(flusher),
         }
@@ -755,99 +759,23 @@ impl Wal {
         }
     }
 
-    /// Applies the legacy [`FsyncPolicy`] after records landed in staging.
-    /// Returns whether the caller must block for durability.
-    fn apply_policy(&self, g: &mut State) -> bool {
-        let rotate_pending = g.staging_offset + g.staging.len() as u64 >= g.segment_bytes;
-        match self.policy {
-            FsyncPolicy::Always => {
-                promote_locked(g, true, false);
-                true
-            }
-            FsyncPolicy::GroupCommit {
-                max_records,
-                max_delay,
-            } => {
-                if g.staging_records >= max_records.max(1) || rotate_pending {
-                    promote_locked(g, true, false);
-                } else {
-                    let d = wall_now() + max_delay;
-                    g.staging_deadline = Some(match g.staging_deadline {
-                        Some(cur) => cur.min(d),
-                        None => d,
-                    });
-                }
-                false
-            }
-            FsyncPolicy::Never => {
-                promote_locked(g, false, false);
-                false
-            }
-        }
-    }
-
-    /// Appends one record, framing it with length and CRC, honouring the
-    /// fsync policy, and rotating the segment past the byte threshold.
+    /// Appends one record on the log's default lane (the tier given to
+    /// [`Wal::create`] or [`Wal::open`]): `append_lane(body, default)`.
     ///
     /// # Errors
     ///
-    /// Returns [`WalError::Io`] if the write (or a policy-mandated fsync)
-    /// fails, or if `body` is empty.
-    pub fn append(&mut self, body: &[u8]) -> Result<(), WalError> {
-        Self::reject_empty(body)?;
-        let (idx, wait) = {
-            let mut g = self.lock();
-            Self::check_error(&g)?;
-            let idx = stage(&mut g, body);
-            let wait = self.apply_policy(&mut g);
-            self.shared.work.notify_one();
-            (idx, wait)
-        };
-        if wait {
-            self.wait_durable(idx)?;
-        }
-        Ok(())
+    /// As [`Wal::append_lane`]; an `InMemory` default refuses every append.
+    pub fn append(&mut self, body: &[u8]) -> Result<u64, WalError> {
+        self.append_lane(body, self.default)
     }
 
-    /// Appends a whole batch of records with **one** staged window,
-    /// applying the fsync policy once for the batch and checking the
-    /// rotation threshold once at the end (never mid-batch): a batch that
-    /// straddles the threshold seals exactly one segment. Returns the
-    /// number of records appended.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WalError::Io`] if the write (or a policy-mandated fsync)
-    /// fails, or if any body is empty.
-    pub fn append_all<'a, I>(&mut self, bodies: I) -> Result<u32, WalError>
-    where
-        I: IntoIterator<Item = &'a [u8]>,
-    {
-        let (idx, count, wait) = {
-            let mut g = self.lock();
-            Self::check_error(&g)?;
-            let mut count: u32 = 0;
-            for body in bodies {
-                Self::reject_empty(body)?;
-                stage(&mut g, body);
-                count += 1;
-            }
-            if count == 0 {
-                return Ok(0);
-            }
-            let wait = self.apply_policy(&mut g);
-            self.shared.work.notify_one();
-            (g.assigned, count, wait)
-        };
-        if wait {
-            self.wait_durable(idx)?;
-        }
-        Ok(count)
+    /// The lane [`Wal::append`] rides.
+    pub(crate) fn default_tier(&self) -> DurabilityPolicy {
+        self.default
     }
 
-    /// Appends one record on an explicit durability lane, bypassing the
-    /// log-wide [`FsyncPolicy`]. All lanes share the same segments, so disk
-    /// order is append order across tiers. Returns the record's 1-based
+    /// Appends one record on an explicit durability lane. All lanes share
+    /// the same segments, so disk order is append order across tiers. Returns the record's 1-based
     /// index within this process's session (compare with
     /// [`Wal::durable_index`]).
     ///
@@ -981,11 +909,6 @@ impl Wal {
         self.lock().staging_records
     }
 
-    /// The directory this WAL lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Number of segment files (sealed + active).
     pub fn segment_count(&self) -> u64 {
         self.lock().segment_count
@@ -1027,7 +950,7 @@ impl fmt::Debug for Wal {
             .field("segments", &g.segment_count)
             .field("assigned", &g.assigned)
             .field("durable", &g.durable_index)
-            .field("policy", &self.policy)
+            .field("default", &self.default)
             .finish()
     }
 }
@@ -1084,12 +1007,12 @@ mod tests {
     fn round_trip_and_reopen() {
         let dir = tmp("roundtrip");
         {
-            let mut wal = Wal::create(&dir, 4096, FsyncPolicy::Always).unwrap();
+            let mut wal = Wal::create(&dir, 4096, DurabilityPolicy::Strict).unwrap();
             wal.append(b"one").unwrap();
             wal.append(b"two").unwrap();
             wal.append(b"three").unwrap();
         }
-        let (mut wal, rec) = Wal::open(&dir, 4096, FsyncPolicy::Always).unwrap();
+        let (mut wal, rec) = Wal::open(&dir, 4096, DurabilityPolicy::Strict).unwrap();
         assert_eq!(
             rec.records,
             vec![b"one".to_vec(), b"two".to_vec(), b"three".to_vec()]
@@ -1099,7 +1022,7 @@ mod tests {
         // Appends continue after recovery.
         wal.append(b"four").unwrap();
         drop(wal);
-        let (_, rec) = Wal::open(&dir, 4096, FsyncPolicy::Always).unwrap();
+        let (_, rec) = Wal::open(&dir, 4096, DurabilityPolicy::Strict).unwrap();
         assert_eq!(rec.records.len(), 4);
         fs::remove_dir_all(&dir).ok();
     }
@@ -1107,13 +1030,13 @@ mod tests {
     #[test]
     fn rotation_seals_segments_at_threshold() {
         let dir = tmp("rotate");
-        let mut wal = Wal::create(&dir, 32, FsyncPolicy::Never).unwrap();
+        let mut wal = Wal::create(&dir, 32, DurabilityPolicy::Strict).unwrap();
         for i in 1..=10u8 {
             wal.append(&[i; 16]).unwrap();
         }
         assert!(wal.segment_count() > 1, "threshold forces rotation");
         drop(wal);
-        let (_, rec) = Wal::open(&dir, 32, FsyncPolicy::Never).unwrap();
+        let (_, rec) = Wal::open(&dir, 32, DurabilityPolicy::Strict).unwrap();
         assert_eq!(rec.records.len(), 10);
         assert!(rec.segments > 1);
         fs::remove_dir_all(&dir).ok();
@@ -1123,7 +1046,7 @@ mod tests {
     fn torn_tail_is_truncated_and_reported() {
         let dir = tmp("torn");
         {
-            let mut wal = Wal::create(&dir, 4096, FsyncPolicy::Always).unwrap();
+            let mut wal = Wal::create(&dir, 4096, DurabilityPolicy::Strict).unwrap();
             wal.append(b"keep-me").unwrap();
             wal.append(b"torn-away").unwrap();
         }
@@ -1132,7 +1055,7 @@ mod tests {
         let f = OpenOptions::new().write(true).open(&seg).unwrap();
         f.set_len(full - 4).unwrap();
         drop(f);
-        let (mut wal, rec) = Wal::open(&dir, 4096, FsyncPolicy::Always).unwrap();
+        let (mut wal, rec) = Wal::open(&dir, 4096, DurabilityPolicy::Strict).unwrap();
         assert_eq!(rec.records, vec![b"keep-me".to_vec()]);
         assert_eq!(
             rec.truncated_bytes,
@@ -1141,7 +1064,7 @@ mod tests {
         // The file was physically truncated: a fresh append lands cleanly.
         wal.append(b"after").unwrap();
         drop(wal);
-        let (_, rec) = Wal::open(&dir, 4096, FsyncPolicy::Always).unwrap();
+        let (_, rec) = Wal::open(&dir, 4096, DurabilityPolicy::Strict).unwrap();
         assert_eq!(rec.records, vec![b"keep-me".to_vec(), b"after".to_vec()]);
         fs::remove_dir_all(&dir).ok();
     }
@@ -1150,7 +1073,7 @@ mod tests {
     fn corrupt_tail_of_final_segment_is_truncated() {
         let dir = tmp("crc-tail");
         {
-            let mut wal = Wal::create(&dir, 4096, FsyncPolicy::Always).unwrap();
+            let mut wal = Wal::create(&dir, 4096, DurabilityPolicy::Strict).unwrap();
             wal.append(b"solid").unwrap();
             wal.append(b"rotten").unwrap();
         }
@@ -1159,7 +1082,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         fs::write(&seg, &bytes).unwrap();
-        let (_, rec) = Wal::open(&dir, 4096, FsyncPolicy::Always).unwrap();
+        let (_, rec) = Wal::open(&dir, 4096, DurabilityPolicy::Strict).unwrap();
         assert_eq!(rec.records, vec![b"solid".to_vec()]);
         assert!(rec.truncated_bytes > 0);
         fs::remove_dir_all(&dir).ok();
@@ -1168,7 +1091,7 @@ mod tests {
     #[test]
     fn preallocated_padding_is_not_a_torn_tail() {
         let dir = tmp("padding");
-        let mut wal = Wal::create(&dir, 4096, FsyncPolicy::Never).unwrap();
+        let mut wal = Wal::create(&dir, 4096, DurabilityPolicy::Strict).unwrap();
         wal.append(b"one").unwrap();
         wal.append(b"two").unwrap();
         wal.sync().unwrap();
@@ -1181,7 +1104,7 @@ mod tests {
             4096,
             "a crash leaves the preallocated padding in place"
         );
-        let (_, rec) = Wal::open(&dir, 4096, FsyncPolicy::Never).unwrap();
+        let (_, rec) = Wal::open(&dir, 4096, DurabilityPolicy::Strict).unwrap();
         assert_eq!(rec.records, vec![b"one".to_vec(), b"two".to_vec()]);
         assert_eq!(rec.truncated_bytes, 0, "zero padding is not a torn tail");
         fs::remove_dir_all(&dir).ok();
@@ -1191,7 +1114,7 @@ mod tests {
     fn sealed_segment_corruption_is_fatal() {
         let dir = tmp("sealed");
         {
-            let mut wal = Wal::create(&dir, 24, FsyncPolicy::Always).unwrap();
+            let mut wal = Wal::create(&dir, 24, DurabilityPolicy::Strict).unwrap();
             for i in 1..=6u8 {
                 wal.append(&[i; 16]).unwrap();
             }
@@ -1202,7 +1125,7 @@ mod tests {
         let mut bytes = fs::read(&seg).unwrap();
         bytes[FRAME_HEADER + 2] ^= 0x01;
         fs::write(&seg, &bytes).unwrap();
-        match Wal::open(&dir, 24, FsyncPolicy::Always) {
+        match Wal::open(&dir, 24, DurabilityPolicy::Strict) {
             Err(WalError::Corrupt { segment, offset }) => {
                 assert_eq!(segment, segment_name(0));
                 assert_eq!(offset, 0);
@@ -1213,33 +1136,21 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_syncs_at_max_records() {
-        let dir = tmp("group-records");
-        let policy = FsyncPolicy::GroupCommit {
-            max_records: 4,
-            max_delay: Duration::from_secs(3600),
-        };
-        let mut wal = Wal::create(&dir, 4096, policy).unwrap();
-        for _ in 0..3 {
-            wal.append(b"x").unwrap();
-        }
-        assert_eq!(wal.staged_records(), 3, "window still open");
-        wal.append(b"x").unwrap();
-        assert_eq!(wal.staged_records(), 0, "fourth append closed the window");
-        wait_for("group-commit fsync", || wal.durable_index() == 4);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn group_commit_syncs_after_max_delay() {
+    fn fsync_policy_spelling_is_a_buffered_lane() {
         let dir = tmp("group-delay");
         let policy = FsyncPolicy::GroupCommit {
             max_records: 1_000_000,
             max_delay: Duration::from_millis(10),
         };
+        assert_eq!(
+            DurabilityPolicy::from(policy),
+            DurabilityPolicy::Buffered {
+                flush_window: Duration::from_millis(10)
+            }
+        );
         let mut wal = Wal::create(&dir, 4096, policy).unwrap();
         wal.append(b"opens-the-window").unwrap();
-        assert_eq!(wal.staged_records(), 1);
+        assert_eq!(wal.staged_records(), 1, "a buffered append returns open");
         // The flusher's own deadline timer forces the sync — no second
         // append is needed.
         wait_for("deadline fsync", || wal.durable_index() == 1);
@@ -1250,7 +1161,7 @@ mod tests {
     #[test]
     fn strict_lane_blocks_until_durable() {
         let dir = tmp("strict");
-        let mut wal = Wal::create(&dir, 4096, FsyncPolicy::Never).unwrap();
+        let mut wal = Wal::create(&dir, 4096, DurabilityPolicy::Strict).unwrap();
         let idx = wal
             .append_lane(b"ledger", DurabilityPolicy::Strict)
             .unwrap();
@@ -1269,7 +1180,7 @@ mod tests {
         let buffered = DurabilityPolicy::Buffered {
             flush_window: Duration::from_secs(3600),
         };
-        let mut wal = Wal::create(&dir, 4096, FsyncPolicy::Never).unwrap();
+        let mut wal = Wal::create(&dir, 4096, DurabilityPolicy::Strict).unwrap();
         wal.append_lane(b"buffered-1", buffered).unwrap();
         wal.append_lane(b"buffered-2", buffered).unwrap();
         assert_eq!(wal.staged_records(), 2);
@@ -1282,7 +1193,7 @@ mod tests {
             "the strict fsync carried the riding buffered records with it"
         );
         drop(wal);
-        let (_, rec) = Wal::open(&dir, 4096, FsyncPolicy::Never).unwrap();
+        let (_, rec) = Wal::open(&dir, 4096, DurabilityPolicy::Strict).unwrap();
         assert_eq!(
             rec.records,
             vec![
@@ -1301,7 +1212,7 @@ mod tests {
         let buffered = DurabilityPolicy::Buffered {
             flush_window: Duration::from_secs(3600),
         };
-        let mut wal = Wal::create(&dir, 1 << 24, FsyncPolicy::Never).unwrap();
+        let mut wal = Wal::create(&dir, 1 << 24, DurabilityPolicy::Strict).unwrap();
         for _ in 0..BUFFERED_MAX_RECORDS {
             wal.append_lane(b"x", buffered).unwrap();
         }
@@ -1318,7 +1229,7 @@ mod tests {
         let buffered = DurabilityPolicy::Buffered {
             flush_window: Duration::from_millis(10),
         };
-        let mut wal = Wal::create(&dir, 4096, FsyncPolicy::Never).unwrap();
+        let mut wal = Wal::create(&dir, 4096, DurabilityPolicy::Strict).unwrap();
         wal.append_lane(b"hot-path", buffered).unwrap();
         assert_eq!(wal.staged_records(), 1, "buffered append returns open");
         wait_for("flush-window fsync", || wal.durable_index() == 1);
@@ -1331,14 +1242,14 @@ mod tests {
         let buffered = DurabilityPolicy::Buffered {
             flush_window: Duration::from_secs(3600),
         };
-        let mut wal = Wal::create(&dir, u64::MAX, FsyncPolicy::Never).unwrap();
+        let mut wal = Wal::create(&dir, u64::MAX, DurabilityPolicy::Strict).unwrap();
         wal.append(b"written").unwrap();
         wal.sync().unwrap();
         wal.append_lane(b"still-staged", buffered).unwrap();
         let survived = wal.crash_discard();
         assert_eq!(survived, 1, "the open window never reached the kernel");
         drop(wal);
-        let (_, rec) = Wal::open(&dir, u64::MAX, FsyncPolicy::Never).unwrap();
+        let (_, rec) = Wal::open(&dir, u64::MAX, DurabilityPolicy::Strict).unwrap();
         assert_eq!(rec.records, vec![b"written".to_vec()]);
         fs::remove_dir_all(&dir).ok();
     }
@@ -1346,7 +1257,7 @@ mod tests {
     #[test]
     fn in_memory_lane_is_refused() {
         let dir = tmp("in-memory");
-        let mut wal = Wal::create(&dir, 4096, FsyncPolicy::Never).unwrap();
+        let mut wal = Wal::create(&dir, 4096, DurabilityPolicy::Strict).unwrap();
         assert!(matches!(
             wal.append_lane(b"x", DurabilityPolicy::InMemory),
             Err(WalError::Io(_))
@@ -1358,7 +1269,7 @@ mod tests {
     #[test]
     fn rotation_maintains_a_preallocated_spare() {
         let dir = tmp("spare");
-        let mut wal = Wal::create(&dir, 32, FsyncPolicy::Never).unwrap();
+        let mut wal = Wal::create(&dir, 32, DurabilityPolicy::Strict).unwrap();
         for i in 1..=4u8 {
             wal.append(&[i; 16]).unwrap();
         }
@@ -1383,56 +1294,14 @@ mod tests {
     }
 
     #[test]
-    fn append_all_writes_once_and_recovers() {
-        let dir = tmp("append-all");
-        let mut wal = Wal::create(&dir, 4096, FsyncPolicy::Always).unwrap();
-        let bodies: Vec<&[u8]> = vec![b"one", b"two", b"three"];
-        assert_eq!(wal.append_all(bodies).unwrap(), 3);
-        assert_eq!(
-            wal.append_all(std::iter::empty()).unwrap(),
-            0,
-            "empty batch"
-        );
-        drop(wal);
-        let (_, rec) = Wal::open(&dir, 4096, FsyncPolicy::Always).unwrap();
-        assert_eq!(
-            rec.records,
-            vec![b"one".to_vec(), b"two".to_vec(), b"three".to_vec()]
-        );
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn batch_straddling_rotation_threshold_seals_exactly_one_segment() {
-        let dir = tmp("straddle");
-        // Threshold 64 bytes; the batch carries 10 × (16 + 8) = 240 bytes —
-        // several thresholds' worth — yet rotation is checked once, after
-        // the batch, so exactly one segment seals.
-        let mut wal = Wal::create(&dir, 64, FsyncPolicy::Never).unwrap();
-        let body = [7u8; 16];
-        let bodies: Vec<&[u8]> = (0..10).map(|_| &body[..]).collect();
-        assert_eq!(wal.append_all(bodies).unwrap(), 10);
-        assert_eq!(
-            wal.segment_count(),
-            2,
-            "one sealed segment + the fresh active one"
-        );
-        drop(wal);
-        let (_, rec) = Wal::open(&dir, 64, FsyncPolicy::Never).unwrap();
-        assert_eq!(rec.records.len(), 10, "every record of the batch survives");
-        assert_eq!(rec.segments, 2);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn create_refuses_populated_directory() {
         let dir = tmp("refuse");
         {
-            let mut wal = Wal::create(&dir, 4096, FsyncPolicy::Never).unwrap();
+            let mut wal = Wal::create(&dir, 4096, DurabilityPolicy::Strict).unwrap();
             wal.append(b"existing").unwrap();
         }
         assert!(matches!(
-            Wal::create(&dir, 4096, FsyncPolicy::Never),
+            Wal::create(&dir, 4096, DurabilityPolicy::Strict),
             Err(WalError::Io(_))
         ));
         fs::remove_dir_all(&dir).ok();

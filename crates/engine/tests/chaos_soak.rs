@@ -11,8 +11,8 @@
 use std::time::{Duration, Instant};
 
 use tart_engine::{
-    ChaosOptions, ChaosPlan, Cluster, ClusterConfig, DurabilityPolicy, FsyncPolicy, OutputRecord,
-    Placement, StandbyConfig, SupervisionConfig,
+    ChaosOptions, ChaosPlan, Cluster, ClusterConfig, DurabilityPolicy, OutputRecord, Placement,
+    StandbyConfig, SupervisionConfig,
 };
 use tart_estimator::EstimatorSpec;
 use tart_model::reference::{self, fan_in_app};
@@ -43,7 +43,7 @@ fn with_soak_tiers(spec: &AppSpec, mut config: ClusterConfig, seed: u64) -> Clus
     }
     let dir = std::env::temp_dir().join(format!("tart-soak-tiers-{}-{seed:x}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    config = config.with_durability(dir, FsyncPolicy::Always);
+    config = config.with_durability(dir, DurabilityPolicy::Strict);
     for c in spec.components() {
         let tier = match c.name() {
             "Merger" => DurabilityPolicy::Strict,

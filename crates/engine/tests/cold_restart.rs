@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use tart_engine::{
     ChaosOptions, ChaosPlan, Cluster, ClusterConfig, DeployError, DurabilityConfig,
-    DurabilityPolicy, FsyncPolicy, OutputRecord, Placement, StandbyConfig, BUFFERED_MAX_RECORDS,
+    DurabilityPolicy, OutputRecord, Placement, StandbyConfig, BUFFERED_MAX_RECORDS,
 };
 use tart_estimator::EstimatorSpec;
 use tart_model::reference::{self, fan_in_app};
@@ -100,7 +100,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
 /// outputs had surfaced before the lights went out.
 fn run_and_crash(dir: &Path, upto: usize) -> Vec<OutputRecord> {
     let spec = fan_in_app(2).expect("valid app");
-    let config = paper_config(&spec).with_durability(dir, FsyncPolicy::Always);
+    let config = paper_config(&spec).with_durability(dir, DurabilityPolicy::Strict);
     let cluster =
         Cluster::deploy(spec.clone(), two_engine_placement(&spec), config).expect("deploys");
     for (client, sentence) in &SENTENCES[..upto] {
@@ -125,17 +125,17 @@ fn recover_and_finish(
     dir: &Path,
     resume_at: usize,
 ) -> (tart_engine::RecoveryReport, Vec<OutputRecord>) {
-    recover_and_finish_with(dir, FsyncPolicy::Always, resume_at)
+    recover_and_finish_with(dir, DurabilityPolicy::Strict, resume_at)
 }
 
-/// [`recover_and_finish`] under an explicit fsync policy.
+/// [`recover_and_finish`] under an explicit default tier.
 fn recover_and_finish_with(
     dir: &Path,
-    policy: FsyncPolicy,
+    tier: DurabilityPolicy,
     resume_at: usize,
 ) -> (tart_engine::RecoveryReport, Vec<OutputRecord>) {
     let spec = fan_in_app(2).expect("valid app");
-    let config = paper_config(&spec).with_durability(dir, policy);
+    let config = paper_config(&spec).with_durability(dir, tier);
     let (cluster, report) =
         Cluster::recover_from_disk(spec.clone(), two_engine_placement(&spec), config)
             .expect("recovers");
@@ -153,7 +153,7 @@ fn recover_and_finish_with(
 fn clean_durable_run_is_transparent() {
     let dir = fresh_dir("clean");
     let spec = fan_in_app(2).expect("valid app");
-    let config = paper_config(&spec).with_durability(&dir, FsyncPolicy::Always);
+    let config = paper_config(&spec).with_durability(&dir, DurabilityPolicy::Strict);
     let cluster =
         Cluster::deploy(spec.clone(), two_engine_placement(&spec), config).expect("deploys");
     for (client, sentence) in SENTENCES {
@@ -184,6 +184,25 @@ fn clean_durable_run_is_transparent() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A disk that fails under a Strict append is a storage failure, and the
+/// injector says so rather than blaming timestamps; the message is never
+/// delivered unlogged.
+#[test]
+#[should_panic(expected = "log storage failed")]
+fn injector_send_panics_with_the_storage_error_when_the_wal_is_gone() {
+    let dir = fresh_dir("wal-gone");
+    let spec = fan_in_app(2).expect("valid app");
+    let config = paper_config(&spec).with_durability(&dir, DurabilityPolicy::Strict);
+    let cluster =
+        Cluster::deploy(spec.clone(), two_engine_placement(&spec), config).expect("deploys");
+    std::fs::remove_dir_all(dir.join("wal")).expect("remove the WAL directory");
+    let (client, sentence) = SENTENCES[0];
+    cluster
+        .injector(client)
+        .expect("injector")
+        .send(Value::from(sentence));
+}
+
 /// Whole-cluster crash, cold restart with a warm standby configured, then a
 /// single-engine failure: the standby plane `recover_from_disk` assembled
 /// must tail the restored incarnation's chain like any other, so the second
@@ -196,7 +215,7 @@ fn warm_promotion_after_a_cold_restart_is_byte_identical() {
 
     let spec = fan_in_app(2).expect("valid app");
     let config = paper_config(&spec)
-        .with_durability(&dir, FsyncPolicy::Always)
+        .with_durability(&dir, DurabilityPolicy::Strict)
         .with_warm_standby(StandbyConfig {
             trailing_horizon_ticks: 1,
             apply_interval: Duration::from_millis(1),
@@ -329,9 +348,8 @@ fn cold_restart_truncates_torn_group_commit_tail() {
     // re-send the lost batch.
     let dir = fresh_dir("torn-group");
     let crash_at = 6;
-    let group = FsyncPolicy::GroupCommit {
-        max_records: 4,
-        max_delay: Duration::from_millis(5),
+    let group = DurabilityPolicy::Buffered {
+        flush_window: Duration::from_millis(5),
     };
     let spec = fan_in_app(2).expect("valid app");
     let config = paper_config(&spec).with_durability(&dir, group);
@@ -451,7 +469,7 @@ fn cold_restart_survives_losing_a_delta_chain_base() {
     // on-disk chain shape is deterministic. Full every 2nd checkpoint.
     let config = paper_config(&spec)
         .with_checkpoint_every(100_000)
-        .with_durability(&dir, FsyncPolicy::Always)
+        .with_durability(&dir, DurabilityPolicy::Strict)
         .with_full_checkpoint_every(2);
     let cluster =
         Cluster::deploy(spec.clone(), two_engine_placement(&spec), config).expect("deploys");
@@ -521,7 +539,7 @@ fn deploy_refuses_a_populated_durability_dir() {
     let dir = fresh_dir("refuse");
     let _ = run_and_crash(&dir, 2);
     let spec = fan_in_app(2).expect("valid app");
-    let config = paper_config(&spec).with_durability(&dir, FsyncPolicy::Always);
+    let config = paper_config(&spec).with_durability(&dir, DurabilityPolicy::Strict);
     let err = Cluster::deploy(spec.clone(), two_engine_placement(&spec), config).unwrap_err();
     assert_eq!(
         err,
@@ -562,7 +580,7 @@ fn seeded_disk_faults_cannot_break_cold_restart() {
         let applied = plan.apply_disk_faults(&dir).expect("fault surgery");
 
         let spec = fan_in_app(2).expect("valid app");
-        let config = paper_config(&spec).with_durability(&dir, FsyncPolicy::Always);
+        let config = paper_config(&spec).with_durability(&dir, DurabilityPolicy::Strict);
         let (cluster, report) =
             Cluster::recover_from_disk(spec.clone(), two_engine_placement(&spec), config)
                 .unwrap_or_else(|e| {
@@ -607,7 +625,7 @@ fn sealed_segment_rot_is_refused() {
     let mut config = paper_config(&spec);
     config.durability = Some(DurabilityConfig {
         wal_segment_bytes: 64,
-        ..DurabilityConfig::new(dir.clone(), FsyncPolicy::Always)
+        ..DurabilityConfig::new(dir.clone(), DurabilityPolicy::Strict)
     });
     let cluster = Cluster::deploy(spec.clone(), two_engine_placement(&spec), config.clone())
         .expect("deploys");
@@ -643,7 +661,7 @@ fn losing_the_checkpoint_dir_mid_run_degrades_gracefully() {
     // stop advancing — retention grows, but outputs stay correct.
     let dir = fresh_dir("degrade");
     let spec = fan_in_app(2).expect("valid app");
-    let config = paper_config(&spec).with_durability(&dir, FsyncPolicy::Always);
+    let config = paper_config(&spec).with_durability(&dir, DurabilityPolicy::Strict);
     let cluster =
         Cluster::deploy(spec.clone(), two_engine_placement(&spec), config).expect("deploys");
     for (client, sentence) in &SENTENCES[..5] {
@@ -695,7 +713,7 @@ fn mixed_tier_crash_reports_and_recovers_per_component_loss() {
     let buffered = component_id(&spec, "Sender2");
     let tiered = |spec: &AppSpec| {
         paper_config(spec)
-            .with_durability(&dir, FsyncPolicy::Always)
+            .with_durability(&dir, DurabilityPolicy::Strict)
             .with_default_tier(DurabilityPolicy::Strict)
             .with_component_tier(
                 buffered,
@@ -747,7 +765,7 @@ fn mixed_tier_crash_reports_and_recovers_per_component_loss() {
     };
     let client1_sends = SENTENCES.iter().filter(|(c, _)| *c == "client1").count() as u64;
     let client2_sends = SENTENCES.len() as u64 - client1_sends;
-    assert_eq!(recovered(strict).tier, Some(DurabilityPolicy::Strict));
+    assert_eq!(recovered(strict).tier, DurabilityPolicy::Strict);
     assert_eq!(recovered(strict).recovered_inputs, client1_sends);
     assert!(!recovered(strict).replay_from_peers_only);
     assert_eq!(
@@ -788,7 +806,7 @@ fn in_memory_component_recovers_via_peer_replay_byte_identically() {
     let dir = fresh_dir("inmem-tier");
     let spec = fan_in_app(2).expect("valid app");
     let config = paper_config(&spec)
-        .with_durability(&dir, FsyncPolicy::Always)
+        .with_durability(&dir, DurabilityPolicy::Strict)
         .with_default_tier(DurabilityPolicy::InMemory);
     let mut cluster =
         Cluster::deploy(spec.clone(), two_engine_placement(&spec), config).expect("deploys");
@@ -824,7 +842,7 @@ fn in_memory_component_recovers_via_peer_replay_byte_identically() {
     // And the disk really was left out of it: the WAL holds zero records
     // and the checkpoint store persisted zero generations.
     let (wal, recovery) =
-        Wal::open(dir.join("wal"), 1 << 20, FsyncPolicy::Always).expect("reopen wal");
+        Wal::open(dir.join("wal"), 1 << 20, DurabilityPolicy::Strict).expect("reopen wal");
     drop(wal);
     assert_eq!(
         recovery.records.len(),
@@ -931,7 +949,7 @@ fn mixed_tier_crash_loop_keeps_every_tier_bound() {
     let mut placement = Placement::new();
     let mut config = ClusterConfig::logical_time()
         .with_checkpoint_every(4)
-        .with_durability(&dir, FsyncPolicy::Always);
+        .with_durability(&dir, DurabilityPolicy::Strict);
     let mut ids = Vec::new();
     for (i, (name, tier)) in tiers.into_iter().enumerate() {
         let c = builder.component(name, Arc::new(|| Box::new(Echo(CkptCell::new(0))) as _));

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use tart_codec::{Decode, Encode};
-use tart_engine::{CheckpointStore, DurabilityPolicy, EngineCheckpoint, FsyncPolicy, Wal};
+use tart_engine::{CheckpointStore, DurabilityPolicy, EngineCheckpoint, Wal};
 use tart_model::{Snapshot, StateChunk, Value};
 use tart_vtime::{ComponentId, EngineId, VirtualTime, WireId};
 
@@ -136,7 +136,11 @@ fn arb_records() -> impl Strategy<Value = Vec<Vec<u8>>> {
 /// Writes `records` into a fresh single-segment WAL and returns the
 /// segment file's path alongside the directory.
 fn write_wal(dir: &PathBuf, records: &[Vec<u8>]) -> PathBuf {
-    let mut wal = Wal::create(dir, u64::MAX, FsyncPolicy::Never).expect("create wal");
+    // Appends stage until the final sync: one fsync per case.
+    let buffered = DurabilityPolicy::Buffered {
+        flush_window: std::time::Duration::from_secs(3600),
+    };
+    let mut wal = Wal::create(dir, u64::MAX, buffered).expect("create wal");
     for r in records {
         wal.append(r).expect("append");
     }
@@ -172,7 +176,7 @@ proptest! {
         for cut in 0..=full.len() {
             std::fs::write(&seg, &full[..cut]).expect("truncate copy");
             let (wal, recovery) =
-                Wal::open(&dir, u64::MAX, FsyncPolicy::Never).expect("open truncated wal");
+                Wal::open(&dir, u64::MAX, DurabilityPolicy::Strict).expect("open truncated wal");
             drop(wal);
             prop_assert!(
                 recovery.records.len() <= records.len(),
@@ -217,7 +221,7 @@ proptest! {
         std::fs::write(&seg, &bytes).expect("write corrupted");
 
         let (wal, recovery) =
-            Wal::open(&dir, u64::MAX, FsyncPolicy::Never).expect("open corrupted wal");
+            Wal::open(&dir, u64::MAX, DurabilityPolicy::Strict).expect("open corrupted wal");
         drop(wal);
         prop_assert!(recovery.records.len() < records.len(), "damage must drop something");
         for (i, rec) in recovery.records.iter().enumerate() {
@@ -244,7 +248,7 @@ proptest! {
         };
         let mut bodies = Vec::new();
         {
-            let mut wal = Wal::create(&dir, u64::MAX, FsyncPolicy::Never).expect("create wal");
+            let mut wal = Wal::create(&dir, u64::MAX, DurabilityPolicy::Strict).expect("create wal");
             for (i, strict) in lanes.iter().enumerate() {
                 let body = if *strict {
                     format!("s-{i:03}").into_bytes()
@@ -294,7 +298,7 @@ proptest! {
         std::fs::write(&seg, &full[..cut]).expect("tear tail");
 
         let (wal, recovery) =
-            Wal::open(&dir, u64::MAX, FsyncPolicy::Never).expect("open torn wal");
+            Wal::open(&dir, u64::MAX, DurabilityPolicy::Strict).expect("open torn wal");
         drop(wal);
 
         let mut seen = std::collections::BTreeSet::new();
@@ -334,7 +338,7 @@ proptest! {
         let mut newest = std::collections::BTreeMap::new();
         for c in &ckpts {
             let c = self_contained(c.clone());
-            let generation = store.persist(&c).expect("persist");
+            let generation = store.persist_with(&c, true).expect("persist");
             newest.insert(c.engine, (generation, c));
         }
         drop(store);

@@ -20,8 +20,7 @@ use std::time::{Duration, Instant};
 use bytes::BytesMut;
 use tart_engine::net::{read_batch, write_batch};
 use tart_engine::{
-    Cluster, ClusterConfig, DurabilityPolicy, Envelope, FsyncPolicy, OutputRecord, Placement,
-    StandbyConfig, Wal,
+    Cluster, ClusterConfig, DurabilityPolicy, Envelope, OutputRecord, Placement, StandbyConfig, Wal,
 };
 use tart_estimator::EstimatorSpec;
 use tart_model::reference::{fan_in_app, ConstantService, IN_PORT, OUT_PORT, SENDER_LOOP_BLOCK};
@@ -83,20 +82,15 @@ fn tcp_batches_of_64_move_twice_the_envelopes_of_single_envelope_batches() {
     assert!(ratio >= 2.0, "64-envelope batches: {ratio:.2}x, want >= 2x");
 }
 
-/// Appends/s of `n` 64-byte records into a fresh WAL under `policy`, each
-/// through `lane` when one is given.
-fn wal_rate(policy: FsyncPolicy, lane: Option<DurabilityPolicy>, n: usize, tag: &str) -> f64 {
+/// Appends/s of `n` 64-byte records into a fresh WAL, each on `lane`.
+fn wal_rate(lane: DurabilityPolicy, n: usize, tag: &str) -> f64 {
     let dir = std::env::temp_dir().join(format!("tart-perf-wal-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let mut wal = Wal::create(&dir, 4 << 20, policy).expect("create wal");
+    let mut wal = Wal::create(&dir, 4 << 20, lane).expect("create wal");
     let body = [0x5a; 64];
     let start = Instant::now();
     for _ in 0..n {
-        match lane {
-            Some(tier) => wal.append_lane(&body, tier).map(drop),
-            None => wal.append(&body),
-        }
-        .expect("append");
+        wal.append(&body).expect("append");
     }
     wal.sync().expect("final sync");
     let rate = n as f64 / start.elapsed().as_secs_f64();
@@ -107,25 +101,11 @@ fn wal_rate(policy: FsyncPolicy, lane: Option<DurabilityPolicy>, n: usize, tag: 
 
 #[test]
 #[ignore = "timing: run in release by the contracts CI job"]
-fn group_commit_appends_twice_as_fast_as_per_record_fsync() {
-    let group = FsyncPolicy::GroupCommit {
-        max_records: 64,
-        max_delay: Duration::from_millis(5),
-    };
-    let always = wal_rate(FsyncPolicy::Always, None, 96, "always");
-    let ratio = wal_rate(group, None, 96, "group") / always;
-    assert!(ratio >= 2.0, "GroupCommit: {ratio:.2}x Always, want >= 2x");
-}
-
-#[test]
-#[ignore = "timing: run in release by the contracts CI job"]
 fn buffered_lane_appends_five_times_as_fast_as_strict_lane() {
-    // Log-wide `Never`: the only syncs are the ones each lane demands.
-    let lane = |tier, n, tag| wal_rate(FsyncPolicy::Never, Some(tier), n, tag);
     let flush_window = Duration::from_millis(10);
     let buffered = DurabilityPolicy::Buffered { flush_window };
-    let strict = lane(DurabilityPolicy::Strict, 400, "strict");
-    let ratio = lane(buffered, 20_000, "buffered") / strict;
+    let strict = wal_rate(DurabilityPolicy::Strict, 400, "strict");
+    let ratio = wal_rate(buffered, 20_000, "buffered") / strict;
     assert!(ratio >= 5.0, "Buffered lane: {ratio:.1}x Strict");
 }
 

@@ -17,8 +17,8 @@ use crossbeam::channel::{unbounded, Receiver};
 use proptest::prelude::*;
 use std::sync::Arc;
 use tart_engine::{
-    CheckpointStore, ClusterConfig, EngineCore, Envelope, FaultPlan, Flow, OutputRecord, Placement,
-    ReplicaStore, Router,
+    CheckpointStore, ClusterConfig, DurabilityPolicy, EngineCore, Envelope, FaultPlan, Flow,
+    OutputRecord, Placement, ReplicaStore, Router,
 };
 use tart_estimator::EstimatorSpec;
 use tart_model::reference::{self, fan_in_app, ConstantService, IN_PORT, OUT_PORT};
@@ -106,7 +106,10 @@ fn make_durable(core: &mut EngineCore, tag: &str) -> std::path::PathBuf {
     let n = N.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!("tart-proto-{tag}-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    core.set_durable(Arc::new(CheckpointStore::open(&dir).expect("open store")));
+    core.set_durable(
+        Arc::new(CheckpointStore::open(&dir).expect("open store")),
+        DurabilityPolicy::Strict,
+    );
     dir
 }
 

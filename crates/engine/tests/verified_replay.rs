@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use tart_codec::{crc32, Encode};
 use tart_engine::{
-    verify_replay, CheckpointStore, Cluster, ClusterConfig, EngineCheckpoint, FsyncPolicy,
+    verify_replay, CheckpointStore, Cluster, ClusterConfig, DurabilityPolicy, EngineCheckpoint,
     OutputRecord, Placement, ReplayVerdict,
 };
 use tart_estimator::EstimatorSpec;
@@ -97,7 +97,7 @@ fn run_and_crash(dir: &Path) -> Vec<OutputRecord> {
     // full plus two deltas per engine.
     let config = paper_config(&spec)
         .with_checkpoint_every(100_000)
-        .with_durability(dir, FsyncPolicy::Always)
+        .with_durability(dir, DurabilityPolicy::Strict)
         .with_full_checkpoint_every(4);
     let cluster =
         Cluster::deploy(spec.clone(), two_engine_placement(&spec), config).expect("deploys");
@@ -255,7 +255,7 @@ fn corrupted_chain_is_detected_bisected_and_recovered_around() {
     // regenerates the difference — outputs stay byte-identical.
     let config = paper_config(&spec)
         .with_checkpoint_every(100_000)
-        .with_durability(&dir, FsyncPolicy::Always)
+        .with_durability(&dir, DurabilityPolicy::Strict)
         .with_full_checkpoint_every(4);
     let (cluster, report) =
         Cluster::recover_from_disk(spec.clone(), placement.clone(), config).expect("recovers");
@@ -337,7 +337,7 @@ fn exhausted_chain_is_a_structured_terminal_error() {
     let spec = fan_in_app(2).expect("valid app");
     let config = paper_config(&spec)
         .with_checkpoint_every(100_000)
-        .with_durability(&dir, FsyncPolicy::Always)
+        .with_durability(&dir, DurabilityPolicy::Strict)
         .with_full_checkpoint_every(4);
     let outcome = Cluster::recover_from_disk(spec.clone(), two_engine_placement(&spec), config);
     let Err(err) = outcome else {
@@ -390,7 +390,7 @@ fn clean_chain_replays_without_divergence() {
 
     let config = paper_config(&spec)
         .with_checkpoint_every(100_000)
-        .with_durability(&dir, FsyncPolicy::Always)
+        .with_durability(&dir, DurabilityPolicy::Strict)
         .with_full_checkpoint_every(4);
     let (cluster, report) =
         Cluster::recover_from_disk(spec.clone(), placement, config).expect("recovers");

@@ -263,8 +263,8 @@ impl ObsHub {
 
     /// Records one WAL fsync's wall latency, split by durability lane:
     /// `strict` when a Strict-tier append forced the window closed,
-    /// buffered otherwise (flush-window deadlines, record caps, legacy
-    /// policies). The benchmark's `wal.fsync_buffered_p50_us` row reads the
+    /// buffered otherwise (flush-window deadlines, record caps, rotations,
+    /// explicit syncs). The benchmark's `wal.fsync_buffered_p50_us` row reads the
     /// buffered one.
     pub fn wal_fsync_ns(&self, strict: bool, ns: u64) {
         let mut inner = self.lock();

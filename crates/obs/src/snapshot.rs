@@ -88,9 +88,9 @@ pub struct ObsSnapshot {
     /// Wall-clock latency of WAL fsyncs forced by Strict-tier appends, ns.
     pub wal_fsync_strict_ns: Histogram,
     /// Wall-clock latency of every other WAL fsync (flush-window deadlines,
-    /// record caps, legacy policies), ns.
+    /// record caps, rotations, explicit syncs), ns.
     pub wal_fsync_buffered_ns: Histogram,
-    /// Wall-clock latency of `CheckpointStore::persist`, ns.
+    /// Wall-clock latency of `CheckpointStore::persist_with`, ns.
     pub checkpoint_persist_ns: Histogram,
     /// Standby replication lag at each background apply: how far the
     /// applied checkpoint trailed the primary's head, in vt ticks.

@@ -24,7 +24,7 @@ use std::time::Duration;
 
 use tart::prelude::*;
 use tart::reference::{self, SENDER_LOOP_BLOCK};
-use tart::{Cluster, FsyncPolicy};
+use tart::{Cluster, DurabilityPolicy};
 
 const SENTENCES: &[(&str, &str)] = &[
     ("client1", "alpha beta gamma"),
@@ -98,7 +98,7 @@ fn clean() {
 /// is expected to SIGKILL this process at an arbitrary moment.
 fn crash(dir: &str) {
     let spec = reference::fan_in_app(2).expect("valid topology");
-    let config = config(&spec).with_durability(dir, FsyncPolicy::Always);
+    let config = config(&spec).with_durability(dir, DurabilityPolicy::Strict);
     let cluster = Cluster::deploy(spec.clone(), placement(&spec), config).expect("deploys");
     for (i, (client, sentence)) in SENTENCES.iter().enumerate() {
         cluster
@@ -124,7 +124,7 @@ fn crash(dir: &str) {
 /// never made durable, and finishes the workload.
 fn recover(dir: &str) {
     let spec = reference::fan_in_app(2).expect("valid topology");
-    let config = config(&spec).with_durability(dir, FsyncPolicy::Always);
+    let config = config(&spec).with_durability(dir, DurabilityPolicy::Strict);
     let (cluster, report) = Cluster::recover_from_disk(spec.clone(), placement(&spec), config)
         .expect("recovers from disk");
     eprintln!(

@@ -76,8 +76,8 @@ pub use tart_vtime;
 pub use tart_engine::{
     check_report, write_report, ChaosEvent, ChaosHandle, ChaosOptions, ChaosPlan, ChaosReport,
     CheckpointStore, Cluster, ClusterConfig, DeployError, DiskFault, DurabilityConfig,
-    EngineRecovery, FailureDetector, FaultPlan, FsyncPolicy, Injector, LogicalClock, MessageLog,
-    ObsEvent, ObsEventKind, ObsHub, ObsSnapshot, OutputRecord, Placement, RealClock,
+    DurabilityPolicy, EngineRecovery, FailureDetector, FaultPlan, Injector, LogicalClock,
+    MessageLog, ObsEvent, ObsEventKind, ObsHub, ObsSnapshot, OutputRecord, Placement, RealClock,
     RecoveryReport, ReplicaStore, ReportRequirements, SupervisionConfig, SupervisionMetrics,
     TimeSource, Wal,
 };

@@ -24,6 +24,7 @@ use std::sync::Arc;
 use tart_stats::DetRng;
 use tart_vtime::EngineId;
 
+use crate::store::parse_ckpt_name;
 use crate::supervise::SupervisionMetrics;
 use crate::{Envelope, Router};
 
@@ -62,12 +63,9 @@ pub enum DiskFault {
     /// stable storage decaying at rest. Unrecoverable by design: recovery
     /// must refuse loudly rather than replay garbage.
     BitFlipSealedSegment,
-    /// Corrupt the checkpoint store's manifest. Recoverable: the store
-    /// rebuilds the manifest from the directory listing (rename atomicity
-    /// makes the listing trustworthy).
-    StaleManifest,
-    /// Flip one bit in the newest checkpoint generation. Recoverable: the
-    /// store falls back one generation and replay covers the difference.
+    /// Flip one bit in the newest checkpoint generation, full or delta.
+    /// Recoverable: the store leaves the generation out, restore falls back
+    /// to the chain before it and replay covers the difference.
     CorruptNewestCheckpoint,
 }
 
@@ -112,27 +110,15 @@ impl DiskFault {
                 flip_bit_mid_file(&segs[0])?;
                 Ok(true)
             }
-            DiskFault::StaleManifest => {
-                let manifest = dir.join("ckpt").join("MANIFEST");
-                if !manifest.exists() {
-                    return Ok(false);
-                }
-                std::fs::write(&manifest, b"stale garbage from a past life")?;
-                Ok(true)
-            }
             DiskFault::CorruptNewestCheckpoint => {
                 let ckpt = dir.join("ckpt");
                 let mut newest: Option<(u64, std::path::PathBuf)> = None;
                 for entry in std::fs::read_dir(&ckpt)? {
                     let path = entry?.path();
-                    let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                        continue;
-                    };
-                    let Some(gen) = name
-                        .strip_prefix("ckpt-")
-                        .and_then(|r| r.split_once("-g"))
-                        .and_then(|(_, g)| g.strip_suffix(".bin"))
-                        .and_then(|g| g.parse::<u64>().ok())
+                    let Some((_, gen, _)) = path
+                        .file_name()
+                        .and_then(|n| n.to_str())
+                        .and_then(parse_ckpt_name)
                     else {
                         continue;
                     };
@@ -308,11 +294,8 @@ impl ChaosPlan {
         // Post-mortem disk faults: drawn from the recoverable kinds only —
         // a seeded soak must be able to restart; the must-refuse kind
         // (sealed-segment rot) is exercised by dedicated tests.
-        const RECOVERABLE: [DiskFault; 3] = [
-            DiskFault::TornWalTail,
-            DiskFault::StaleManifest,
-            DiskFault::CorruptNewestCheckpoint,
-        ];
+        const RECOVERABLE: [DiskFault; 2] =
+            [DiskFault::TornWalTail, DiskFault::CorruptNewestCheckpoint];
         let disk_faults = (0..opts.disk_faults)
             .map(|_| RECOVERABLE[rng.gen_range_u64(0, RECOVERABLE.len() as u64 - 1) as usize])
             .collect();
@@ -475,5 +458,20 @@ mod tests {
     #[should_panic(expected = "at least one engine")]
     fn empty_engine_set_rejected() {
         let _ = ChaosPlan::generate(1, &[], &ChaosOptions::default());
+    }
+
+    #[test]
+    fn corrupt_newest_checkpoint_rots_a_delta() {
+        let dir = std::env::temp_dir().join(format!("tart-chaos-rot-{}", std::process::id()));
+        let ckpt = dir.join("ckpt");
+        std::fs::create_dir_all(&ckpt).unwrap();
+        let full = ckpt.join("ckpt-e0000-g00000000.bin");
+        let delta = ckpt.join("ckpt-e0000-g00000001-d.bin");
+        std::fs::write(&full, [0u8; 16]).unwrap();
+        std::fs::write(&delta, [0u8; 16]).unwrap();
+        assert!(DiskFault::CorruptNewestCheckpoint.apply(&dir).unwrap());
+        assert_ne!(std::fs::read(&delta).unwrap(), [0u8; 16], "delta rotted");
+        assert_eq!(std::fs::read(&full).unwrap(), [0u8; 16], "full untouched");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -12,7 +12,21 @@ use tart_estimator::DeterminismFault;
 use tart_model::{CheckpointMode, Snapshot, StateHash, StateHasher, Value};
 use tart_vtime::{ComponentId, EngineId, VirtualTime, WireId};
 
-use crate::store::KEPT_GENERATIONS;
+/// Anchored chains kept per engine (each anchor plus the deltas after it),
+/// by the replica and the on-disk store alike. Two, so one whole chain can
+/// be corrupt and recovery still succeeds — which is also why `TrimAck`s
+/// lag one *full* generation.
+pub(crate) const KEPT_GENERATIONS: usize = 2;
+
+/// The retention rule, the only one: a store of checkpoints keeps
+/// everything from its [`KEPT_GENERATIONS`]-th newest anchor on. Given the
+/// positions of the anchors among the members (ascending), returns how many
+/// of the oldest members expire — 0 while fewer anchors are held.
+/// [`ReplicaStore::push_checkpoint`] and the on-disk store's
+/// `persist_with` and `open` all apply it.
+pub(crate) fn expired(anchors: impl DoubleEndedIterator<Item = usize>) -> usize {
+    anchors.rev().nth(KEPT_GENERATIONS - 1).unwrap_or(0)
+}
 
 /// A soft checkpoint of one engine's state (§II.F.2).
 ///
@@ -246,10 +260,11 @@ pub fn verify_chain(chain: &[EngineCheckpoint]) -> Result<(), ChainDefect> {
 /// the member before it (`None` when `ckpt` opens the chain). Returns the
 /// seal the next member chains from.
 ///
-/// Every consumer of a chain steps through this: [`verify_chain`], the
-/// restore pipeline's unabsorbed tail, the warm standby as it pre-applies,
-/// and the durable store's loaders. Fulls and deltas get the identical
-/// check, so no consumer can absorb a member another would have truncated.
+/// Every consumer of a chain steps through this: [`verify_chain`],
+/// [`HeldChain::seal_walk`] (which promotion, cold restart and the durable
+/// store's `load_chain` share) and the warm standby as it pre-applies.
+/// Fulls and deltas get the identical check, so no consumer can absorb a
+/// member another would have truncated.
 ///
 /// # Errors
 ///
@@ -314,8 +329,8 @@ impl fmt::Display for DivergenceFault {
 impl std::error::Error for DivergenceFault {}
 
 /// The members a restore may read, oldest first, with the positions that
-/// anchor them: what a [`ReplicaStore`] still holds, or one chain loaded
-/// from disk.
+/// anchor them: what a [`ReplicaStore`] still holds, or everything the
+/// on-disk store keeps for one engine.
 #[derive(Clone, Default)]
 pub(crate) struct HeldChain {
     /// How many members were shipped before `members[0]` and since pruned.
@@ -330,16 +345,6 @@ pub(crate) struct HeldChain {
 }
 
 impl HeldChain {
-    /// A chain as [`crate::CheckpointStore::load_chain`] returns it: one
-    /// full head and the deltas against it.
-    pub(crate) fn from_disk(chain: Vec<EngineCheckpoint>) -> Self {
-        HeldChain {
-            floor: 0,
-            anchors: (0..chain.len().min(1)).collect(), // the head, if any
-            members: chain.into_iter().map(Arc::new).collect(),
-        }
-    }
-
     /// Where the newest anchored chain opens (0 when nothing anchors).
     pub(crate) fn newest_anchor(&self) -> usize {
         self.anchors.last().copied().unwrap_or(0)
@@ -349,6 +354,44 @@ impl HeldChain {
     pub(crate) fn truncate(&mut self, len: usize) {
         self.members.truncate(len);
         self.anchors.retain(|a| *a < len);
+    }
+
+    /// The seal walk, the only one: seal-steps the newest anchored chain
+    /// member by member and truncates at its first defect, reporting each
+    /// defect to `on_defect`; once the newest chain is used up, the
+    /// previous anchor's chain is walked the same way. Members before
+    /// absolute position `verified` were already stepped by a warm head
+    /// start, whose seal at the cursor commits to them, so the walk
+    /// resumes there. Returns where the surviving chain opens and how many
+    /// of its members the head start covers; `members[anchor..]` is the
+    /// chain, and nothing is left when every kept chain was defective.
+    pub(crate) fn seal_walk(
+        &mut self,
+        verified: usize,
+        mut on_defect: impl FnMut(ChainDefect),
+    ) -> (usize, usize) {
+        loop {
+            let anchor = self.newest_anchor();
+            let chain = self.members.get(anchor..).unwrap_or_default();
+            let applied = verified.saturating_sub(self.floor + anchor);
+            let mut prev = applied.checked_sub(1).map(|i| chain[i].chain_seal);
+            let defect = chain
+                .iter()
+                .enumerate()
+                .skip(applied)
+                .find_map(|(index, ckpt)| match seal_step(prev, index, ckpt) {
+                    Ok(seal) => {
+                        prev = Some(seal);
+                        None
+                    }
+                    Err(defect) => Some((index, defect)),
+                });
+            let Some((index, defect)) = defect else {
+                return (anchor, applied);
+            };
+            on_defect(defect);
+            self.truncate(anchor + index);
+        }
     }
 }
 
@@ -390,19 +433,17 @@ impl ReplicaStore {
 
     /// Accepts a shipped checkpoint and the mode the engine captured it in.
     /// A [`CheckpointMode::Full`] member anchors a new chain; once more than
-    /// two (`KEPT_GENERATIONS`) chains are held the oldest is dropped whole.
-    /// Order of arrival is the order of application.
+    /// two (`KEPT_GENERATIONS`) chains are held the oldest is dropped whole
+    /// (`checkpoint.rs::expired`). Order of arrival is the order of application.
     pub fn push_checkpoint(&self, ckpt: EngineCheckpoint, mode: CheckpointMode) {
         let held = &mut self.inner.lock().held;
         if mode == CheckpointMode::Full {
             held.anchors.push(held.members.len());
-            if held.anchors.len() > KEPT_GENERATIONS {
-                let cut = held.anchors[held.anchors.len() - KEPT_GENERATIONS];
-                held.members.drain(..cut);
-                held.anchors.retain(|a| *a >= cut);
-                held.anchors.iter_mut().for_each(|a| *a -= cut);
-                held.floor += cut;
-            }
+            let cut = expired(held.anchors.iter().copied());
+            held.members.drain(..cut);
+            held.anchors.retain(|a| *a >= cut);
+            held.anchors.iter_mut().for_each(|a| *a -= cut);
+            held.floor += cut;
         }
         held.members.push(Arc::new(ckpt));
     }

@@ -13,7 +13,7 @@ use tart_model::{AppSpec, Value};
 use tart_vtime::{ComponentId, EngineId, VirtualTime, WireId};
 
 use crate::chaos::{ChaosHandle, ChaosPlan};
-use crate::checkpoint::{seal_step, HeldChain};
+use crate::checkpoint::HeldChain;
 use crate::core::{EngineCore, Flow};
 use crate::router::{EXTERNAL_ENGINE, SUPERVISOR_ENGINE};
 use crate::standby::{StandbyPlane, StandbyStatus, WarmCandidate};
@@ -263,8 +263,6 @@ pub(crate) struct EngineHost {
 /// What [`EngineHost::restore_verified`] hands back.
 struct Restored {
     core: EngineCore,
-    /// Verification forced a shorter chain than the caller supplied.
-    fell_back: bool,
     /// The core is a warm standby's head start, not one built from scratch.
     warm: bool,
 }
@@ -500,26 +498,27 @@ impl EngineHost {
     }
 
     /// The restore pipeline: restores what `held` offers into a core for
-    /// `engine` with hash verification (DESIGN.md §15). One selection rule:
-    /// the newest anchored chain — the last member captured in Full mode
-    /// and everything after it. A `head_start` — a warm standby's core that
-    /// already absorbed and verified every member before its cursor — skips
-    /// the part of that chain it holds: only the tail after it is
-    /// seal-checked and applied, the seal at the cursor committing to the
-    /// prefix. A cursor at or behind the anchor is still a head start: the
-    /// anchor restores over the standby's core as any mid-chain full does.
+    /// `engine` with hash verification (DESIGN.md §10). One selection rule,
+    /// [`HeldChain::seal_walk`]: the newest anchored chain — the last
+    /// member captured in Full mode and everything after it — truncated at
+    /// its first seal defect, the previous chain once it is used up. A
+    /// `head_start` — a warm standby's core that already absorbed and
+    /// verified every member before its cursor — skips the part of that
+    /// chain it holds: only the tail after it is seal-checked and applied,
+    /// the seal at the cursor committing to the prefix. A cursor at or
+    /// behind the anchor is still a head start: the anchor restores over
+    /// the standby's core as any mid-chain full does.
     ///
-    /// A chain-seal defect truncates at the defective member before
-    /// anything is restored; a post-restore state-hash divergence discards
-    /// the tainted core and retries — a diverged head start impeaches the
-    /// standby, not the chain, so the same chain is retried from scratch; a
-    /// diverged from-scratch attempt drops the newest member. Once the
-    /// newest chain is used up the same rule selects the previous one.
-    /// Holding nothing restores vacuously, so the loop always terminates.
-    /// Discarding a core is safe because the core verifies *before* its
-    /// first router send: a failed attempt is invisible to peers. Each
-    /// rejection dumps the flight ring for forensics (the divergence
-    /// counter and timeline event are recorded inside the core).
+    /// A post-restore state-hash divergence discards the tainted core and
+    /// retries — a diverged head start impeaches the standby, not the
+    /// chain, so the same chain is retried from scratch; a diverged
+    /// from-scratch attempt drops the newest member, and the walk then
+    /// selects what is left. On return `held` ends at the newest member
+    /// restored. Holding nothing restores vacuously, so the loop always
+    /// terminates. Discarding a core is safe because the core verifies
+    /// *before* its first router send: a failed attempt is invisible to
+    /// peers. Each rejection dumps the flight ring for forensics (the
+    /// divergence counter and timeline event are recorded inside the core).
     ///
     /// # Errors
     ///
@@ -536,13 +535,16 @@ impl EngineHost {
         &self,
         engine: EngineId,
         replica: &ReplicaStore,
-        mut held: HeldChain,
+        held: &mut HeldChain,
         faults: &[(ComponentId, tart_estimator::DeterminismFault)],
         mut head_start: Option<WarmCandidate>,
     ) -> Result<Restored, usize> {
         let original_len = held.members.len();
-        let mut fell_back = false;
         loop {
+            let verified = head_start.as_ref().map_or(0, |c| c.applied);
+            let (anchor, applied) = held.seal_walk(verified, |defect| {
+                dump_flight(&self.obs, &format!("chain defect for {engine}: {defect}"));
+            });
             if held.members.is_empty() && original_len > 0 {
                 dump_flight(
                     &self.obs,
@@ -551,29 +553,6 @@ impl EngineHost {
                     ),
                 );
                 return Err(original_len);
-            }
-            let anchor = held.newest_anchor();
-            let chain = held.members.get(anchor..).unwrap_or_default();
-            // How far into this chain the head start reaches.
-            let applied = head_start
-                .as_ref()
-                .map_or(0, |c| c.applied.saturating_sub(held.floor + anchor));
-            let mut prev = applied.checked_sub(1).map(|i| chain[i].chain_seal);
-            let mut defect = None;
-            for (index, ckpt) in chain.iter().enumerate().skip(applied) {
-                match seal_step(prev, index, ckpt) {
-                    Ok(seal) => prev = Some(seal),
-                    Err(d) => {
-                        defect = Some((index, d));
-                        break;
-                    }
-                }
-            }
-            if let Some((index, defect)) = defect {
-                dump_flight(&self.obs, &format!("chain defect for {engine}: {defect}"));
-                held.truncate(anchor + index);
-                fell_back = true;
-                continue;
             }
             let warm = head_start.is_some();
             let mut core = match head_start.take() {
@@ -586,14 +565,8 @@ impl EngineHost {
                 }
                 None => self.build_core(engine, replica.clone()),
             };
-            match core.restore_from(chain, applied, faults) {
-                Ok(()) => {
-                    return Ok(Restored {
-                        core,
-                        fell_back,
-                        warm,
-                    })
-                }
+            match core.restore_from(&held.members[anchor..], applied, faults) {
+                Ok(()) => return Ok(Restored { core, warm }),
                 Err(fault) => {
                     dump_flight(
                         &self.obs,
@@ -601,7 +574,6 @@ impl EngineHost {
                     );
                     if !warm {
                         held.truncate(held.members.len().saturating_sub(1));
-                        fell_back = true;
                     }
                 }
             }
@@ -639,7 +611,7 @@ impl EngineHost {
             }
             slot.replica.clone()
         };
-        let held = replica.held();
+        let mut held = replica.held();
         let faults = replica.faults();
 
         let fresh_replica = ReplicaStore::new();
@@ -651,7 +623,8 @@ impl EngineHost {
         let (tx, rx) = unbounded::<Envelope>();
         self.router.register(engine, tx.clone());
 
-        let restored = match self.restore_verified(engine, &fresh_replica, held, &faults, warm) {
+        let restored = match self.restore_verified(engine, &fresh_replica, &mut held, &faults, warm)
+        {
             Ok(restored) => restored,
             Err(discarded) => {
                 self.router.deregister(engine);
@@ -729,12 +702,13 @@ impl Cluster {
 
     /// Cold-restarts a cluster from the on-disk state a previous
     /// (crashed) deployment left in `config.durability.dir`: the WAL is
-    /// scanned (truncating any torn tail), each engine restores from its
-    /// newest checkpoint generation that verifies (falling back one if the
-    /// newest is corrupt), the determinism-fault logs are re-applied, and
-    /// every engine replays forward — from the WAL for external wires, from
-    /// recovered retention plus deterministic re-execution for internal
-    /// ones. Deduplicated outputs are byte-identical to a run that never
+    /// scanned (truncating any torn tail), each engine restores from
+    /// everything its checkpoint store keeps by the rule a promotion
+    /// applies to the replica (`restore_verified`: the newest chain that
+    /// verifies, else the previous one), the determinism-fault logs are
+    /// re-applied, and every engine replays forward — from the WAL for
+    /// external wires, from recovered retention plus deterministic
+    /// re-execution for internal ones. Deduplicated outputs are byte-identical to a run that never
     /// crashed (§II.F.4 extended to whole-cluster failure).
     ///
     /// The cluster clock is advanced past the last logged timestamp so
@@ -745,8 +719,8 @@ impl Cluster {
     /// [`DeployError::DurabilityNotConfigured`] without
     /// [`ClusterConfig::with_durability`];
     /// [`DeployError::DurabilityUnavailable`] when the WAL has mid-file
-    /// (non-tail) corruption or an engine's every checkpoint generation
-    /// fails verification.
+    /// (non-tail) corruption or an engine's every kept checkpoint
+    /// generation is unreadable or fails verification.
     pub fn recover_from_disk(
         spec: AppSpec,
         placement: Placement,
@@ -769,9 +743,14 @@ impl Cluster {
         // inert, so an error cannot strand half-started engines.
         let mut restart_points = Vec::new();
         for engine in placement.engines() {
-            let loaded = store.load_chain(engine).map_err(|e| unavailable(&e))?;
+            let kept = store.load_kept(engine);
+            if kept.newest.is_some() && kept.held.members.is_empty() {
+                return Err(unavailable(&format!(
+                    "engine {engine}: every kept checkpoint generation is unreadable"
+                )));
+            }
             let faults = store.faults(engine).map_err(|e| unavailable(&e))?;
-            restart_points.push((engine, loaded, faults));
+            restart_points.push((engine, kept, faults));
         }
         let mut cluster = Cluster::assemble(spec, placement, config, log, Some(store));
         let host = Arc::clone(&cluster.host);
@@ -795,22 +774,24 @@ impl Cluster {
             engines: Vec::new(),
             components,
         };
-        for ((engine, loaded, faults), (tx, rx)) in restart_points.into_iter().zip(inboxes) {
-            let (chain, generation, fell_back) = match loaded {
-                Some(l) => (l.chain, Some(l.generation), l.fell_back),
-                None => (Vec::new(), None, false),
-            };
+        for ((engine, mut kept, faults), (tx, rx)) in restart_points.into_iter().zip(inboxes) {
             let replica = ReplicaStore::new();
-            let head_start = host.attach_standby(engine, &replica);
-            // Hash-verified cold restart: the loaded chain passed the
-            // store's CRC and seal checks, and restore re-derives the live
-            // state hash against the recorded one — a divergent suffix is
-            // discarded rather than resumed. A chain discarded to nothing
-            // is terminal: tear down whatever already started and report,
-            // rather than resuming an engine with its history erased.
-            let held = HeldChain::from_disk(chain);
-            let restored = match host.restore_verified(engine, &replica, held, &faults, head_start)
-            {
+            // A fresh standby plane holds no slot yet, so there is no head
+            // start: the disk's members need no absolute positions.
+            host.attach_standby(engine, &replica);
+            // Hash-verified cold restart, exactly as a promotion: a seal
+            // defect truncates, a divergent suffix is discarded rather than
+            // resumed, a used-up chain falls back to the previous one. A
+            // chain discarded to nothing is terminal: tear down whatever
+            // already started and report, rather than resuming an engine
+            // with its history erased.
+            let restored = match host.restore_verified(
+                engine,
+                &replica,
+                &mut kept.held,
+                &faults,
+                None,
+            ) {
                 Ok(restored) => restored,
                 Err(discarded) => {
                     for started in host.engine_ids() {
@@ -823,10 +804,11 @@ impl Cluster {
                 }
             };
             host.launch(engine, restored.core, tx, rx, replica, true);
+            let generation = kept.top();
             report.engines.push(EngineRecovery {
                 engine,
                 generation,
-                fell_back: fell_back || restored.fell_back,
+                fell_back: generation != kept.newest,
             });
         }
         cluster.start_supervisor();
@@ -1371,12 +1353,13 @@ fn component_recoveries(
 pub struct EngineRecovery {
     /// The engine.
     pub engine: EngineId,
-    /// The checkpoint generation it restored from; `None` means no durable
-    /// checkpoint existed and it restarted from scratch (full replay).
+    /// The store generation of the newest member restored; `None` means
+    /// no durable checkpoint existed and it restarted from scratch (full
+    /// replay).
     pub generation: Option<u64>,
-    /// `true` if recovery did not restore through the newest persisted
-    /// generation — a damaged full or delta forced a shorter or older
-    /// restore chain.
+    /// `true` if `generation` is older than the newest generation on disk
+    /// — an unreadable, seal-broken or divergent member forced a shorter
+    /// or older restore chain.
     pub fell_back: bool,
 }
 
@@ -1418,7 +1401,7 @@ impl fmt::Debug for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::KEPT_GENERATIONS;
+    use crate::checkpoint::{seal_step, KEPT_GENERATIONS};
     use crate::StandbyConfig;
     use tart_model::reference::fan_in_app;
     use tart_model::{
@@ -1652,7 +1635,7 @@ mod tests {
 
         let mut cluster = deploy_tally(None);
         tally(&cluster, script[..3].iter().copied());
-        let held = replica_of(&cluster).held();
+        let mut held = replica_of(&cluster).held();
         assert_eq!(held.members.len(), 3);
         assert!(
             held.members[2].is_self_contained() && !held.members[1].is_self_contained(),
@@ -1663,9 +1646,9 @@ mod tests {
         cluster.kill(ENGINE);
         let restored = cluster
             .host
-            .restore_verified(ENGINE, &ReplicaStore::new(), held, &[], None)
+            .restore_verified(ENGINE, &ReplicaStore::new(), &mut held, &[], None)
             .expect("restores");
-        assert!(!restored.fell_back, "nothing had to be discarded");
+        assert_eq!(held.members.len(), 3, "nothing had to be discarded");
         drop(restored);
         cluster.promote(ENGINE).expect("promotes");
         tally(&cluster, script[3..].iter().copied());

@@ -88,7 +88,7 @@ impl Placement {
 ///
 /// Engines emit [`crate::Envelope::Heartbeat`] beacons every
 /// `heartbeat_interval`; the supervisor suspects an engine when either its
-/// phi-accrual score crosses `phi_threshold` or no beacon has arrived for
+/// phi-accrual score crosses 8 or no beacon has arrived for
 /// `suspicion_timeout` (the hard bound). A suspected engine is fail-stopped
 /// and its replica promoted automatically — the same kill → promote →
 /// replay path as a manual failover, so a false positive costs a recovery,
@@ -100,9 +100,6 @@ pub struct SupervisionConfig {
     /// Hard bound: an engine unheard-from for this long is declared failed
     /// regardless of the phi score.
     pub suspicion_timeout: Duration,
-    /// Phi-accrual suspicion threshold (à la Hayashibara et al.); `None`
-    /// falls back to the plain `suspicion_timeout` detector.
-    pub phi_threshold: Option<f64>,
     /// How often the supervisor re-evaluates liveness between beacons.
     pub poll_interval: Duration,
 }
@@ -113,7 +110,6 @@ impl Default for SupervisionConfig {
         SupervisionConfig {
             heartbeat_interval: Duration::from_millis(250),
             suspicion_timeout: Duration::from_secs(2),
-            phi_threshold: Some(8.0),
             poll_interval: Duration::from_millis(50),
         }
     }
@@ -128,7 +124,6 @@ impl SupervisionConfig {
         SupervisionConfig {
             heartbeat_interval: Duration::from_millis(10),
             suspicion_timeout: Duration::from_millis(400),
-            phi_threshold: Some(8.0),
             poll_interval: Duration::from_millis(5),
         }
     }
@@ -637,7 +632,6 @@ mod tests {
         let _ = ClusterConfig::logical_time().with_supervision(SupervisionConfig {
             heartbeat_interval: Duration::from_millis(50),
             suspicion_timeout: Duration::from_millis(50),
-            phi_threshold: None,
             poll_interval: Duration::from_millis(5),
         });
     }

@@ -1242,7 +1242,7 @@ impl EngineCore {
         // digest and the combined engine digest, then seal the checkpoint
         // into the hash chain. Self-contained generations restart the chain
         // so any suffix anchored at a full verifies independently — exactly
-        // the shape `load_chain` can fall back to.
+        // the shape the seal walk can fall back to.
         for (cid, clock) in &ckpt.clocks {
             ckpt.component_hashes
                 .insert(*cid, self.component_mut(*cid).state_hash(*clock));
@@ -1891,7 +1891,7 @@ mod tests {
         assert!(fulls >= 3, "the cadence came round more than once");
         assert!(longest_tail >= 3, "and left room for deltas in between");
         assert_eq!(core.replica.len(), 60);
-        assert!(core.replica.held().anchors.len() <= crate::store::KEPT_GENERATIONS);
+        assert!(core.replica.held().anchors.len() <= crate::checkpoint::KEPT_GENERATIONS);
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub use log::{LogCrash, LogError, MessageLog};
 pub use retention::RetentionBuffer;
 pub use router::{FaultPlan, Router};
 pub use standby::StandbyStatus;
-pub use store::{CheckpointStore, LoadedChain, LoadedCheckpoint, StoreError};
+pub use store::{CheckpointStore, LoadedChain, StoreError};
 pub use supervise::{FailureDetector, SupervisionMetrics};
 pub use tart_obs::{
     check_report, write_report, EngineObs, Histogram, ObsEvent, ObsEventKind, ObsHub, ObsSnapshot,

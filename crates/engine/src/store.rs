@@ -2,22 +2,20 @@
 //!
 //! Checkpoints are the replay starting points; replay is only as available
 //! as they are. The in-memory [`crate::ReplicaStore`] covers single-engine
-//! failures, this store covers the rest: each persisted
-//! [`EngineCheckpoint`] becomes a **generation** — a CRC-framed file
-//! written to a temp name, fsynced, then atomically renamed — and a CRC'd
-//! **manifest** records, per engine, the generations that exist, newest
-//! last.
+//! failures, this store covers the rest: it is the replica's on-disk twin.
+//! Each persisted [`EngineCheckpoint`] becomes a **generation** — a
+//! CRC-framed file written to a temp name and atomically renamed — and the
+//! directory listing is the only index: rename is atomic, so every
+//! `ckpt-*.bin` is either fully present or absent.
 //!
 //! A generation is either **full** (self-contained: every component
-//! snapshot restores alone) or a **delta** against the chain since the
-//! previous full (`-d` filename suffix; the manifest wire format is
-//! unchanged). [`CheckpointStore::load_chain`] reconstructs the newest
-//! restorable chain — one full head plus its verified deltas, oldest
-//! first — truncating at the first damaged delta and falling back to the
-//! previous full chain when a full itself is damaged (DESIGN.md §13). The
-//! store keeps generations back through the [`KEPT_GENERATIONS`]-th-newest
-//! full, so a whole chain can rot and recovery still succeeds. If the
-//! manifest is unreadable it is rebuilt from the directory listing.
+//! snapshot restores alone, and it anchors a chain) or a **delta** against
+//! the chain since the previous full; the kind is in the file name (`-d`
+//! suffix for deltas). The store keeps and picks chains by the replica's
+//! rules: `checkpoint::expired` decides what survives — whole chains back
+//! through the `KEPT_GENERATIONS`-th newest full — and
+//! [`CheckpointStore::load_chain`] runs the seal walk a promotion runs over
+//! everything kept (DESIGN.md §10).
 //!
 //! Determinism faults (§II.G.4) are logged synchronously to an append-only
 //! CRC-framed file per engine, fsynced per record, because a re-calibrated
@@ -28,20 +26,15 @@ use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use tart_codec::{crc32, Decode, Encode};
 use tart_estimator::DeterminismFault;
 use tart_vtime::{ComponentId, EngineId};
 
-use crate::checkpoint::{seal_step, EngineCheckpoint};
+use crate::checkpoint::{expired, EngineCheckpoint, HeldChain};
 use crate::wal::{scan_segment, sync_dir, FRAME_HEADER};
-
-const MANIFEST: &str = "MANIFEST";
-/// Full checkpoint chains kept per engine (each full plus its trailing
-/// deltas). Two, so one whole chain can be corrupt and recovery still
-/// succeeds — which is also why `TrimAck`s lag one *full* generation.
-pub(crate) const KEPT_GENERATIONS: usize = 2;
 
 /// Errors from the checkpoint store.
 #[derive(Debug)]
@@ -79,18 +72,6 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// A checkpoint loaded back from disk.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LoadedCheckpoint {
-    /// Generation number the checkpoint was read from.
-    pub generation: u64,
-    /// Whether the newest generation failed verification and this is the
-    /// previous one.
-    pub fell_back: bool,
-    /// The checkpoint itself.
-    pub checkpoint: EngineCheckpoint,
-}
-
 /// A restorable checkpoint chain loaded back from disk: one full head
 /// followed by every verified delta against it, oldest first. Restoring
 /// applies the snapshots in order (the replica chain does the same).
@@ -106,47 +87,57 @@ pub struct LoadedChain {
     pub chain: Vec<EngineCheckpoint>,
 }
 
-/// The in-memory view of what exists on disk, all under one lock.
-#[derive(Default)]
-struct Index {
-    /// engine raw id → all generation numbers, oldest first, newest last.
-    gens: BTreeMap<u32, Vec<u64>>,
-    /// engine raw id → the subset of generations that are full
-    /// (self-contained) checkpoints, ascending.
-    fulls: BTreeMap<u32, Vec<u64>>,
+/// Everything the store keeps for one engine, read back by `load_kept`.
+pub(crate) struct KeptChain {
+    /// The members that read back, oldest first, anchored at the full
+    /// generations among them.
+    pub(crate) held: HeldChain,
+    /// The generation of each of `held`'s members.
+    pub(crate) generations: Vec<u64>,
+    /// The newest generation kept, readable or not; `None` when the engine
+    /// never persisted one.
+    pub(crate) newest: Option<u64>,
 }
 
-/// Write-temp + fsync + atomic-rename durable checkpoint storage with a
-/// CRC'd generation manifest.
+impl KeptChain {
+    /// The generation of the newest member `held` still holds — after a
+    /// seal walk or a restore, the top of the chain that survived.
+    pub(crate) fn top(&self) -> Option<u64> {
+        let len = self.held.members.len();
+        len.checked_sub(1).map(|i| self.generations[i])
+    }
+}
+
+/// One engine's kept generations, oldest first: `(generation, is_full)`.
+type Generations = Vec<(u64, bool)>;
+
+/// Positions of the full generations — the anchors — among `gens`.
+fn anchors(gens: &[(u64, bool)]) -> impl DoubleEndedIterator<Item = usize> + '_ {
+    gens.iter()
+        .enumerate()
+        .filter(|(_, (_, full))| *full)
+        .map(|(i, _)| i)
+}
+
+/// Write-temp + atomic-rename durable checkpoint storage, indexed by its
+/// directory listing.
 ///
 /// Shared freely (`Clone`); all methods take `&self`.
 pub struct CheckpointStore {
     dir: PathBuf,
-    index: Mutex<Index>,
+    /// engine raw id → its kept generations (the listing, pruned).
+    index: Mutex<BTreeMap<u32, Generations>>,
     /// engine raw id → open fault-log file handle.
     fault_logs: Mutex<BTreeMap<u32, File>>,
     /// Observability hub; persist latency lands in its histogram. The
     /// store is on the ops plane, so timing here keeps the engine core
     /// free of wall-clock reads.
-    obs: Mutex<Option<std::sync::Arc<tart_obs::ObsHub>>>,
-}
-
-fn ckpt_name(engine: u32, generation: u64) -> String {
-    format!("ckpt-e{engine:04}-g{generation:08}.bin")
-}
-
-/// Delta generations carry a `-d` marker so the kind survives a manifest
-/// rebuild (the manifest wire format itself only stores numbers).
-fn delta_ckpt_name(engine: u32, generation: u64) -> String {
-    format!("ckpt-e{engine:04}-g{generation:08}-d.bin")
+    obs: Mutex<Option<Arc<tart_obs::ObsHub>>>,
 }
 
 fn ckpt_file_name(engine: u32, generation: u64, is_full: bool) -> String {
-    if is_full {
-        ckpt_name(engine, generation)
-    } else {
-        delta_ckpt_name(engine, generation)
-    }
+    let kind = if is_full { "" } else { "-d" };
+    format!("ckpt-e{engine:04}-g{generation:08}{kind}.bin")
 }
 
 fn fault_log_name(engine: u32) -> String {
@@ -164,12 +155,11 @@ fn frame(body: &[u8]) -> Vec<u8> {
 
 /// Writes `bytes` to `path` atomically: temp file in the same directory,
 /// then rename over the target, so a reader never sees a torn file. With
-/// `sync` the temp file is fsynced before the rename and the directory
-/// after it. `sync = false` lets the kernel schedule the writeback — the
-/// Buffered durability tier's checkpoint persist, which trades a
-/// machine-crash window for not paying two fsyncs per generation. Process
-/// crashes lose nothing either way: renamed data survives the process.
-fn write_atomic(dir: &Path, path: &Path, bytes: &[u8], sync: bool) -> Result<(), StoreError> {
+/// `sync` the temp file is fsynced before the rename. `sync = false` lets
+/// the kernel schedule the data writeback — the Buffered durability tier's
+/// checkpoint persist. Process crashes lose nothing either way: renamed
+/// data survives the process. The caller fsyncs the directory.
+fn write_atomic(path: &Path, bytes: &[u8], sync: bool) -> Result<(), StoreError> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = OpenOptions::new()
@@ -183,19 +173,15 @@ fn write_atomic(dir: &Path, path: &Path, bytes: &[u8], sync: bool) -> Result<(),
         }
     }
     fs::rename(&tmp, path)?;
-    if sync {
-        sync_dir(dir)?;
-    }
     Ok(())
 }
 
 impl CheckpointStore {
     /// Opens (creating if absent) a checkpoint store rooted at `dir`.
     ///
-    /// Reads the manifest if present; if the manifest is missing or fails
-    /// its CRC, rebuilds it from the checkpoint files actually on disk
-    /// (rename is atomic, so every `ckpt-*.bin` is either fully present or
-    /// absent — the listing is trustworthy even after a crash).
+    /// The index is the directory listing, pruned by the retention rule
+    /// (`checkpoint::expired`); any other file in the directory is
+    /// ignored.
     ///
     /// # Errors
     ///
@@ -204,21 +190,10 @@ impl CheckpointStore {
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        // Generation kinds (full vs delta) live in the filenames, so the
-        // listing is scanned either way; the manifest only contributes the
-        // authoritative generation list when it verifies.
-        let (listed_gens, listed_fulls) = scan_ckpt_files(&dir)?;
-        let index = match read_manifest(&dir.join(MANIFEST)) {
-            Some(gens) => {
-                let mut fulls = listed_fulls;
-                for (engine, f) in fulls.iter_mut() {
-                    let known = gens.get(engine).cloned().unwrap_or_default();
-                    f.retain(|g| known.binary_search(g).is_ok());
-                }
-                Index { gens, fulls }
-            }
-            None => rebuilt_index(listed_gens, listed_fulls),
-        };
+        let mut index = scan_ckpt_files(&dir)?;
+        for gens in index.values_mut() {
+            gens.drain(..expired(anchors(gens)));
+        }
         Ok(CheckpointStore {
             dir,
             index: Mutex::new(index),
@@ -229,20 +204,19 @@ impl CheckpointStore {
 
     /// Attaches the observability hub; subsequent [`CheckpointStore::persist_with`]
     /// calls record their latency in its checkpoint-persist histogram.
-    pub fn set_obs(&self, hub: std::sync::Arc<tart_obs::ObsHub>) {
+    pub fn set_obs(&self, hub: Arc<tart_obs::ObsHub>) {
         *self.obs.lock() = Some(hub);
     }
 
     /// True if the store holds no checkpoint for any engine.
     pub fn is_empty(&self) -> bool {
-        self.index.lock().gens.values().all(Vec::is_empty)
+        self.index.lock().values().all(Vec::is_empty)
     }
 
     /// Engines with at least one persisted generation.
     pub fn engines(&self) -> Vec<EngineId> {
         self.index
             .lock()
-            .gens
             .iter()
             .filter(|(_, gens)| !gens.is_empty())
             .map(|(e, _)| EngineId::new(*e))
@@ -253,26 +227,14 @@ impl CheckpointStore {
     pub fn generations(&self, engine: EngineId) -> Vec<u64> {
         self.index
             .lock()
-            .gens
             .get(&engine.raw())
-            .cloned()
+            .map(|gens| gens.iter().map(|(g, _)| *g).collect())
             .unwrap_or_default()
     }
 
-    /// The subset of kept generations that are full (self-contained)
-    /// checkpoints, oldest first.
-    pub fn full_generations(&self, engine: EngineId) -> Vec<u64> {
-        self.index
-            .lock()
-            .fulls
-            .get(&engine.raw())
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// Persists `ckpt` as a new generation for its engine: checkpoint file
-    /// written atomically, manifest updated atomically, generations older
-    /// than the two (`KEPT_GENERATIONS`) newest fulls' chains pruned.
+    /// Persists `ckpt` as a new generation for its engine: the checkpoint
+    /// file written atomically, the directory fsynced, then generations the
+    /// retention rule expires (`checkpoint::expired`) pruned.
     /// Whether the generation is full or a delta is derived from the
     /// checkpoint itself ([`EngineCheckpoint::is_self_contained`]) and
     /// recorded in the file name. Returns the new generation number.
@@ -284,53 +246,34 @@ impl CheckpointStore {
     /// lands atomically (readers never see a torn generation, and a
     /// *process* crash loses nothing), but the data fsync is left to the
     /// kernel, so a *machine* crash may roll the engine back to an older
-    /// generation. The manifest update is always fsynced — it is tiny,
-    /// shared across engines, and a stale manifest would orphan every
-    /// tier's generations, not just the buffered engine's.
+    /// generation. The directory is always fsynced: a generation is listed
+    /// durably before anything older is unlinked.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] if any write, fsync or rename fails (the
-    /// previous generation remains the manifest's newest in that case), or
+    /// previous generation remains the newest kept in that case), or
     /// [`StoreError::Corrupt`] for a delta with no full base on disk —
     /// such a generation could never restore.
     pub fn persist_with(&self, ckpt: &EngineCheckpoint, sync: bool) -> Result<u64, StoreError> {
         let persist_started = std::time::Instant::now();
         let engine = ckpt.engine.raw();
         let is_full = ckpt.is_self_contained();
-        let index = &mut *self.index.lock();
-        let gens = index.gens.entry(engine).or_default();
-        let fulls = index.fulls.entry(engine).or_default();
-        if !is_full && fulls.is_empty() {
+        let mut index = self.index.lock();
+        let gens = index.entry(engine).or_default();
+        if !is_full && anchors(gens).next().is_none() {
             return Err(StoreError::Corrupt {
                 what: format!("delta checkpoint for {} has no full base", ckpt.engine),
             });
         }
-        let generation = gens.last().map_or(0, |g| g + 1);
+        let generation = gens.last().map_or(0, |(g, _)| g + 1);
         let path = self.dir.join(ckpt_file_name(engine, generation, is_full));
-        write_atomic(&self.dir, &path, &frame(&ckpt.to_bytes()), sync)?;
-        gens.push(generation);
-        if is_full {
-            fulls.push(generation);
-        }
-        // Keep every generation back through the KEPT_GENERATIONS-th-newest
-        // full: a full plus its trailing deltas form one restore chain, and
-        // two whole chains must survive for the corruption fallback.
-        let mut expired: Vec<(u64, bool)> = Vec::new();
-        if fulls.len() > KEPT_GENERATIONS {
-            let floor = fulls[fulls.len() - KEPT_GENERATIONS];
-            let cut = gens.partition_point(|&g| g < floor);
-            for g in gens.drain(..cut) {
-                expired.push((g, fulls.binary_search(&g).is_ok()));
-            }
-            fulls.retain(|&g| g >= floor);
-        }
-        write_manifest(&self.dir, &index.gens)?;
-        // Prune only after the manifest no longer references the old
-        // generations; a crash between the two steps leaves harmless
-        // unreferenced files that the next rebuild ignores or re-adopts.
-        for (g, f) in expired {
-            fs::remove_file(self.dir.join(ckpt_file_name(engine, g, f))).ok();
+        write_atomic(&path, &frame(&ckpt.to_bytes()), sync)?;
+        sync_dir(&self.dir)?;
+        gens.push((generation, is_full));
+        let cut = expired(anchors(gens));
+        for (g, full) in gens.drain(..cut) {
+            fs::remove_file(self.dir.join(ckpt_file_name(engine, g, full))).ok();
         }
         if let Some(obs) = &*self.obs.lock() {
             let elapsed = persist_started.elapsed().as_nanos();
@@ -339,111 +282,75 @@ impl CheckpointStore {
         Ok(generation)
     }
 
-    /// Loads the newest **full** generation for `engine` that passes
-    /// verification, falling back at most one full. `Ok(None)` when the
-    /// engine has no generations at all. Delta generations are skipped —
-    /// use [`CheckpointStore::load_chain`] to restore through them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Corrupt`] when every kept full generation
-    /// fails verification, or [`StoreError::Io`] on read failure.
-    pub fn load_latest(&self, engine: EngineId) -> Result<Option<LoadedCheckpoint>, StoreError> {
-        if self.generations(engine).is_empty() {
-            return Ok(None);
-        }
-        let fulls = self.full_generations(engine);
-        for (attempt, &generation) in fulls.iter().rev().take(KEPT_GENERATIONS).enumerate() {
-            let path = self.dir.join(ckpt_name(engine.raw(), generation));
-            if let Some(checkpoint) = read_framed_checkpoint(&path) {
-                // CRC guards the bytes; the seal guards the recorded state
-                // hash itself. A full whose seal does not recompute is as
-                // unusable as a torn one.
-                if seal_step(None, 0, &checkpoint).is_err() {
-                    continue;
-                }
-                return Ok(Some(LoadedCheckpoint {
-                    generation,
-                    fell_back: attempt > 0,
-                    checkpoint,
-                }));
+    /// Every kept member of `engine`, oldest first, as a replica would
+    /// hold them: anchored at the full generations (the file names say
+    /// which). A missing, torn, CRC-failed or undecodable file is left out;
+    /// the seal walk then rejects whatever chained over it, so a damaged
+    /// delta still truncates its chain and a damaged full still falls back
+    /// to the previous chain.
+    pub(crate) fn load_kept(&self, engine: EngineId) -> KeptChain {
+        let gens = self
+            .index
+            .lock()
+            .get(&engine.raw())
+            .cloned()
+            .unwrap_or_default();
+        let mut kept = KeptChain {
+            held: HeldChain::default(),
+            generations: Vec::with_capacity(gens.len()),
+            newest: gens.last().map(|(g, _)| *g),
+        };
+        for (g, full) in gens {
+            let path = self.dir.join(ckpt_file_name(engine.raw(), g, full));
+            let Some(ckpt) = read_framed_checkpoint(&path) else {
+                continue;
+            };
+            if full {
+                kept.held.anchors.push(kept.held.members.len());
             }
+            kept.held.members.push(Arc::new(ckpt));
+            kept.generations.push(g);
         }
-        Err(StoreError::Corrupt {
-            what: format!("all kept checkpoint generations for {engine} failed verification"),
-        })
+        kept
     }
 
-    /// Loads the newest restorable chain for `engine`: the newest full
-    /// generation that verifies, plus every consecutive verified delta
-    /// after it. Verification is two layers: the CRC frame (torn or
-    /// bit-rotted bytes) and the chain seal (a member whose recorded state
-    /// hash or payload was rewritten under a recomputed CRC). A damaged
-    /// delta truncates the chain there (everything before it is still a
+    /// Loads the newest restorable chain for `engine`: everything kept
+    /// (`load_kept`) through the seal walk a promotion runs — the newest
+    /// full that verifies plus every consecutive verified delta after it.
+    /// Verification is two layers: the CRC frame (torn or bit-rotted
+    /// bytes) and the chain seal (a member whose recorded state hash or
+    /// payload was rewritten under a recomputed CRC). A damaged delta
+    /// truncates the chain there (everything before it is still a
     /// consistent restore point); a damaged full falls back to the previous
     /// full's chain. `Ok(None)` when the engine has no generations at all.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Corrupt`] when every kept full generation
-    /// fails verification, or [`StoreError::Io`] on read failure.
+    /// fails verification.
     pub fn load_chain(&self, engine: EngineId) -> Result<Option<LoadedChain>, StoreError> {
-        let (gens, fulls) = {
-            let index = self.index.lock();
-            (
-                index.gens.get(&engine.raw()).cloned().unwrap_or_default(),
-                index.fulls.get(&engine.raw()).cloned().unwrap_or_default(),
-            )
-        };
-        let Some(&newest) = gens.last() else {
+        let mut kept = self.load_kept(engine);
+        let Some(newest) = kept.newest else {
             return Ok(None);
         };
-        let heads: Vec<u64> = fulls.iter().rev().take(KEPT_GENERATIONS).copied().collect();
-        for (i, &head) in heads.iter().enumerate() {
-            let head_path = self.dir.join(ckpt_name(engine.raw(), head));
-            let Some(full) = read_framed_checkpoint(&head_path) else {
-                continue; // damaged full: fall back to the previous chain
-            };
-            let Ok(mut prev_seal) = seal_step(None, 0, &full) else {
-                continue; // seal-broken full: treated exactly like a torn one
-            };
-            // Deltas that belong to this chain: after this full, before the
-            // next-newer full (for the newest chain there is none).
-            let upper = if i == 0 { u64::MAX } else { heads[i - 1] };
-            let mut chain = vec![full];
-            let mut top = head;
-            for &g in gens.iter().filter(|&&g| g > head && g < upper) {
-                let is_full = fulls.binary_search(&g).is_ok();
-                let path = self.dir.join(ckpt_file_name(engine.raw(), g, is_full));
-                // A chain is only valid through its last intact link;
-                // everything before the damage still restores. The seal
-                // chains each member over its predecessor and covers the
-                // recorded state hash, so a delta whose stored hash was
-                // rewritten (CRC re-framed and all) truncates the chain
-                // exactly like a torn one.
-                let Some(c) = read_framed_checkpoint(&path) else {
-                    break;
-                };
-                let Ok(seal) = seal_step(Some(prev_seal), chain.len(), &c) else {
-                    break;
-                };
-                prev_seal = seal;
-                chain.push(c);
-                top = g;
-            }
-            return Ok(Some(LoadedChain {
-                generation: top,
-                fell_back: top != newest,
-                chain,
-            }));
-        }
-        Err(StoreError::Corrupt {
-            what: format!("all kept checkpoint generations for {engine} failed verification"),
-        })
+        let (anchor, _) = kept.held.seal_walk(0, |_| {});
+        let Some(generation) = kept.top() else {
+            return Err(StoreError::Corrupt {
+                what: format!("all kept checkpoint generations for {engine} failed verification"),
+            });
+        };
+        let chain = kept.held.members.drain(anchor..);
+        Ok(Some(LoadedChain {
+            generation,
+            fell_back: generation != newest,
+            chain: chain.map(Arc::unwrap_or_clone).collect(),
+        }))
     }
 
     /// Synchronously logs a determinism fault for `engine`: CRC-framed,
-    /// appended, fsynced before returning.
+    /// appended, fsynced before returning. The directory is fsynced when
+    /// the log is first opened, so a machine crash cannot drop the new
+    /// file's entry.
     ///
     /// # Errors
     ///
@@ -457,12 +364,14 @@ impl CheckpointStore {
         let mut logs = self.fault_logs.lock();
         let file = match logs.entry(engine.raw()) {
             std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::btree_map::Entry::Vacant(e) => e.insert(
-                OpenOptions::new()
+            std::collections::btree_map::Entry::Vacant(e) => {
+                let file = OpenOptions::new()
                     .create(true)
                     .append(true)
-                    .open(self.dir.join(fault_log_name(engine.raw())))?,
-            ),
+                    .open(self.dir.join(fault_log_name(engine.raw())))?;
+                sync_dir(&self.dir)?;
+                e.insert(file)
+            }
         };
         let body = (component, fault.clone()).to_bytes();
         file.write_all(&frame(&body))?;
@@ -513,76 +422,30 @@ impl fmt::Debug for CheckpointStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CheckpointStore")
             .field("dir", &self.dir)
-            .field("manifest", &self.index.lock().gens)
+            .field("generations", &*self.index.lock())
             .finish()
     }
 }
 
-/// Reads and verifies the manifest; `None` means missing or corrupt (the
-/// caller rebuilds from the directory listing).
-fn read_manifest(path: &Path) -> Option<BTreeMap<u32, Vec<u64>>> {
-    let bytes = fs::read(path).ok()?;
-    if bytes.len() < FRAME_HEADER {
-        return None;
-    }
-    let len = u32::from_be_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_be_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if FRAME_HEADER + len != bytes.len() {
-        return None;
-    }
-    let body = &bytes[FRAME_HEADER..];
-    if crc32(body) != crc {
-        return None;
-    }
-    BTreeMap::<u32, Vec<u64>>::from_bytes(body).ok()
-}
-
-fn write_manifest(dir: &Path, manifest: &BTreeMap<u32, Vec<u64>>) -> Result<(), StoreError> {
-    write_atomic(dir, &dir.join(MANIFEST), &frame(&manifest.to_bytes()), true)
-}
-
-/// Lists the `ckpt-*.bin` files present: `(all generations, full
-/// generations)` per engine, sorted ascending, unpruned.
-type CkptListing = (BTreeMap<u32, Vec<u64>>, BTreeMap<u32, Vec<u64>>);
-
-fn scan_ckpt_files(dir: &Path) -> Result<CkptListing, StoreError> {
-    let mut gens: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-    let mut fulls: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
+/// Lists the `ckpt-*.bin` files present, per engine, oldest first,
+/// unpruned.
+fn scan_ckpt_files(dir: &Path) -> Result<BTreeMap<u32, Generations>, StoreError> {
+    let mut index: BTreeMap<u32, Generations> = BTreeMap::new();
     for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if let Some((engine, generation, is_full)) = parse_ckpt_name(&name) {
-            gens.entry(engine).or_default().push(generation);
-            if is_full {
-                fulls.entry(engine).or_default().push(generation);
-            }
+        let name = entry?.file_name();
+        if let Some((engine, generation, is_full)) = parse_ckpt_name(&name.to_string_lossy()) {
+            index.entry(engine).or_default().push((generation, is_full));
         }
     }
-    for v in gens.values_mut().chain(fulls.values_mut()) {
-        v.sort_unstable();
+    for gens in index.values_mut() {
+        gens.sort_unstable();
     }
-    Ok((gens, fulls))
-}
-
-/// Reconstructs the index from a directory listing, keeping generations
-/// back through the [`KEPT_GENERATIONS`]-th-newest full per engine (the
-/// same retention rule [`CheckpointStore::persist_with`] applies).
-fn rebuilt_index(mut gens: BTreeMap<u32, Vec<u64>>, mut fulls: BTreeMap<u32, Vec<u64>>) -> Index {
-    for (engine, g) in gens.iter_mut() {
-        let f = fulls.entry(*engine).or_default();
-        if f.len() > KEPT_GENERATIONS {
-            let floor = f[f.len() - KEPT_GENERATIONS];
-            g.retain(|&x| x >= floor);
-            f.retain(|&x| x >= floor);
-        }
-    }
-    Index { gens, fulls }
+    Ok(index)
 }
 
 /// Parses `ckpt-e0001-g00000002.bin` → `(1, 2, true)` and the delta form
 /// `ckpt-e0001-g00000002-d.bin` → `(1, 2, false)`.
-fn parse_ckpt_name(name: &str) -> Option<(u32, u64, bool)> {
+pub(crate) fn parse_ckpt_name(name: &str) -> Option<(u32, u64, bool)> {
     let rest = name.strip_prefix("ckpt-e")?.strip_suffix(".bin")?;
     let (engine, gen_part) = rest.split_once("-g")?;
     let (generation, is_full) = match gen_part.strip_suffix("-d") {
@@ -593,7 +456,7 @@ fn parse_ckpt_name(name: &str) -> Option<(u32, u64, bool)> {
 }
 
 /// Reads a CRC-framed checkpoint file; `None` on any verification failure
-/// (the caller falls back a generation).
+/// (the caller leaves the generation out).
 fn read_framed_checkpoint(path: &Path) -> Option<EngineCheckpoint> {
     let bytes = fs::read(path).ok()?;
     if bytes.len() < FRAME_HEADER {
@@ -614,6 +477,7 @@ fn read_framed_checkpoint(path: &Path) -> Option<EngineCheckpoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::KEPT_GENERATIONS;
     use tart_estimator::EstimatorSpec;
     use tart_model::{BlockId, Snapshot, StateChunk, StateHash};
     use tart_vtime::{VirtualTime, WireId};
@@ -660,13 +524,13 @@ mod tests {
         assert_eq!(store.persist_with(&sample(1, 1), true).unwrap(), 1);
         assert_eq!(store.engines(), vec![EngineId::new(1)]);
 
-        // A fresh open (new process) sees the same state via the manifest.
+        // A fresh open (new process) sees the same state via the listing.
         let store = CheckpointStore::open(&dir).unwrap();
-        let loaded = store.load_latest(EngineId::new(1)).unwrap().unwrap();
+        let loaded = store.load_chain(EngineId::new(1)).unwrap().unwrap();
         assert_eq!(loaded.generation, 1);
         assert!(!loaded.fell_back);
-        assert_eq!(loaded.checkpoint, sample(1, 1));
-        assert_eq!(store.load_latest(EngineId::new(9)).unwrap(), None);
+        assert_eq!(loaded.chain, vec![sample(1, 1)]);
+        assert_eq!(store.load_chain(EngineId::new(9)).unwrap(), None);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -700,17 +564,17 @@ mod tests {
         store.persist_with(&sample(2, 0), true).unwrap();
         store.persist_with(&sample(2, 1), true).unwrap();
         // Flip a byte in the newest generation's body.
-        let newest = dir.join(ckpt_name(2, 1));
+        let newest = dir.join(ckpt_file_name(2, 1, true));
         let mut bytes = fs::read(&newest).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
         fs::write(&newest, &bytes).unwrap();
 
         let store = CheckpointStore::open(&dir).unwrap();
-        let loaded = store.load_latest(EngineId::new(2)).unwrap().unwrap();
+        let loaded = store.load_chain(EngineId::new(2)).unwrap().unwrap();
         assert!(loaded.fell_back, "newest failed, previous served");
         assert_eq!(loaded.generation, 0);
-        assert_eq!(loaded.checkpoint, sample(2, 0));
+        assert_eq!(loaded.chain, vec![sample(2, 0)]);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -721,35 +585,16 @@ mod tests {
         store.persist_with(&sample(0, 0), true).unwrap();
         store.persist_with(&sample(0, 1), true).unwrap();
         for g in 0..2 {
-            let path = dir.join(ckpt_name(0, g));
+            let path = dir.join(ckpt_file_name(0, g, true));
             let mut bytes = fs::read(&path).unwrap();
             let last = bytes.len() - 1;
             bytes[last] ^= 0xff;
             fs::write(&path, &bytes).unwrap();
         }
         assert!(matches!(
-            store.load_latest(EngineId::new(0)),
+            store.load_chain(EngineId::new(0)),
             Err(StoreError::Corrupt { .. })
         ));
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_manifest_is_rebuilt_from_directory() {
-        let dir = tmp("manifest");
-        let store = CheckpointStore::open(&dir).unwrap();
-        store.persist_with(&sample(3, 0), true).unwrap();
-        store.persist_with(&sample(3, 1), true).unwrap();
-        // Stomp the manifest.
-        fs::write(dir.join(MANIFEST), b"not a manifest at all").unwrap();
-        let store = CheckpointStore::open(&dir).unwrap();
-        let loaded = store.load_latest(EngineId::new(3)).unwrap().unwrap();
-        assert_eq!(loaded.generation, 1);
-        assert_eq!(loaded.checkpoint, sample(3, 1));
-        // Missing manifest rebuilds too.
-        fs::remove_file(dir.join(MANIFEST)).unwrap();
-        let store = CheckpointStore::open(&dir).unwrap();
-        assert_eq!(store.generations(EngineId::new(3)), vec![0, 1]);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -813,7 +658,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_chain_round_trips_and_survives_manifest_loss() {
+    fn delta_chain_round_trips_and_survives_a_reopen() {
         let dir = tmp("chain");
         let store = CheckpointStore::open(&dir).unwrap();
         let e = EngineId::new(4);
@@ -822,16 +667,15 @@ mod tests {
         for c in &want {
             store.persist_with(c, true).unwrap(); // full g0, delta g1, delta g2
         }
-        assert_eq!(store.full_generations(e), vec![0]);
+        assert_eq!(store.generations(e), vec![0, 1, 2]);
 
         let loaded = store.load_chain(e).unwrap().unwrap();
         assert_eq!(loaded.generation, 2);
         assert!(!loaded.fell_back);
         assert_eq!(loaded.chain, want);
 
-        // The kinds live in the filenames: stomp the manifest and the
-        // rebuilt store still reconstructs the same chain.
-        fs::write(dir.join(MANIFEST), b"garbage").unwrap();
+        // The kinds live in the file names: a reopened store indexes the
+        // listing and reconstructs the same chain.
         let store = CheckpointStore::open(&dir).unwrap();
         assert_eq!(store.load_chain(e).unwrap().unwrap(), loaded);
         fs::remove_dir_all(&dir).ok();
@@ -849,7 +693,7 @@ mod tests {
         }
         // Damage the middle delta: the chain must stop before it, even
         // though the newest delta is intact (it builds on the damaged one).
-        let mid = dir.join(delta_ckpt_name(5, 1));
+        let mid = dir.join(ckpt_file_name(5, 1, false));
         let mut bytes = fs::read(&mid).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x10;
@@ -879,7 +723,7 @@ mod tests {
         }
         // Rewrite the middle delta's recorded state hash and re-frame it
         // with a freshly computed CRC: the frame verifies, the seal cannot.
-        let mid = dir.join(delta_ckpt_name(9, 1));
+        let mid = dir.join(ckpt_file_name(9, 1, false));
         let bytes = fs::read(&mid).unwrap();
         let mut tampered = EngineCheckpoint::from_bytes(&bytes[FRAME_HEADER..]).unwrap();
         tampered.state_hash = tart_model::hash_of(&u64::MAX);
@@ -892,17 +736,13 @@ mod tests {
 
         // The same rewrite on the full head is caught too: with only one
         // full on disk, the chain load reports irrecoverable corruption.
-        let head = dir.join(ckpt_name(9, 0));
+        let head = dir.join(ckpt_file_name(9, 0, true));
         let bytes = fs::read(&head).unwrap();
         let mut tampered = EngineCheckpoint::from_bytes(&bytes[FRAME_HEADER..]).unwrap();
         tampered.state_hash = tart_model::hash_of(&u64::MAX);
         fs::write(&head, frame(&tampered.to_bytes())).unwrap();
         assert!(matches!(
             store.load_chain(e),
-            Err(StoreError::Corrupt { .. })
-        ));
-        assert!(matches!(
-            store.load_latest(e),
             Err(StoreError::Corrupt { .. })
         ));
         fs::remove_dir_all(&dir).ok();
@@ -925,7 +765,7 @@ mod tests {
         }
         // Damage the newest full: its delta g3 is orphaned, and the store
         // must fall back to the older full chain g0+g1.
-        let newest_full = dir.join(ckpt_name(6, 2));
+        let newest_full = dir.join(ckpt_file_name(6, 2, true));
         let mut bytes = fs::read(&newest_full).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x08;
@@ -959,15 +799,27 @@ mod tests {
             store.persist_with(c, true).unwrap();
         }
         assert_eq!(store.generations(e), vec![2, 3, 4, 5]);
-        assert_eq!(store.full_generations(e), vec![2, 4]);
-        assert!(!dir.join(ckpt_name(7, 0)).exists(), "old full pruned");
         assert!(
-            !dir.join(delta_ckpt_name(7, 1)).exists(),
+            !dir.join(ckpt_file_name(7, 0, true)).exists(),
+            "old full pruned"
+        );
+        assert!(
+            !dir.join(ckpt_file_name(7, 1, false)).exists(),
             "old delta pruned"
         );
         let loaded = store.load_chain(e).unwrap().unwrap();
         assert_eq!(loaded.generation, 5);
         assert_eq!(loaded.chain.len(), 2, "newest full + its delta");
+
+        // A prune a crash interrupted leaves an expired generation listed:
+        // opening applies the same retention rule, so it stays out.
+        fs::write(
+            dir.join(ckpt_file_name(7, 0, true)),
+            frame(&persisted[0].to_bytes()),
+        )
+        .unwrap();
+        let store = CheckpointStore::open(&dir).unwrap();
+        assert_eq!(store.generations(e), vec![2, 3, 4, 5]);
         fs::remove_dir_all(&dir).ok();
     }
 

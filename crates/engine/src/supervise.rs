@@ -36,6 +36,10 @@ use crate::{Envelope, Router};
 /// Heartbeats remembered per engine for the inter-arrival estimate.
 const DETECTOR_WINDOW: usize = 32;
 
+/// Phi-accrual suspicion threshold (à la Hayashibara et al.): past one
+/// beacon period, a score above it convicts before the hard timeout does.
+const PHI_THRESHOLD: f64 = 8.0;
+
 /// Per-engine liveness estimator: phi-accrual over heartbeat inter-arrival
 /// times, plus a hard timeout bound.
 #[derive(Clone, Debug)]
@@ -99,11 +103,8 @@ impl FailureDetector {
         if elapsed >= cfg.suspicion_timeout {
             return true;
         }
-        match cfg.phi_threshold {
-            // Never suspect inside one beacon period, whatever phi says.
-            Some(threshold) => elapsed > cfg.heartbeat_interval && self.phi(now) > threshold,
-            None => false,
-        }
+        // Never suspect inside one beacon period, whatever phi says.
+        elapsed > cfg.heartbeat_interval && self.phi(now) > PHI_THRESHOLD
     }
 }
 
@@ -269,7 +270,6 @@ mod tests {
         SupervisionConfig {
             heartbeat_interval: Duration::from_millis(10),
             suspicion_timeout: Duration::from_millis(100),
-            phi_threshold: Some(8.0),
             poll_interval: Duration::from_millis(5),
         }
     }
@@ -307,13 +307,12 @@ mod tests {
         };
         assert!(!det.suspect(now + Duration::from_millis(50), &lenient));
         assert!(det.suspect(now + Duration::from_millis(250), &lenient));
-        // Hard timeout convicts even with phi disabled.
-        let timeout_only = SupervisionConfig {
-            phi_threshold: None,
-            ..cfg
-        };
-        assert!(!det.suspect(now + Duration::from_millis(50), &timeout_only));
-        assert!(det.suspect(now + Duration::from_millis(150), &timeout_only));
+        // 150 ms of silence is phi ≈ 6.5, under the threshold: only the
+        // hard timeout convicts.
+        let quiet = now + Duration::from_millis(150);
+        assert!(det.phi(quiet) < PHI_THRESHOLD);
+        assert!(!det.suspect(now + Duration::from_millis(50), &cfg));
+        assert!(det.suspect(quiet, &cfg));
     }
 
     #[test]

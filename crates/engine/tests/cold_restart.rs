@@ -535,6 +535,39 @@ fn cold_restart_survives_losing_a_delta_chain_base() {
 }
 
 #[test]
+fn cold_restart_refuses_when_every_generation_is_unreadable() {
+    // Engine 0 has generations on disk but none reads back. Restoring from
+    // nothing would erase its history: recovery must refuse instead.
+    let dir = fresh_dir("all-rot");
+    let _ = run_and_crash(&dir, 6);
+    let ckpt = dir.join("ckpt");
+    let mut rotted = 0;
+    for entry in std::fs::read_dir(&ckpt).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if name.starts_with("ckpt-e0000-") {
+            let mut bytes = std::fs::read(&path).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x40;
+            std::fs::write(&path, &bytes).unwrap();
+            rotted += 1;
+        }
+    }
+    assert!(rotted > 0, "engine 0 persisted at least one generation");
+
+    let spec = fan_in_app(2).expect("valid app");
+    let config = paper_config(&spec).with_durability(&dir, DurabilityPolicy::Strict);
+    let err = Cluster::recover_from_disk(spec.clone(), two_engine_placement(&spec), config)
+        .map(|_| ())
+        .unwrap_err();
+    assert!(
+        matches!(err, DeployError::DurabilityUnavailable(_)),
+        "got {err:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn deploy_refuses_a_populated_durability_dir() {
     let dir = fresh_dir("refuse");
     let _ = run_and_crash(&dir, 2);

@@ -8,9 +8,8 @@
 //!   appended, and reports exactly the bytes it discarded.
 //! - No single-byte corruption can either: the scan stops at the damaged
 //!   frame and everything before it is intact.
-//! - The checkpoint store's manifest is expendable — destroying it must
-//!   never cost a generation, because the store rebuilds it from the
-//!   checkpoint files themselves.
+//! - The checkpoint store indexes nothing but its checkpoint files: a
+//!   stray file beside them must never cost a generation.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -108,10 +107,9 @@ fn arb_checkpoint() -> impl Strategy<Value = EngineCheckpoint> {
 }
 
 /// Forces every chunk full so the checkpoint persists as a self-contained
-/// generation — the store refuses a delta with no full base, and
-/// `load_latest` has full-only semantics. Seals it the way the live
-/// checkpoint path does (self-contained members restart the seal chain),
-/// since the store's loaders verify seals.
+/// generation — the store refuses a delta with no full base. Seals it the
+/// way the live checkpoint path does (self-contained members restart the
+/// seal chain), since the store's loader verifies seals.
 fn self_contained(mut c: EngineCheckpoint) -> EngineCheckpoint {
     for snap in c.components.values_mut() {
         let fields: Vec<(String, Vec<u8>)> = snap
@@ -326,14 +324,15 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The manifest is a cache, not the truth: overwrite it with garbage
-    /// (or delete it) and every persisted generation is still loadable.
+    /// The directory listing is the only index: a stray file beside the
+    /// generations — the generation list an older build kept, say — is
+    /// ignored, and every persisted generation still loads.
     #[test]
-    fn manifest_corruption_never_costs_a_generation(
+    fn a_stray_file_never_costs_a_generation(
         ckpts in proptest::collection::vec(arb_checkpoint(), 1..4),
         garbage in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
-        let dir = scratch("manifest");
+        let dir = scratch("stray");
         let store = CheckpointStore::open(&dir).expect("open store");
         let mut newest = std::collections::BTreeMap::new();
         for c in &ckpts {
@@ -342,17 +341,17 @@ proptest! {
             newest.insert(c.engine, (generation, c));
         }
         drop(store);
-        std::fs::write(dir.join("MANIFEST"), &garbage).expect("corrupt manifest");
+        std::fs::write(dir.join("MANIFEST"), &garbage).expect("stray file");
 
-        let store = CheckpointStore::open(&dir).expect("reopen rebuilds from listing");
+        let store = CheckpointStore::open(&dir).expect("reopen from the listing");
         for (engine, (generation, ckpt)) in newest {
             let loaded = store
-                .load_latest(engine)
-                .expect("load after manifest loss")
+                .load_chain(engine)
+                .expect("load beside a stray file")
                 .expect("generation still present");
             prop_assert_eq!(loaded.generation, generation);
             prop_assert!(!loaded.fell_back);
-            prop_assert_eq!(loaded.checkpoint, ckpt);
+            prop_assert_eq!(loaded.chain, vec![ckpt]);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -88,17 +88,21 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Drives six sentences in three checkpointed strides so engine 0's durable
-/// chain has the shape `[full, delta, delta]`, then crashes the cluster.
-fn run_and_crash(dir: &Path) -> Vec<OutputRecord> {
-    let spec = fan_in_app(2).expect("valid app");
-    // Manual checkpoint cadence (the huge `checkpoint_every` never fires on
-    // its own) with a full only every 4th capture: three strides give one
-    // full plus two deltas per engine.
-    let config = paper_config(&spec)
+/// Manual checkpoint cadence (the huge `checkpoint_every` never fires on
+/// its own) with a full every `full_every`-th capture, durable in `dir`.
+fn durable_config(spec: &AppSpec, dir: &Path, full_every: u32) -> ClusterConfig {
+    paper_config(spec)
         .with_checkpoint_every(100_000)
         .with_durability(dir, DurabilityPolicy::Strict)
-        .with_full_checkpoint_every(4);
+        .with_full_checkpoint_every(full_every)
+}
+
+/// Drives six sentences in three checkpointed strides, then crashes the
+/// cluster. With a full every 4th capture each engine's durable chain has
+/// the shape `[full, delta, delta]`; every 2nd, `[full, delta, full]`.
+fn run_and_crash(dir: &Path, full_every: u32) -> Vec<OutputRecord> {
+    let spec = fan_in_app(2).expect("valid app");
+    let config = durable_config(&spec, dir, full_every);
     let cluster =
         Cluster::deploy(spec.clone(), two_engine_placement(&spec), config).expect("deploys");
     for chunk in SENTENCES[..6].chunks(2) {
@@ -188,7 +192,7 @@ fn corrupted_chain_is_detected_bisected_and_recovered_around() {
     // this test binary owns the process, and no other test here dumps.
     std::env::set_var("TART_FLIGHT_DUMP", &dump);
 
-    let pre = run_and_crash(&dir);
+    let pre = run_and_crash(&dir, 4);
     let (_pristine, first_divergent_vt) = skew_chain_from_first_delta(&dir);
 
     let spec = fan_in_app(2).expect("valid app");
@@ -253,10 +257,7 @@ fn corrupted_chain_is_detected_bisected_and_recovered_around() {
     // Hash-verified cold restart: both skewed deltas are rejected (one per
     // retry), engine 0 restores from the full head alone, and replay
     // regenerates the difference — outputs stay byte-identical.
-    let config = paper_config(&spec)
-        .with_checkpoint_every(100_000)
-        .with_durability(&dir, DurabilityPolicy::Strict)
-        .with_full_checkpoint_every(4);
+    let config = durable_config(&spec, &dir, 4);
     let (cluster, report) =
         Cluster::recover_from_disk(spec.clone(), placement.clone(), config).expect("recovers");
     let rec0 = report
@@ -331,14 +332,11 @@ fn exhausted_chain_is_a_structured_terminal_error() {
     // vacuously (which would silently erase the engine's history) and NOT
     // panic (which would poison the host lock).
     let dir = fresh_dir("exhaust");
-    let _ = run_and_crash(&dir);
+    let _ = run_and_crash(&dir, 4);
     skew_entire_chain(&dir);
 
     let spec = fan_in_app(2).expect("valid app");
-    let config = paper_config(&spec)
-        .with_checkpoint_every(100_000)
-        .with_durability(&dir, DurabilityPolicy::Strict)
-        .with_full_checkpoint_every(4);
+    let config = durable_config(&spec, &dir, 4);
     let outcome = Cluster::recover_from_disk(spec.clone(), two_engine_placement(&spec), config);
     let Err(err) = outcome else {
         panic!("an exhausted chain must refuse to recover");
@@ -359,10 +357,59 @@ fn exhausted_chain_is_a_structured_terminal_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The divergence fallback promotion has, on the cold path: the newest
+/// chain is a lone full whose recorded clocks replay will never reproduce
+/// (seal recomputed, so only the state hash objects). Discarding it uses
+/// the chain up, and cold restart must fall back to the older kept chain
+/// — `TrimAck`s lag one full, so its replay is still retained upstream.
+#[test]
+fn cold_restart_falls_back_a_whole_chain_on_divergence() {
+    let dir = fresh_dir("diverged-full");
+    let pre = run_and_crash(&dir, 2);
+    let store = CheckpointStore::open(dir.join("ckpt")).expect("open store");
+    let e0 = EngineId::new(0);
+    let newest = store.load_chain(e0).expect("loads").expect("present");
+    assert_eq!(
+        (newest.generation, newest.chain.len()),
+        (2, 1),
+        "drill needs a [full, delta, full] chain"
+    );
+    drop(store);
+    skew_entire_chain(&dir);
+
+    let spec = fan_in_app(2).expect("valid app");
+    let (cluster, report) = Cluster::recover_from_disk(
+        spec.clone(),
+        two_engine_placement(&spec),
+        durable_config(&spec, &dir, 2),
+    )
+    .expect("the older chain restores");
+    let rec0 = report
+        .engines
+        .iter()
+        .find(|e| e.engine == e0)
+        .expect("engine 0 in report");
+    assert!(rec0.fell_back, "the divergent chain was discarded");
+    assert_eq!(rec0.generation, Some(1), "restored through the older delta");
+    for (client, sentence) in &SENTENCES[6..] {
+        cluster
+            .injector(client)
+            .expect("injector")
+            .send(Value::from(*sentence));
+    }
+    cluster.finish_inputs();
+    assert!(cluster.obs_snapshot().divergences_detected >= 1);
+
+    let mut all = pre;
+    all.extend(cluster.shutdown());
+    assert_eq!(normalize(all), failure_free_run());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn clean_chain_replays_without_divergence() {
     let dir = fresh_dir("clean");
-    let pre = run_and_crash(&dir);
+    let pre = run_and_crash(&dir, 4);
 
     let spec = fan_in_app(2).expect("valid app");
     let placement = two_engine_placement(&spec);
@@ -388,10 +435,7 @@ fn clean_chain_replays_without_divergence() {
     }
     drop(store);
 
-    let config = paper_config(&spec)
-        .with_checkpoint_every(100_000)
-        .with_durability(&dir, DurabilityPolicy::Strict)
-        .with_full_checkpoint_every(4);
+    let config = durable_config(&spec, &dir, 4);
     let (cluster, report) =
         Cluster::recover_from_disk(spec.clone(), placement, config).expect("recovers");
     for e in &report.engines {

@@ -59,11 +59,11 @@ pub struct EngineCheckpoint {
     pub retention: BTreeMap<WireId, Vec<(VirtualTime, Value)>>,
     /// Per-component state digests at capture time (verified replay,
     /// DESIGN.md §15). Recomputed at every replay horizon; a mismatch is a
-    /// [`DivergenceFault`] attributed to the offending component.
+    /// divergence fault attributed to the offending component.
     pub component_hashes: BTreeMap<ComponentId, StateHash>,
     /// Combined engine-state digest at capture time: the component digests
     /// folded with the scheduler bookkeeping (clocks, consumed, sent) via
-    /// [`combined_state_hash`].
+    /// `checkpoint.rs::combined_state_hash`.
     pub state_hash: StateHash,
     /// Hash-chain seal: the digest of the previous checkpoint's seal folded
     /// with this checkpoint's own canonical bytes (everything except this
@@ -77,7 +77,7 @@ pub struct EngineCheckpoint {
 
 impl EngineCheckpoint {
     /// Creates an empty checkpoint shell.
-    pub fn new(engine: EngineId, seq: u64) -> Self {
+    pub(crate) fn new(engine: EngineId, seq: u64) -> Self {
         EngineCheckpoint {
             engine,
             seq,
@@ -110,7 +110,7 @@ impl EngineCheckpoint {
     /// this checkpoint's canonical bytes (everything except `chain_seal`).
     /// Self-contained checkpoints restart the seal chain: `prev` is ignored
     /// for them and [`StateHash::ZERO`] folded in its place.
-    pub fn seal_over(&self, prev: &StateHash) -> StateHash {
+    pub(crate) fn seal_over(&self, prev: &StateHash) -> StateHash {
         self.seal_and_len(prev).0
     }
 
@@ -118,7 +118,7 @@ impl EngineCheckpoint {
     /// [`EngineCheckpoint::seal_over`]). Returns the length of the canonical
     /// encoding — the bytes just hashed plus the seal — so a caller that
     /// wants the size need not serialize a second time.
-    pub fn seal(&mut self, prev: &StateHash) -> usize {
+    pub(crate) fn seal(&mut self, prev: &StateHash) -> usize {
         let (seal, len) = self.seal_and_len(prev);
         self.chain_seal = seal;
         len
@@ -184,7 +184,7 @@ impl Decode for EngineCheckpoint {
 /// Retention is deliberately **outside** the hash domain: its contents
 /// depend on downstream `TrimAck` arrival timing, which is real-time
 /// nondeterministic and legitimately differs between a run and its replay.
-pub fn combined_state_hash(
+pub(crate) fn combined_state_hash(
     component_hashes: &BTreeMap<ComponentId, StateHash>,
     clocks: &BTreeMap<ComponentId, VirtualTime>,
     consumed: &BTreeMap<WireId, VirtualTime>,
@@ -242,7 +242,7 @@ impl fmt::Display for ChainDefect {
 ///
 /// This is the chain-integrity half of verified replay; the semantic half —
 /// live state matching [`EngineCheckpoint::state_hash`] after the chain is
-/// applied — runs in `EngineCore::restore`.
+/// applied — runs in `EngineCore::restore_from`.
 ///
 /// # Errors
 ///
@@ -293,7 +293,7 @@ pub(crate) fn seal_step(
 /// an undetected nondeterministic handler, or corrupted scheduler
 /// bookkeeping).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DivergenceFault {
+pub(crate) struct DivergenceFault {
     /// The component whose state diverged, or `None` when the mismatch is
     /// in engine-level bookkeeping (clocks / consumed / sent watermarks).
     pub component: Option<ComponentId>,
@@ -435,7 +435,7 @@ impl ReplicaStore {
     /// A [`CheckpointMode::Full`] member anchors a new chain; once more than
     /// two (`KEPT_GENERATIONS`) chains are held the oldest is dropped whole
     /// (`checkpoint.rs::expired`). Order of arrival is the order of application.
-    pub fn push_checkpoint(&self, ckpt: EngineCheckpoint, mode: CheckpointMode) {
+    pub(crate) fn push_checkpoint(&self, ckpt: EngineCheckpoint, mode: CheckpointMode) {
         let held = &mut self.inner.lock().held;
         if mode == CheckpointMode::Full {
             held.anchors.push(held.members.len());
@@ -450,7 +450,7 @@ impl ReplicaStore {
 
     /// Synchronously logs a determinism fault. Must complete before the
     /// engine uses the re-calibrated estimator.
-    pub fn log_fault(&self, component: ComponentId, fault: DeterminismFault) {
+    pub(crate) fn log_fault(&self, component: ComponentId, fault: DeterminismFault) {
         self.inner.lock().faults.push((component, fault));
     }
 
@@ -480,19 +480,14 @@ impl ReplicaStore {
     }
 
     /// All logged determinism faults, oldest first.
-    pub fn faults(&self) -> Vec<(ComponentId, DeterminismFault)> {
+    pub(crate) fn faults(&self) -> Vec<(ComponentId, DeterminismFault)> {
         self.inner.lock().faults.clone()
     }
 
     /// Number of checkpoints shipped (held or since pruned).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         let inner = self.inner.lock();
         inner.held.floor + inner.held.members.len()
-    }
-
-    /// Returns `true` if no checkpoint has ever been shipped.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -573,7 +568,7 @@ mod tests {
     fn replica_holds_the_newest_two_anchored_chains() {
         use CheckpointMode::{Full as F, Incremental as I};
         let store = ReplicaStore::new();
-        assert!(store.is_empty() && store.chain().is_empty());
+        assert!(store.len() == 0 && store.chain().is_empty());
 
         // Two chains: nothing to prune yet.
         let store = shipped(&[F, I, I, F, I]);

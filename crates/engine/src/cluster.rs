@@ -333,7 +333,7 @@ impl EngineHost {
         self.placement
             .components_on(engine)
             .into_iter()
-            .map(|c| d.tier_for(c, Some(engine)))
+            .map(|c| d.tier_for(c))
             .max()
             .unwrap_or(d.default_tier)
     }
@@ -766,7 +766,7 @@ impl Cluster {
             })
             .collect();
         // Phase 2: restore each engine and start its loop.
-        let components = component_recoveries(&host.spec, &host.placement, &d, &cluster.log.lock());
+        let components = component_recoveries(&host.spec, &d, &cluster.log.lock());
         let mut report = RecoveryReport {
             wal_records: wal_recovery.records.len(),
             wal_truncated_bytes: wal_recovery.truncated_bytes,
@@ -833,7 +833,7 @@ impl Cluster {
         let (outputs_tx, outputs_rx) = unbounded();
         let obs = Arc::new(tart_obs::ObsHub::new());
         if let Some(d) = &config.durability {
-            apply_wire_tiers(&spec, &placement, d, &mut log);
+            apply_wire_tiers(&spec, d, &mut log);
         }
         log.set_obs(Arc::clone(&obs));
         if let Some(store) = &durable {
@@ -1299,7 +1299,7 @@ pub struct ComponentRecovery {
 pub struct CrashReport {
     /// Buffered-tier external inputs inside the open group-commit window
     /// at the instant of the crash — bounded by one flush window
-    /// ([`crate::BUFFERED_MAX_RECORDS`] records) per wire. A Strict
+    /// (`wal.rs`'s `BUFFERED_MAX_RECORDS` records) per wire. A Strict
     /// component appearing here is a durability-contract violation.
     pub lost_inputs: BTreeMap<ComponentId, u64>,
     /// InMemory-tier external inputs, never persisted by design.
@@ -1307,18 +1307,13 @@ pub struct CrashReport {
 }
 
 /// Pins every external-input wire of `log` to its destination component's
-/// resolved durability tier (component → engine → cluster default).
-fn apply_wire_tiers(
-    spec: &AppSpec,
-    placement: &Placement,
-    d: &DurabilityConfig,
-    log: &mut MessageLog,
-) {
+/// resolved durability tier (component entry, else the cluster default).
+fn apply_wire_tiers(spec: &AppSpec, d: &DurabilityConfig, log: &mut MessageLog) {
     for w in spec.external_inputs() {
         let Some(c) = w.to().component() else {
             continue;
         };
-        log.set_wire_tier(w.id(), d.tier_for(c, placement.engine_of(c)));
+        log.set_wire_tier(w.id(), d.tier_for(c));
     }
 }
 
@@ -1327,7 +1322,6 @@ fn apply_wire_tiers(
 /// tier.
 fn component_recoveries(
     spec: &AppSpec,
-    placement: &Placement,
     d: &DurabilityConfig,
     log: &MessageLog,
 ) -> Vec<ComponentRecovery> {
@@ -1336,7 +1330,7 @@ fn component_recoveries(
         let Some(c) = w.to().component() else {
             continue;
         };
-        let tier = d.tier_for(c, placement.engine_of(c));
+        let tier = d.tier_for(c);
         let entry = per.entry(c).or_insert_with(|| ComponentRecovery {
             component: c,
             tier,
@@ -1401,7 +1395,7 @@ impl fmt::Debug for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::{seal_step, KEPT_GENERATIONS};
+    use crate::checkpoint::{seal_step, EngineCheckpoint, KEPT_GENERATIONS};
     use crate::StandbyConfig;
     use tart_model::reference::fan_in_app;
     use tart_model::{
@@ -1596,20 +1590,27 @@ mod tests {
         cluster.host.engines.lock()[&ENGINE].replica.clone()
     }
 
+    /// Rewrites `member`'s retention after sealing. The seal covers
+    /// `retention`, which a restore replays from every chain member, and
+    /// the state digests do not, so only the seal catches it.
+    fn forge(member: &mut EngineCheckpoint) {
+        let bogus = (VirtualTime::from_ticks(1), Value::from("never sent"));
+        member
+            .retention
+            .entry(WireId::new(0))
+            .or_default()
+            .push(bogus);
+    }
+
     /// Ships a forged chain as the replica's newest: a full whose retention
-    /// was rewritten after sealing — the seal covers `retention`, the state
-    /// digests do not, so only the seal catches it — and a later delta.
+    /// was rewritten after sealing ([`forge`]) and a later delta.
     fn ship_forged_chain(replica: &ReplicaStore) {
         let held = replica.held();
         let mut full = (*held.members[0]).clone();
         assert!(full.is_self_contained(), "chains open with a full");
         let newest = held.members.last().expect("non-empty");
         full.seq = newest.seq + 1;
-        let bogus = (VirtualTime::from_ticks(1), Value::from("never sent"));
-        full.retention
-            .entry(WireId::new(0))
-            .or_default()
-            .push(bogus);
+        forge(&mut full);
         assert!(seal_step(None, 0, &full).is_err(), "seal is now stale");
         // A later capture, so everything before it leaves a standby's horizon.
         let mut delta = (**newest).clone();
@@ -1674,6 +1675,110 @@ mod tests {
         tally(&cluster, 5..8);
         assert_eq!(cluster.obs_snapshot().divergences_detected, 0);
         assert_eq!(finish(cluster), reference);
+    }
+
+    const MERGER: EngineId = EngineId::new(1);
+
+    /// The Fig 1 app split as in §III.C: senders on engine 0, the merger on
+    /// [`MERGER`], a checkpoint per message; durable in `dir` with a full
+    /// every second capture when given one.
+    fn deploy_split(dir: Option<&std::path::Path>) -> Cluster {
+        let spec = fan_in_app(2).expect("valid app");
+        let mut placement = Placement::new();
+        for c in spec.components() {
+            placement.assign(c.id(), EngineId::new(u32::from(c.name() == "Merger")));
+        }
+        let mut config = ClusterConfig::logical_time().with_checkpoint_every(1);
+        if let Some(dir) = dir {
+            config = config
+                .with_durability(dir, DurabilityPolicy::Strict)
+                .with_full_checkpoint_every(2);
+        }
+        Cluster::deploy(spec, placement, config).expect("deploys")
+    }
+
+    /// Kills the merger once it has checkpointed the first four sentences,
+    /// promotes it from those same members with the one `forged_at` picks
+    /// forged ([`forge`]), sends the rest, and returns what was seen. The
+    /// seal walk then restores below the newest checkpoint, and the replay
+    /// that restore needs must still be retained upstream.
+    fn promote_below_the_newest(
+        dir: Option<&std::path::Path>,
+        forged_at: impl FnOnce(&HeldChain) -> usize,
+    ) -> Vec<(VirtualTime, String)> {
+        let mut cluster = deploy_split(dir);
+        send(&cluster, &SENTENCES[..4]);
+        cluster.heartbeat_inputs();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while cluster.replica_depth(MERGER) < 4 {
+            assert!(Instant::now() < deadline, "the merger never checkpointed");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        cluster.kill(MERGER);
+        let held = cluster.host.engines.lock()[&MERGER].replica.held();
+        assert_eq!(held.anchors.len(), 2, "two chains held: {:?}", held.anchors);
+        let forged = forged_at(&held);
+        let replica = ReplicaStore::new();
+        for (i, member) in held.members.iter().enumerate() {
+            let mut member = (**member).clone();
+            if i == forged {
+                forge(&mut member);
+            }
+            let mode = if held.anchors.contains(&i) {
+                CheckpointMode::Full
+            } else {
+                CheckpointMode::Incremental
+            };
+            replica.push_checkpoint(member, mode);
+        }
+        cluster
+            .host
+            .engines
+            .lock()
+            .get_mut(&MERGER)
+            .expect("slot")
+            .replica = replica;
+        cluster.promote(MERGER).expect("an older member restores");
+        send(&cluster, &SENTENCES[4..]);
+        assert_eq!(cluster.obs_snapshot().divergences_detected, 0);
+        finish(cluster)
+    }
+
+    /// [`promote_below_the_newest`]'s inputs with nothing killed. The
+    /// heartbeat steps the logical clock, so it runs here too.
+    fn split_reference() -> Vec<(VirtualTime, String)> {
+        let cluster = deploy_split(None);
+        send(&cluster, &SENTENCES[..4]);
+        cluster.heartbeat_inputs();
+        send(&cluster, &SENTENCES[4..]);
+        finish(cluster)
+    }
+
+    /// A restore one member below the newest needs frames past that
+    /// member's consumed watermark. Acking the watermark at every
+    /// checkpoint would let the upstream trim them, and the run would lose
+    /// a message; acks lag one full capture on every tier.
+    #[test]
+    fn a_forged_newest_member_restores_the_one_before_it_losing_nothing() {
+        let outputs = promote_below_the_newest(None, |held| held.members.len() - 1);
+        assert_eq!(outputs, split_reference());
+    }
+
+    /// A forged newest anchor uses its whole chain up: the merger falls
+    /// back to the previous one, whose replay its upstream still retains
+    /// on every tier.
+    #[test]
+    fn a_whole_chain_fallback_replays_a_remote_wire_with_and_without_durability() {
+        let reference = split_reference();
+        let newest_anchor = |held: &HeldChain| held.anchors[1];
+        assert_eq!(promote_below_the_newest(None, newest_anchor), reference);
+        let dir = std::env::temp_dir().join(format!("tart-fallback-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            promote_below_the_newest(Some(&dir), newest_anchor),
+            reference
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -171,12 +171,13 @@ impl Default for StandbyConfig {
 /// durability on, checkpoints persist as delta generations against the last
 /// full one (a full every `full_checkpoint_every` checkpoints anchors each
 /// chain), retention `TrimAck`s wait for a *full* generation to be durable
-/// and lag one full generation (recovery may fall back a whole chain), and
+/// (they lag one full generation on every tier: recovery may fall back a
+/// whole chain), and
 /// [`crate::Cluster::recover_from_disk`] can cold-restart the whole cluster
 /// from `dir`.
 ///
-/// The tier table (`component_tiers` / `engine_tiers` / `default_tier`)
-/// is the only durability setting: every component resolves to a
+/// The tier table (`component_tiers` / `default_tier`) is the only
+/// durability setting: every component resolves to a
 /// [`DurabilityPolicy`] contract (see `DURABILITY.md`) that decides how its
 /// external inputs ride the shared WAL (Strict closes the group-commit
 /// window, Buffered rides it, InMemory skips the log) and how its engine's
@@ -196,18 +197,14 @@ pub struct DurabilityConfig {
     /// Cluster-wide default durability tier for components without a more
     /// specific entry.
     pub default_tier: DurabilityPolicy,
-    /// Per-engine tier overrides: apply to every component placed on the
-    /// engine unless the component has its own entry.
-    pub engine_tiers: BTreeMap<EngineId, DurabilityPolicy>,
-    /// Per-component tier overrides — the most specific level, wins over
-    /// engine and cluster defaults.
+    /// Per-component tier overrides; win over the cluster default.
     pub component_tiers: BTreeMap<ComponentId, DurabilityPolicy>,
 }
 
 impl DurabilityConfig {
     /// A durability config rooted at `dir` with `default_tier` as the
     /// cluster default, default segment threshold (1 MiB), full-checkpoint
-    /// cadence (4) and no engine or component entries.
+    /// cadence (4) and no component entries.
     pub fn new(
         dir: impl Into<std::path::PathBuf>,
         default_tier: impl Into<DurabilityPolicy>,
@@ -217,19 +214,16 @@ impl DurabilityConfig {
             wal_segment_bytes: 1 << 20,
             full_checkpoint_every: 4,
             default_tier: default_tier.into(),
-            engine_tiers: BTreeMap::new(),
             component_tiers: BTreeMap::new(),
         }
     }
 
-    /// Resolves `component`'s durability tier: component entry, else its
-    /// engine's entry, else the cluster default.
-    pub fn tier_for(&self, component: ComponentId, engine: Option<EngineId>) -> DurabilityPolicy {
-        let engine_tier = engine.and_then(|e| self.engine_tiers.get(&e));
+    /// Resolves `component`'s durability tier: its entry, else the cluster
+    /// default.
+    pub fn tier_for(&self, component: ComponentId) -> DurabilityPolicy {
         *self
             .component_tiers
             .get(&component)
-            .or(engine_tier)
             .unwrap_or(&self.default_tier)
     }
 }
@@ -366,8 +360,7 @@ impl ClusterConfig {
 
     /// Overrides the cluster-wide default durability tier that
     /// [`ClusterConfig::with_durability`] set (builder style): every
-    /// component without a more specific engine or component entry resolves
-    /// to `tier`. See `DURABILITY.md` for the contract each tier carries.
+    /// component without an entry of its own resolves to `tier`. See `DURABILITY.md` for the contract each tier carries.
     ///
     /// # Panics
     ///
@@ -380,23 +373,8 @@ impl ClusterConfig {
         self
     }
 
-    /// Assigns a durability tier to every component placed on `engine`
-    /// (builder style); per-component entries still win.
-    ///
-    /// # Panics
-    ///
-    /// Panics if durability is not enabled.
-    pub fn with_engine_tier(mut self, engine: EngineId, tier: DurabilityPolicy) -> Self {
-        self.durability
-            .as_mut()
-            .expect("enable durability before assigning tiers")
-            .engine_tiers
-            .insert(engine, tier);
-        self
-    }
-
-    /// Assigns a durability tier to one component (builder style) — the
-    /// most specific level of the tier table.
+    /// Assigns a durability tier to one component (builder style); it wins
+    /// over the cluster default.
     ///
     /// # Panics
     ///
@@ -637,34 +615,26 @@ mod tests {
     }
 
     #[test]
-    fn tier_resolution_is_component_then_engine_then_default() {
+    fn tier_resolution_is_component_then_default() {
         let c0 = ComponentId::new(0);
         let c1 = ComponentId::new(1);
-        let c2 = ComponentId::new(2);
-        let e0 = EngineId::new(0);
-        let e1 = EngineId::new(1);
         let buffered = DurabilityPolicy::Buffered {
             flush_window: Duration::from_millis(5),
         };
         let cfg = ClusterConfig::logical_time()
             .with_durability("/tmp/unused", DurabilityPolicy::Strict)
             .with_default_tier(buffered)
-            .with_engine_tier(e1, DurabilityPolicy::InMemory)
-            .with_component_tier(c0, DurabilityPolicy::Strict);
+            .with_component_tier(c0, DurabilityPolicy::InMemory);
         let d = cfg.durability.expect("enabled");
-        // Component entry wins over everything, even its engine's.
-        assert_eq!(d.tier_for(c0, Some(e1)), DurabilityPolicy::Strict);
-        // Engine entry wins over the cluster default.
-        assert_eq!(d.tier_for(c1, Some(e1)), DurabilityPolicy::InMemory);
-        // Default covers the rest, with or without a known engine.
-        assert_eq!(d.tier_for(c1, Some(e0)), buffered);
-        assert_eq!(d.tier_for(c2, None), buffered);
+        // A component entry wins over the cluster default.
+        assert_eq!(d.tier_for(c0), DurabilityPolicy::InMemory);
+        // The default covers the rest.
+        assert_eq!(d.tier_for(c1), buffered);
         // No entries at all: every component gets the `with_durability` tier.
         let bare = ClusterConfig::logical_time().with_durability("/tmp/unused", buffered);
         let bare = bare.durability.expect("enabled");
-        for c in [c0, c1, c2] {
-            assert_eq!(bare.tier_for(c, Some(e0)), buffered);
-            assert_eq!(bare.tier_for(c, None), buffered);
+        for c in [c0, c1] {
+            assert_eq!(bare.tier_for(c), buffered);
         }
     }
 
@@ -674,7 +644,6 @@ mod tests {
     #[test]
     fn frozen_benchmark_durable_config_resolves_every_component_buffered() {
         let spec = fan_in_app(2).unwrap();
-        let placement = Placement::round_robin(&spec, 2);
         let cfg = ClusterConfig::logical_time()
             .with_checkpoint_every(256)
             .with_durability(
@@ -690,7 +659,7 @@ mod tests {
         let d = cfg.durability.expect("enabled");
         for c in spec.components() {
             assert_eq!(
-                d.tier_for(c.id(), placement.engine_of(c.id())),
+                d.tier_for(c.id()),
                 DurabilityPolicy::Buffered {
                     flush_window: Duration::from_millis(10)
                 },

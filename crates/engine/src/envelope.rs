@@ -139,29 +139,9 @@ pub enum Envelope {
 }
 
 impl Envelope {
-    /// The wire this envelope concerns, if any.
-    pub fn wire(&self) -> Option<WireId> {
-        match self {
-            Envelope::Data { wire, .. }
-            | Envelope::Silence { wire, .. }
-            | Envelope::Probe { wire, .. }
-            | Envelope::ReplayRequest { wire, .. }
-            | Envelope::ReplayDone { wire, .. }
-            | Envelope::TrimAck { wire, .. }
-            | Envelope::Eos { wire, .. }
-            | Envelope::StandbyInput { wire, .. } => Some(*wire),
-            Envelope::Checkpoint
-            | Envelope::Die
-            | Envelope::Drain
-            | Envelope::SetSilencePolicy { .. }
-            | Envelope::Recalibrate { .. }
-            | Envelope::Heartbeat { .. } => None,
-        }
-    }
-
     /// Returns `true` for the envelope kinds the fault injector may
     /// disturb (payload traffic; the control plane stays reliable).
-    pub fn faultable(&self) -> bool {
+    pub(crate) fn faultable(&self) -> bool {
         matches!(self, Envelope::Data { .. } | Envelope::Silence { .. })
     }
 }
@@ -435,23 +415,6 @@ mod tests {
             assert_eq!(bytes[0], tag_of(&env), "{env:?}");
             assert_eq!(Envelope::from_bytes(&bytes).unwrap(), env, "{env:?}");
         }
-    }
-
-    #[test]
-    fn wire_accessor() {
-        let w = WireId::new(1);
-        assert_eq!(
-            Envelope::Silence {
-                wire: w,
-                through: vt(1),
-                last_data: vt(0)
-            }
-            .wire(),
-            Some(w)
-        );
-        assert_eq!(Envelope::Checkpoint.wire(), None);
-        assert_eq!(Envelope::Die.wire(), None);
-        assert_eq!(Envelope::Drain.wire(), None);
     }
 
     #[test]

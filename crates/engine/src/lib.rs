@@ -69,13 +69,10 @@ mod router;
 mod standby;
 mod store;
 mod supervise;
-mod verify;
 mod wal;
 
 pub use chaos::{ChaosEvent, ChaosHandle, ChaosOptions, ChaosPlan, ChaosReport, DiskFault};
-pub use checkpoint::{
-    combined_state_hash, verify_chain, ChainDefect, DivergenceFault, EngineCheckpoint, ReplicaStore,
-};
+pub use checkpoint::{verify_chain, ChainDefect, EngineCheckpoint, ReplicaStore};
 pub use clock::{LogicalClock, RealClock, TimeSource};
 pub use cluster::{
     Cluster, ComponentRecovery, CrashReport, DeployError, EngineRecovery, Injector, PromoteError,
@@ -84,15 +81,13 @@ pub use cluster::{
 pub use config::{ClusterConfig, DurabilityConfig, Placement, StandbyConfig, SupervisionConfig};
 pub use core::{EngineCore, Flow, OutputRecord};
 pub use envelope::Envelope;
-pub use log::{LogCrash, LogError, MessageLog};
-pub use retention::RetentionBuffer;
+pub use log::{LogError, MessageLog};
 pub use router::{FaultPlan, Router};
 pub use standby::StandbyStatus;
 pub use store::{CheckpointStore, LoadedChain, StoreError};
-pub use supervise::{FailureDetector, SupervisionMetrics};
+pub use supervise::SupervisionMetrics;
 pub use tart_obs::{
     check_report, write_report, EngineObs, Histogram, ObsEvent, ObsEventKind, ObsHub, ObsSnapshot,
     ReportRequirements,
 };
-pub use verify::{verify_replay, ReplayVerdict};
-pub use wal::{DurabilityPolicy, FsyncPolicy, Wal, WalError, WalRecovery, BUFFERED_MAX_RECORDS};
+pub use wal::{DurabilityPolicy, FsyncPolicy, Wal, WalError, WalRecovery};

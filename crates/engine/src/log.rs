@@ -132,7 +132,7 @@ pub struct MessageLog {
 /// Per-wire loss accounting from [`MessageLog::crash_discard`]: what a
 /// crash at this instant costs each durability tier.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct LogCrash {
+pub(crate) struct LogCrash {
     /// Buffered-lane records that were still inside the open flush window
     /// (staged in user space, never handed to the kernel), per wire. This
     /// is the *exact* Buffered loss: closed windows already queued for the
@@ -192,7 +192,7 @@ impl MessageLog {
     /// Attaches the observability hub to the WAL backend (no-op for the
     /// in-memory flavour): group-commit window occupancy and
     /// per-tier fsync latency are recorded at every sync.
-    pub fn set_obs(&mut self, hub: std::sync::Arc<tart_obs::ObsHub>) {
+    pub(crate) fn set_obs(&mut self, hub: std::sync::Arc<tart_obs::ObsHub>) {
         if let Backend::Wal(wal) = &mut self.backend {
             wal.set_obs(hub);
         }
@@ -275,7 +275,7 @@ impl MessageLog {
     ///
     /// After this call the log refuses further appends on the WAL backend;
     /// it exists for crash drills, not production shutdown.
-    pub fn crash_discard(&mut self) -> LogCrash {
+    pub(crate) fn crash_discard(&mut self) -> LogCrash {
         let mut crash = LogCrash {
             lost: BTreeMap::new(),
             memory_only: std::mem::take(&mut self.memory_only),
@@ -291,19 +291,6 @@ impl MessageLog {
         crash
     }
 
-    /// Forces any buffered appends to stable storage whatever their lane
-    /// (no-op for the in-memory flavour).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Storage`] if the fsync fails.
-    pub fn sync(&mut self) -> Result<(), LogError> {
-        match &mut self.backend {
-            Backend::Memory => Ok(()),
-            Backend::Wal(wal) => wal.sync().map_err(LogError::from),
-        }
-    }
-
     /// All logged messages on `wire` with `vt >= from`, in order.
     pub fn replay_from(&self, wire: WireId, from: VirtualTime) -> Vec<(VirtualTime, Value)> {
         self.entries
@@ -313,25 +300,20 @@ impl MessageLog {
     }
 
     /// The last logged timestamp on `wire`.
-    pub fn last_vt(&self, wire: WireId) -> Option<VirtualTime> {
+    pub(crate) fn last_vt(&self, wire: WireId) -> Option<VirtualTime> {
         self.entries
             .get(&wire)
             .and_then(|m| m.keys().next_back().copied())
     }
 
     /// Number of logged records on `wire`.
-    pub fn wire_len(&self, wire: WireId) -> usize {
+    pub(crate) fn wire_len(&self, wire: WireId) -> usize {
         self.entries.get(&wire).map_or(0, BTreeMap::len)
     }
 
     /// Total records across all wires.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.values().map(BTreeMap::len).sum()
-    }
-
-    /// Returns `true` if nothing has been logged.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -363,7 +345,7 @@ mod tests {
     #[test]
     fn in_memory_append_and_replay() {
         let mut log = MessageLog::in_memory();
-        assert!(log.is_empty());
+        assert_eq!(log.len(), 0);
         log.append(w(0), vt(10), &Value::I64(1)).unwrap();
         log.append(w(0), vt(20), &Value::I64(2)).unwrap();
         log.append(w(1), vt(15), &Value::I64(3)).unwrap();
@@ -405,7 +387,6 @@ mod tests {
                 log.append(w(0), vt(t), &Value::from(format!("m{t}")))
                     .unwrap();
             }
-            log.sync().unwrap();
         }
         let (log, rec) = MessageLog::durable(&dir, 64, DurabilityPolicy::Strict).unwrap();
         assert_eq!(rec.records.len(), 8);

@@ -10,7 +10,7 @@
 //!
 //! Topology: each process runs a [`TcpInbound`] acceptor that delivers
 //! arriving frames into its local router, and registers a
-//! [`remote_engine`] proxy in that router for every engine hosted
+//! [`remote_engine_with`] proxy in that router for every engine hosted
 //! elsewhere. Wires between hosts then work exactly like local ones.
 //!
 //! The outbound proxy is *self-healing*: when the connection breaks, the
@@ -29,7 +29,7 @@
 //!
 //! Hot path: the reactor drains a link's whole outbound queue per flush
 //! window into a single **batch frame** (one write stream, one CRC — see
-//! [`write_batch`]/[`read_batch`] and DESIGN.md §13), encoding envelopes
+//! [`encode_batch_into`]/[`read_batch`] and DESIGN.md §13), encoding envelopes
 //! *by reference* into a reusable scratch buffer — no clone, no per-send
 //! allocation. Superseded silence adverts are coalesced per wire before
 //! encoding; silence watermarks are monotone, so only the newest matters.
@@ -39,7 +39,7 @@
 //! # Example
 //!
 //! ```no_run
-//! use tart_engine::net::{remote_engine, TcpInbound};
+//! use tart_engine::net::{remote_engine_with, ReconnectPolicy, TcpInbound};
 //! use tart_engine::{FaultPlan, Router};
 //! use tart_vtime::EngineId;
 //!
@@ -49,12 +49,13 @@
 //!
 //! // Host A: route engine 1's traffic over TCP to host B.
 //! let router_a = Router::new(FaultPlan::none());
-//! let link = remote_engine(&router_a, EngineId::new(1), &format!("hostb:{}", inbound.port()))?;
+//! let addr = format!("hostb:{}", inbound.port());
+//! let link = remote_engine_with(&router_a, EngineId::new(1), &addr, ReconnectPolicy::default())?;
 //! assert!(link.snapshot().connected);
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -103,27 +104,6 @@ fn patch_header(buf: &mut BytesMut, start: usize) {
     let crc = crc32(&buf[start + 8..]);
     buf[start..start + 4].copy_from_slice(&(body_len as u32).to_be_bytes());
     buf[start + 4..start + 8].copy_from_slice(&crc.to_be_bytes());
-}
-
-/// Writes `batch` as one batch frame via a caller-owned `scratch` buffer
-/// (cleared, reused across calls — the hot path never allocates once the
-/// buffer has grown to its working size). Writing an empty batch is a
-/// no-op: no bytes touch the stream.
-///
-/// # Errors
-///
-/// Propagates I/O failures from the underlying stream.
-pub fn write_batch(
-    w: &mut impl Write,
-    batch: &[(EngineId, Envelope)],
-    scratch: &mut BytesMut,
-) -> io::Result<()> {
-    scratch.clear();
-    encode_batch_into(scratch, batch);
-    if scratch.is_empty() {
-        return Ok(());
-    }
-    w.write_all(scratch)
 }
 
 /// Body length a frame header declares, refused above [`MAX_FRAME`] —
@@ -307,11 +287,6 @@ impl TcpInbound {
         self.local.port()
     }
 
-    /// The bound address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local
-    }
-
     /// Forcibly closes every currently-accepted connection (the listener
     /// keeps accepting new ones) — a receiver-side link sever for fault
     /// drills. Peers see a broken pipe on their next write and enter their
@@ -333,7 +308,7 @@ impl Drop for TcpInbound {
     }
 }
 
-/// Backoff tuning for a [`remote_engine`] link.
+/// Backoff tuning for a [`remote_engine_with`] link.
 #[derive(Clone, Debug)]
 pub struct ReconnectPolicy {
     /// Delay before the first reconnect attempt of an outage.
@@ -405,7 +380,7 @@ impl LinkState {
     }
 }
 
-/// Handle on an outbound link created by [`remote_engine`]: exposes link
+/// Handle on an outbound link created by [`remote_engine_with`]: exposes link
 /// health and detaches the link from the reactor (dropping the handle also
 /// detaches it). There is no thread per link — every link is serviced by
 /// the process-wide reactor thread.
@@ -416,11 +391,6 @@ pub struct RemoteLink {
 }
 
 impl RemoteLink {
-    /// The remote engine this link forwards to.
-    pub fn engine(&self) -> EngineId {
-        self.engine
-    }
-
     /// A **consistent** point-in-time copy of the transport counters:
     /// counters the writer updates together (a batch's `batches_sent` /
     /// `envelopes_batched`, a reconnect's `connected` / `epoch` /
@@ -428,10 +398,6 @@ impl RemoteLink {
     pub fn snapshot(&self) -> LinkHealth {
         self.state.snapshot()
     }
-
-    /// Detaches the link: the reactor drops its stream and queue on the
-    /// next pass.
-    pub fn stop(self) {}
 }
 
 impl Drop for RemoteLink {
@@ -447,20 +413,6 @@ impl std::fmt::Debug for RemoteLink {
             .field("health", &self.snapshot())
             .finish()
     }
-}
-
-/// Registers `engine` in `router` as a remote engine reachable at `addr`
-/// with the default [`ReconnectPolicy`]; see [`remote_engine_with`].
-///
-/// # Errors
-///
-/// Propagates the initial connection failure.
-pub fn remote_engine(
-    router: &Router,
-    engine: EngineId,
-    addr: impl ToSocketAddrs,
-) -> io::Result<RemoteLink> {
-    remote_engine_with(router, engine, addr, ReconnectPolicy::default())
 }
 
 /// Registers `engine` in `router` as a remote engine reachable at `addr`:
@@ -545,6 +497,13 @@ mod tests {
         }
     }
 
+    /// `batch` framed the way the reactor writes it.
+    fn framed(batch: &[(EngineId, Envelope)]) -> BytesMut {
+        let mut buf = BytesMut::new();
+        encode_batch_into(&mut buf, batch);
+        buf
+    }
+
     #[test]
     fn batch_round_trip_over_buffer() {
         let batch = vec![
@@ -552,9 +511,7 @@ mod tests {
             (EngineId::new(2), Envelope::Checkpoint),
             (EngineId::new(1), silence(0, 9)),
         ];
-        let mut scratch = BytesMut::new();
-        let mut buf = Vec::new();
-        write_batch(&mut buf, &batch, &mut scratch).unwrap();
+        let buf = framed(&batch);
         let mut cursor = &buf[..];
         assert_eq!(read_batch(&mut cursor).unwrap(), Some(batch));
         assert_eq!(read_batch(&mut cursor).unwrap(), None, "clean EOF");
@@ -562,9 +519,7 @@ mod tests {
 
     #[test]
     fn empty_batch_writes_nothing() {
-        let mut scratch = BytesMut::new();
-        let mut buf = Vec::new();
-        write_batch(&mut buf, &[], &mut scratch).unwrap();
+        let buf = framed(&[]);
         assert!(buf.is_empty(), "empty batch is a no-op on the stream");
         let mut cursor = &buf[..];
         assert_eq!(read_batch(&mut cursor).unwrap(), None);
@@ -573,9 +528,7 @@ mod tests {
     #[test]
     fn corrupt_batch_rejects_every_envelope() {
         let batch = vec![(EngineId::new(0), data(1)), (EngineId::new(0), data(2))];
-        let mut scratch = BytesMut::new();
-        let mut buf = Vec::new();
-        write_batch(&mut buf, &batch, &mut scratch).unwrap();
+        let mut buf = framed(&batch);
         let last = buf.len() - 1;
         buf[last] ^= 0xff;
         let mut cursor = &buf[..];
@@ -634,8 +587,13 @@ mod tests {
 
         // Sending side: engine 1 is remote.
         let router_a = Router::new(FaultPlan::none());
-        let link =
-            remote_engine(&router_a, EngineId::new(1), ("127.0.0.1", inbound.port())).unwrap();
+        let link = remote_engine_with(
+            &router_a,
+            EngineId::new(1),
+            ("127.0.0.1", inbound.port()),
+            ReconnectPolicy::default(),
+        )
+        .unwrap();
         assert!(link.snapshot().connected);
         assert_eq!(link.snapshot().epoch, 1);
 
@@ -669,7 +627,6 @@ mod tests {
             "between one flush for everything and one per envelope, got {}",
             health.batches_sent
         );
-        link.stop();
     }
 
     #[test]
@@ -739,7 +696,6 @@ mod tests {
             }
         }
         assert!(delivered, "traffic resumes after the reconnect");
-        link.stop();
     }
 
     #[test]
@@ -770,7 +726,6 @@ mod tests {
         assert!(health.gave_up, "bounded retry must eventually give up");
         assert!(!health.connected);
         assert!(health.dropped_frames >= 1);
-        link.stop();
     }
 
     #[test]

@@ -513,7 +513,7 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::{remote_engine, TcpInbound};
+    use crate::net::{remote_engine_with, ReconnectPolicy, TcpInbound};
     use crate::{FaultPlan, Router};
     use tart_model::Value;
     use tart_vtime::{VirtualTime, WireId};
@@ -593,7 +593,9 @@ mod tests {
         let router_a = Router::new(FaultPlan::none());
         let links: Vec<_> = (1..=3)
             .map(|e| {
-                remote_engine(&router_a, EngineId::new(e), ("127.0.0.1", inbound.port())).unwrap()
+                let addr = ("127.0.0.1", inbound.port());
+                let policy = ReconnectPolicy::default();
+                remote_engine_with(&router_a, EngineId::new(e), addr, policy).unwrap()
             })
             .collect();
 
@@ -613,7 +615,6 @@ mod tests {
         }
         for link in links {
             assert_eq!(link.snapshot().dropped_frames, 0);
-            link.stop();
         }
     }
 }

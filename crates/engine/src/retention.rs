@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use tart_model::Value;
-use tart_vtime::{VirtualTime, WireId};
+use tart_vtime::VirtualTime;
 
 /// Keeps the messages a sender has transmitted on one wire until the
 /// receiver's checkpoints make them unnecessary.
@@ -14,24 +14,8 @@ use tart_vtime::{VirtualTime, WireId};
 /// on [`TrimAck`](crate::Envelope::TrimAck): once the receiver checkpoints
 /// state covering tick `t`, ticks `<= t` can never be requested again
 /// (under the single-failure assumption of the paper's footnote 1).
-///
-/// # Example
-///
-/// ```
-/// use tart_engine::RetentionBuffer;
-/// use tart_model::Value;
-/// use tart_vtime::{VirtualTime, WireId};
-///
-/// let vt = VirtualTime::from_ticks;
-/// let mut buf = RetentionBuffer::new(WireId::new(0));
-/// buf.record(vt(10), Value::I64(1));
-/// buf.record(vt(20), Value::I64(2));
-/// buf.trim_through(vt(10));
-/// assert_eq!(buf.replay_from(vt(0)).len(), 1);
-/// ```
-#[derive(Clone, Debug)]
-pub struct RetentionBuffer {
-    wire: WireId,
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RetentionBuffer {
     /// `(vt, payload)` in strictly increasing vt order.
     entries: VecDeque<(VirtualTime, Value)>,
     /// Last transmitted data tick (for the `prev_vt` chain), even if
@@ -40,24 +24,10 @@ pub struct RetentionBuffer {
 }
 
 impl RetentionBuffer {
-    /// Creates an empty buffer for `wire`.
-    pub fn new(wire: WireId) -> Self {
-        RetentionBuffer {
-            wire,
-            entries: VecDeque::new(),
-            last_sent: None,
-        }
-    }
-
-    /// The wire this buffer retains.
-    pub fn wire(&self) -> WireId {
-        self.wire
-    }
-
     /// Records a transmitted message. Re-executions after a restore may
     /// legally re-record old virtual times; they are kept only if not
     /// already present.
-    pub fn record(&mut self, vt: VirtualTime, payload: Value) {
+    pub(crate) fn record(&mut self, vt: VirtualTime, payload: Value) {
         match self.entries.back() {
             Some((last, _)) if *last >= vt => {
                 // Replay re-send of something still retained: ignore.
@@ -70,20 +40,20 @@ impl RetentionBuffer {
     }
 
     /// The previous data tick to chain into the next message's `prev_vt`.
-    pub fn last_sent(&self) -> Option<VirtualTime> {
+    pub(crate) fn last_sent(&self) -> Option<VirtualTime> {
         self.last_sent
     }
 
     /// Restores the `prev_vt` chain head after a promote (the restored
     /// engine re-sends from its checkpoint; receivers key duplicates off
     /// timestamps, so the chain restarts from the checkpoint's watermark).
-    pub fn reset_chain(&mut self, last_sent: Option<VirtualTime>) {
+    pub(crate) fn reset_chain(&mut self, last_sent: Option<VirtualTime>) {
         self.entries.clear();
         self.last_sent = last_sent;
     }
 
     /// Everything retained with `vt >= from`, in order.
-    pub fn replay_from(&self, from: VirtualTime) -> Vec<(VirtualTime, Value)> {
+    pub(crate) fn replay_from(&self, from: VirtualTime) -> Vec<(VirtualTime, Value)> {
         self.entries
             .iter()
             .filter(|(vt, _)| *vt >= from)
@@ -92,7 +62,7 @@ impl RetentionBuffer {
     }
 
     /// Drops entries with `vt <= through`.
-    pub fn trim_through(&mut self, through: VirtualTime) {
+    pub(crate) fn trim_through(&mut self, through: VirtualTime) {
         while let Some((vt, _)) = self.entries.front() {
             if *vt <= through {
                 self.entries.pop_front();
@@ -100,16 +70,6 @@ impl RetentionBuffer {
                 break;
             }
         }
-    }
-
-    /// Number of retained messages.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -121,15 +81,19 @@ mod tests {
         VirtualTime::from_ticks(t)
     }
 
+    /// How many messages `buf` retains.
+    fn held(buf: &RetentionBuffer) -> usize {
+        buf.replay_from(VirtualTime::ZERO).len()
+    }
+
     #[test]
     fn records_and_replays_in_order() {
-        let mut buf = RetentionBuffer::new(WireId::new(1));
-        assert_eq!(buf.wire(), WireId::new(1));
-        assert!(buf.is_empty());
+        let mut buf = RetentionBuffer::default();
+        assert_eq!(held(&buf), 0);
         buf.record(vt(10), Value::I64(1));
         buf.record(vt(20), Value::I64(2));
         buf.record(vt(30), Value::I64(3));
-        assert_eq!(buf.len(), 3);
+        assert_eq!(held(&buf), 3);
         assert_eq!(buf.last_sent(), Some(vt(30)));
         assert_eq!(
             buf.replay_from(vt(15)),
@@ -141,44 +105,44 @@ mod tests {
 
     #[test]
     fn trim_drops_covered_prefix() {
-        let mut buf = RetentionBuffer::new(WireId::new(0));
+        let mut buf = RetentionBuffer::default();
         for t in [10, 20, 30] {
             buf.record(vt(t), Value::Unit);
         }
         buf.trim_through(vt(20));
-        assert_eq!(buf.len(), 1);
+        assert_eq!(held(&buf), 1);
         assert_eq!(
             buf.replay_from(VirtualTime::ZERO),
             vec![(vt(30), Value::Unit)]
         );
         // Trim is idempotent and tolerant of over-trim.
         buf.trim_through(vt(100));
-        assert!(buf.is_empty());
+        assert_eq!(held(&buf), 0);
         // last_sent survives trimming (prev_vt chain must not regress).
         assert_eq!(buf.last_sent(), Some(vt(30)));
     }
 
     #[test]
     fn re_recording_old_vts_is_ignored() {
-        let mut buf = RetentionBuffer::new(WireId::new(0));
+        let mut buf = RetentionBuffer::default();
         buf.record(vt(10), Value::I64(1));
         buf.record(vt(20), Value::I64(2));
         // A replay re-send of vt 10 while it is still retained: no dup.
         buf.record(vt(10), Value::I64(1));
-        assert_eq!(buf.len(), 2);
+        assert_eq!(held(&buf), 2);
         assert_eq!(buf.last_sent(), Some(vt(20)));
     }
 
     #[test]
     fn reset_chain_for_promoted_replica() {
-        let mut buf = RetentionBuffer::new(WireId::new(0));
+        let mut buf = RetentionBuffer::default();
         buf.record(vt(10), Value::I64(1));
         buf.reset_chain(Some(vt(5)));
-        assert!(buf.is_empty());
+        assert_eq!(held(&buf), 0);
         assert_eq!(buf.last_sent(), Some(vt(5)));
         // Re-execution from the checkpoint refills.
         buf.record(vt(8), Value::I64(8));
         assert_eq!(buf.last_sent(), Some(vt(8)));
-        assert_eq!(buf.len(), 1);
+        assert_eq!(held(&buf), 1);
     }
 }

@@ -204,13 +204,8 @@ impl CheckpointStore {
 
     /// Attaches the observability hub; subsequent [`CheckpointStore::persist_with`]
     /// calls record their latency in its checkpoint-persist histogram.
-    pub fn set_obs(&self, hub: Arc<tart_obs::ObsHub>) {
+    pub(crate) fn set_obs(&self, hub: Arc<tart_obs::ObsHub>) {
         *self.obs.lock() = Some(hub);
-    }
-
-    /// True if the store holds no checkpoint for any engine.
-    pub fn is_empty(&self) -> bool {
-        self.index.lock().values().all(Vec::is_empty)
     }
 
     /// Engines with at least one persisted generation.
@@ -221,15 +216,6 @@ impl CheckpointStore {
             .filter(|(_, gens)| !gens.is_empty())
             .map(|(e, _)| EngineId::new(*e))
             .collect()
-    }
-
-    /// Generation numbers currently kept for `engine`, oldest first.
-    pub fn generations(&self, engine: EngineId) -> Vec<u64> {
-        self.index
-            .lock()
-            .get(&engine.raw())
-            .map(|gens| gens.iter().map(|(g, _)| *g).collect())
-            .unwrap_or_default()
     }
 
     /// Persists `ckpt` as a new generation for its engine: the checkpoint
@@ -355,7 +341,7 @@ impl CheckpointStore {
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] if the append or fsync fails.
-    pub fn log_fault(
+    pub(crate) fn log_fault(
         &self,
         engine: EngineId,
         component: ComponentId,
@@ -388,7 +374,7 @@ impl CheckpointStore {
     ///
     /// Returns [`StoreError::Corrupt`] if a CRC-valid record fails to
     /// decode, or [`StoreError::Io`] on read failure.
-    pub fn faults(
+    pub(crate) fn faults(
         &self,
         engine: EngineId,
     ) -> Result<Vec<(ComponentId, DeterminismFault)>, StoreError> {
@@ -410,11 +396,6 @@ impl CheckpointStore {
             out.push(rec);
         }
         Ok(out)
-    }
-
-    /// The directory this store lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 }
 
@@ -519,7 +500,7 @@ mod tests {
     fn persist_and_reload() {
         let dir = tmp("reload");
         let store = CheckpointStore::open(&dir).unwrap();
-        assert!(store.is_empty());
+        assert!(store.engines().is_empty());
         assert_eq!(store.persist_with(&sample(1, 0), true).unwrap(), 0);
         assert_eq!(store.persist_with(&sample(1, 1), true).unwrap(), 1);
         assert_eq!(store.engines(), vec![EngineId::new(1)]);
@@ -541,7 +522,7 @@ mod tests {
         for seq in 0..5 {
             store.persist_with(&sample(0, seq), true).unwrap();
         }
-        assert_eq!(store.generations(EngineId::new(0)), vec![3, 4]);
+        assert_eq!(store.load_kept(EngineId::new(0)).generations, vec![3, 4]);
         let files: Vec<_> = fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| {
@@ -639,8 +620,8 @@ mod tests {
         store.persist_with(&sample(0, 0), true).unwrap();
         store.persist_with(&sample(1, 0), true).unwrap();
         store.persist_with(&sample(1, 1), true).unwrap();
-        assert_eq!(store.generations(EngineId::new(0)), vec![0]);
-        assert_eq!(store.generations(EngineId::new(1)), vec![0, 1]);
+        assert_eq!(store.load_kept(EngineId::new(0)).generations, vec![0]);
+        assert_eq!(store.load_kept(EngineId::new(1)).generations, vec![0, 1]);
         assert_eq!(store.engines(), vec![EngineId::new(0), EngineId::new(1)]);
         assert!(format!("{store:?}").contains("CheckpointStore"));
         fs::remove_dir_all(&dir).ok();
@@ -667,7 +648,7 @@ mod tests {
         for c in &want {
             store.persist_with(c, true).unwrap(); // full g0, delta g1, delta g2
         }
-        assert_eq!(store.generations(e), vec![0, 1, 2]);
+        assert_eq!(store.load_kept(e).generations, vec![0, 1, 2]);
 
         let loaded = store.load_chain(e).unwrap().unwrap();
         assert_eq!(loaded.generation, 2);
@@ -798,7 +779,7 @@ mod tests {
         for c in &persisted {
             store.persist_with(c, true).unwrap();
         }
-        assert_eq!(store.generations(e), vec![2, 3, 4, 5]);
+        assert_eq!(store.load_kept(e).generations, vec![2, 3, 4, 5]);
         assert!(
             !dir.join(ckpt_file_name(7, 0, true)).exists(),
             "old full pruned"
@@ -819,7 +800,7 @@ mod tests {
         )
         .unwrap();
         let store = CheckpointStore::open(&dir).unwrap();
-        assert_eq!(store.generations(e), vec![2, 3, 4, 5]);
+        assert_eq!(store.load_kept(e).generations, vec![2, 3, 4, 5]);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -842,5 +823,156 @@ mod tests {
         assert!(e.to_string().contains("boom"));
         use std::error::Error;
         assert!(e.source().is_some());
+    }
+
+    /// Properties of checkpoints on their way to and from disk.
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+        use tart_model::Value;
+
+        /// A scratch directory unique to this process *and* proptest case.
+        fn scratch(tag: &str) -> PathBuf {
+            static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+            let n = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            tmp(&format!("prop-{tag}-{n}"))
+        }
+
+        fn arb_vt() -> impl Strategy<Value = VirtualTime> {
+            (0u64..u64::MAX / 2).prop_map(VirtualTime::from_ticks)
+        }
+
+        fn arb_payload() -> impl Strategy<Value = Value> {
+            prop_oneof![
+                any::<i64>().prop_map(Value::I64),
+                "[a-z ]{0,16}".prop_map(Value::from),
+            ]
+        }
+
+        fn arb_chunk() -> impl Strategy<Value = StateChunk> {
+            prop_oneof![
+                proptest::collection::vec(any::<u8>(), 0..48).prop_map(StateChunk::Full),
+                proptest::collection::vec(any::<u8>(), 0..48).prop_map(StateChunk::Delta),
+            ]
+        }
+
+        fn arb_snapshot() -> impl Strategy<Value = Snapshot> {
+            (
+                arb_vt(),
+                proptest::collection::btree_map("[a-z]{1,8}", arb_chunk(), 0..4),
+            )
+                .prop_map(|(vt, fields)| {
+                    let mut s = Snapshot::new(vt);
+                    for (k, c) in fields {
+                        s.put(&k, c);
+                    }
+                    s
+                })
+        }
+
+        /// An [`EngineCheckpoint`] with every field populated arbitrarily,
+        /// including the retention capture that cold restart depends on.
+        fn arb_checkpoint() -> impl Strategy<Value = EngineCheckpoint> {
+            (
+                (
+                    0u32..64,
+                    0u64..1_000_000,
+                    proptest::collection::btree_map(0u32..64, arb_snapshot(), 0..3),
+                    proptest::collection::btree_map(0u32..64, arb_vt(), 0..3),
+                ),
+                (
+                    proptest::collection::btree_map(0u32..256, arb_vt(), 0..4),
+                    proptest::collection::btree_map(0u32..256, arb_vt(), 0..4),
+                    proptest::collection::btree_map(
+                        0u32..256,
+                        proptest::collection::vec((arb_vt(), arb_payload()), 0..4),
+                        0..3,
+                    ),
+                ),
+            )
+                .prop_map(
+                    |((engine, seq, components, clocks), (consumed, sent, retention))| {
+                        let mut c = EngineCheckpoint::new(EngineId::new(engine), seq);
+                        c.components = components
+                            .into_iter()
+                            .map(|(k, v)| (ComponentId::new(k), v))
+                            .collect();
+                        c.clocks = clocks
+                            .into_iter()
+                            .map(|(k, v)| (ComponentId::new(k), v))
+                            .collect();
+                        c.consumed = consumed
+                            .into_iter()
+                            .map(|(k, v)| (WireId::new(k), v))
+                            .collect();
+                        c.sent = sent.into_iter().map(|(k, v)| (WireId::new(k), v)).collect();
+                        c.retention = retention
+                            .into_iter()
+                            .map(|(k, v)| (WireId::new(k), v))
+                            .collect();
+                        c
+                    },
+                )
+        }
+
+        /// Forces every chunk full so the checkpoint persists as a self-contained
+        /// generation — the store refuses a delta with no full base. Seals it the
+        /// way the live checkpoint path does (self-contained members restart the
+        /// seal chain), since the store's loader verifies seals.
+        fn self_contained(mut c: EngineCheckpoint) -> EngineCheckpoint {
+            for snap in c.components.values_mut() {
+                let fields: Vec<(String, Vec<u8>)> = snap
+                    .iter()
+                    .map(|(k, chunk)| (k.to_owned(), chunk.bytes().to_vec()))
+                    .collect();
+                for (k, bytes) in fields {
+                    snap.put(&k, StateChunk::Full(bytes));
+                }
+            }
+            c.seal(&tart_model::StateHash::ZERO);
+            c
+        }
+
+        proptest! {
+        /// The checkpoint codec is exact: decode(encode(c)) == c for every
+        /// field, including retention frames.
+        #[test]
+        fn checkpoint_round_trips(ckpt in arb_checkpoint()) {
+            let bytes = ckpt.to_bytes();
+            let back = EngineCheckpoint::from_bytes(&bytes).expect("well-formed bytes decode");
+            prop_assert_eq!(back, ckpt);
+        }
+        /// The directory listing is the only index: a stray file beside the
+        /// generations — the generation list an older build kept, say — is
+        /// ignored, and every persisted generation still loads.
+        #[test]
+        fn a_stray_file_never_costs_a_generation(
+            ckpts in proptest::collection::vec(arb_checkpoint(), 1..4),
+            garbage in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let dir = scratch("stray");
+            let store = CheckpointStore::open(&dir).expect("open store");
+            let mut newest = std::collections::BTreeMap::new();
+            for c in &ckpts {
+                let c = self_contained(c.clone());
+                let generation = store.persist_with(&c, true).expect("persist");
+                newest.insert(c.engine, (generation, c));
+            }
+            drop(store);
+            std::fs::write(dir.join("MANIFEST"), &garbage).expect("stray file");
+
+            let store = CheckpointStore::open(&dir).expect("reopen from the listing");
+            for (engine, (generation, ckpt)) in newest {
+                let loaded = store
+                    .load_chain(engine)
+                    .expect("load beside a stray file")
+                    .expect("generation still present");
+                prop_assert_eq!(loaded.generation, generation);
+                prop_assert!(!loaded.fell_back);
+                prop_assert_eq!(loaded.chain, vec![ckpt]);
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        }
     }
 }

@@ -43,7 +43,7 @@ const PHI_THRESHOLD: f64 = 8.0;
 /// Per-engine liveness estimator: phi-accrual over heartbeat inter-arrival
 /// times, plus a hard timeout bound.
 #[derive(Clone, Debug)]
-pub struct FailureDetector {
+pub(crate) struct FailureDetector {
     /// Recent inter-arrival gaps, newest last.
     window: VecDeque<Duration>,
     last_beat: Instant,

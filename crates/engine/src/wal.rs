@@ -6,7 +6,7 @@
 //! fixed-threshold **segments**, each record framed as
 //! `u32 length (BE) | u32 crc32 (BE) | body`, where each append picks the
 //! [`DurabilityPolicy`] lane that decides when it is forced to disk
-//! ([`Wal::append_lane`]; [`Wal::append`] rides the log's default lane).
+//! ([`Wal::append_lane`]).
 //!
 //! # Write path
 //!
@@ -22,7 +22,7 @@
 //!   buffered records forces the whole open window to disk with it.
 //! - [`DurabilityPolicy::Buffered`] stages and returns immediately; the
 //!   flusher closes the window when its `flush_window` deadline expires or
-//!   when [`BUFFERED_MAX_RECORDS`] records have accumulated.
+//!   when `BUFFERED_MAX_RECORDS` records have accumulated.
 //! - [`DurabilityPolicy::InMemory`] records never reach the WAL at all
 //!   (callers skip it; the lane API refuses them).
 //!
@@ -63,7 +63,7 @@ pub(crate) const FRAME_HEADER: usize = 8;
 /// `flush_window` deadline says. This is the "one flush window" that bounds
 /// Buffered loss in DURABILITY.md, and the cap the mixed-tier crash loop in
 /// `tests/cold_restart.rs` asserts against.
-pub const BUFFERED_MAX_RECORDS: u32 = 512;
+pub(crate) const BUFFERED_MAX_RECORDS: u32 = 512;
 
 /// Segments at or below this size are preallocated to the rotation
 /// threshold at creation (and recycled through the spare pool). Larger
@@ -86,12 +86,12 @@ fn wall_now() -> Instant {
 /// Every such parameter takes `impl Into<DurabilityPolicy>`, and this
 /// converts to [`DurabilityPolicy::Buffered`] with `flush_window:
 /// max_delay`. `max_records` is ignored: the Buffered window is capped at
-/// [`BUFFERED_MAX_RECORDS`].
+/// `BUFFERED_MAX_RECORDS`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// One fsync per commit window, closed after `max_delay`.
     GroupCommit {
-        /// Ignored; the window closes at [`BUFFERED_MAX_RECORDS`].
+        /// Ignored; the window closes at `BUFFERED_MAX_RECORDS`.
         max_records: u32,
         /// Becomes the Buffered lane's `flush_window`.
         max_delay: Duration,
@@ -121,7 +121,7 @@ pub enum DurabilityPolicy {
     InMemory,
     /// Inputs ride the shared group-commit window and are acknowledged
     /// before they are durable: a crash loses at most the open window
-    /// (`flush_window` of time, capped at [`BUFFERED_MAX_RECORDS`]
+    /// (`flush_window` of time, capped at `BUFFERED_MAX_RECORDS`
     /// records).
     Buffered {
         /// Maximum age of a staged record before the flusher forces the
@@ -276,7 +276,6 @@ struct State {
     /// Bytes of that segment already promoted to the flusher.
     staging_offset: u64,
     segment_bytes: u64,
-    segment_count: u64,
     /// Records assigned an index so far (1-based; 0 = none).
     assigned: u64,
     /// Highest index handed to the kernel (written, maybe unsynced).
@@ -343,7 +342,6 @@ fn promote_locked(st: &mut State, sync: bool, strict: bool) {
     if rotate {
         st.staging_segment += 1;
         st.staging_offset = 0;
-        st.segment_count += 1;
     } else {
         st.staging_offset = seal_len;
     }
@@ -535,7 +533,7 @@ fn clear_spares(dir: &Path) -> std::io::Result<()> {
 ///
 /// let dir = std::env::temp_dir().join(format!("wal-doc-{}", std::process::id()));
 /// let mut wal = Wal::create(&dir, 1024, DurabilityPolicy::Strict)?;
-/// wal.append(b"hello")?;
+/// wal.append_lane(b"hello", DurabilityPolicy::Strict)?;
 /// drop(wal);
 /// let (wal, recovery) = Wal::open(&dir, 1024, DurabilityPolicy::Strict)?;
 /// assert_eq!(recovery.records, vec![b"hello".to_vec()]);
@@ -546,7 +544,7 @@ fn clear_spares(dir: &Path) -> std::io::Result<()> {
 /// ```
 pub struct Wal {
     dir: PathBuf,
-    /// The lane [`Wal::append`] rides.
+    /// The lane a record rides unless its caller pins one.
     default: DurabilityPolicy,
     shared: Arc<Shared>,
     flusher: Option<JoinHandle<()>>,
@@ -554,8 +552,8 @@ pub struct Wal {
 
 impl Wal {
     /// Creates a fresh WAL in `dir` (which must be empty of segments),
-    /// rotating segments once they exceed `segment_bytes`; [`Wal::append`]
-    /// rides the `default` lane.
+    /// rotating segments once they exceed `segment_bytes`; records ride the
+    /// `default` lane unless their caller pins one.
     ///
     /// # Errors
     ///
@@ -584,7 +582,7 @@ impl Wal {
             first.set_len(segment_bytes)?;
         }
         drop(first);
-        Ok(Wal::start(dir, segment_bytes, default.into(), 0, 0, 1))
+        Ok(Wal::start(dir, segment_bytes, default.into(), 0, 0))
     }
 
     /// Opens an existing WAL, verifying every record. Sealed segments must
@@ -651,7 +649,6 @@ impl Wal {
             default.into(),
             active_index,
             last_valid_len,
-            segments.len() as u64,
         );
         // A recovered active segment past the threshold seals immediately
         // (an empty promote still rotates when the offset is past the
@@ -672,7 +669,6 @@ impl Wal {
         default: DurabilityPolicy,
         staging_segment: u64,
         staging_offset: u64,
-        segment_count: u64,
     ) -> Self {
         let state = State {
             staging: Vec::new(),
@@ -681,7 +677,6 @@ impl Wal {
             staging_segment,
             staging_offset,
             segment_bytes,
-            segment_count,
             assigned: 0,
             written_index: 0,
             durable_index: 0,
@@ -759,31 +754,22 @@ impl Wal {
         }
     }
 
-    /// Appends one record on the log's default lane (the tier given to
-    /// [`Wal::create`] or [`Wal::open`]): `append_lane(body, default)`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Wal::append_lane`]; an `InMemory` default refuses every append.
-    pub fn append(&mut self, body: &[u8]) -> Result<u64, WalError> {
-        self.append_lane(body, self.default)
-    }
-
-    /// The lane [`Wal::append`] rides.
+    /// The lane a record rides unless its caller pins one (the tier given
+    /// to [`Wal::create`] or [`Wal::open`]).
     pub(crate) fn default_tier(&self) -> DurabilityPolicy {
         self.default
     }
 
     /// Appends one record on an explicit durability lane. All lanes share
-    /// the same segments, so disk order is append order across tiers. Returns the record's 1-based
-    /// index within this process's session (compare with
-    /// [`Wal::durable_index`]).
+    /// the same segments, so disk order is append order across tiers.
+    /// Returns the record's 1-based index within this process's session
+    /// (compare with `Wal::durable_index`).
     ///
     /// - [`DurabilityPolicy::Strict`]: forces the open window (including
     ///   any riding buffered records) to disk and blocks until durable.
     /// - [`DurabilityPolicy::Buffered`]: stages and returns; the flusher
     ///   closes the window at the `flush_window` deadline or at
-    ///   [`BUFFERED_MAX_RECORDS`] staged records, whichever comes first.
+    ///   `BUFFERED_MAX_RECORDS` staged records, whichever comes first.
     /// - [`DurabilityPolicy::InMemory`]: refused — such records must never
     ///   reach the WAL; the caller keeps them in memory only.
     ///
@@ -873,7 +859,7 @@ impl Wal {
     /// found them, preallocation padding included. Returns the highest
     /// record index that reached the kernel (what [`Wal::open`] will
     /// recover after an in-process crash).
-    pub fn crash_discard(&mut self) -> u64 {
+    pub(crate) fn crash_discard(&mut self) -> u64 {
         let mut g = self.lock();
         g.crashed = true;
         g.staging.clear();
@@ -893,25 +879,14 @@ impl Wal {
     /// Attaches the observability hub: every subsequent fsync records its
     /// latency (split by strict vs buffered lane) and how many appends the
     /// closed window accumulated.
-    pub fn set_obs(&mut self, hub: Arc<tart_obs::ObsHub>) {
+    pub(crate) fn set_obs(&mut self, hub: Arc<tart_obs::ObsHub>) {
         self.lock().obs = Some(hub);
     }
 
     /// Highest record index covered by a completed fsync (1-based; 0 =
     /// none). Indices count appends within this process's session.
-    pub fn durable_index(&self) -> u64 {
+    pub(crate) fn durable_index(&self) -> u64 {
         self.lock().durable_index
-    }
-
-    /// Records staged in the open commit window, not yet handed to the
-    /// flusher.
-    pub fn staged_records(&self) -> u32 {
-        self.lock().staging_records
-    }
-
-    /// Number of segment files (sealed + active).
-    pub fn segment_count(&self) -> u64 {
-        self.lock().segment_count
     }
 }
 
@@ -947,7 +922,7 @@ impl fmt::Debug for Wal {
         let g = self.lock();
         f.debug_struct("Wal")
             .field("dir", &self.dir)
-            .field("segments", &g.segment_count)
+            .field("segment", &g.staging_segment)
             .field("assigned", &g.assigned)
             .field("durable", &g.durable_index)
             .field("default", &self.default)
@@ -993,6 +968,30 @@ mod tests {
         dir
     }
 
+    /// Appends on the log's default lane.
+    fn append(wal: &mut Wal, body: &[u8]) -> Result<u64, WalError> {
+        wal.append_lane(body, wal.default_tier())
+    }
+
+    /// Records staged in `wal`'s open commit window.
+    fn staged(wal: &Wal) -> u32 {
+        wal.lock().staging_records
+    }
+
+    /// Segment files in `dir` (sealed + active; spares excluded).
+    fn segments(dir: &Path) -> usize {
+        fs::read_dir(dir)
+            .unwrap()
+            .filter(|e| {
+                e.as_ref()
+                    .unwrap()
+                    .file_name()
+                    .to_string_lossy()
+                    .ends_with(".seg")
+            })
+            .count()
+    }
+
     /// Polls for an asynchronous flusher effect (deadline syncs land on the
     /// flusher's clock, not the appender's).
     fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
@@ -1008,9 +1007,9 @@ mod tests {
         let dir = tmp("roundtrip");
         {
             let mut wal = Wal::create(&dir, 4096, DurabilityPolicy::Strict).unwrap();
-            wal.append(b"one").unwrap();
-            wal.append(b"two").unwrap();
-            wal.append(b"three").unwrap();
+            append(&mut wal, b"one").unwrap();
+            append(&mut wal, b"two").unwrap();
+            append(&mut wal, b"three").unwrap();
         }
         let (mut wal, rec) = Wal::open(&dir, 4096, DurabilityPolicy::Strict).unwrap();
         assert_eq!(
@@ -1020,7 +1019,7 @@ mod tests {
         assert_eq!(rec.truncated_bytes, 0);
         assert_eq!(rec.segments, 1);
         // Appends continue after recovery.
-        wal.append(b"four").unwrap();
+        append(&mut wal, b"four").unwrap();
         drop(wal);
         let (_, rec) = Wal::open(&dir, 4096, DurabilityPolicy::Strict).unwrap();
         assert_eq!(rec.records.len(), 4);
@@ -1032,9 +1031,9 @@ mod tests {
         let dir = tmp("rotate");
         let mut wal = Wal::create(&dir, 32, DurabilityPolicy::Strict).unwrap();
         for i in 1..=10u8 {
-            wal.append(&[i; 16]).unwrap();
+            append(&mut wal, &[i; 16]).unwrap();
         }
-        assert!(wal.segment_count() > 1, "threshold forces rotation");
+        assert!(segments(&dir) > 1, "threshold forces rotation");
         drop(wal);
         let (_, rec) = Wal::open(&dir, 32, DurabilityPolicy::Strict).unwrap();
         assert_eq!(rec.records.len(), 10);
@@ -1047,8 +1046,8 @@ mod tests {
         let dir = tmp("torn");
         {
             let mut wal = Wal::create(&dir, 4096, DurabilityPolicy::Strict).unwrap();
-            wal.append(b"keep-me").unwrap();
-            wal.append(b"torn-away").unwrap();
+            append(&mut wal, b"keep-me").unwrap();
+            append(&mut wal, b"torn-away").unwrap();
         }
         let seg = dir.join(segment_name(0));
         let full = fs::metadata(&seg).unwrap().len();
@@ -1062,7 +1061,7 @@ mod tests {
             b"torn-away".len() as u64 + FRAME_HEADER as u64 - 4
         );
         // The file was physically truncated: a fresh append lands cleanly.
-        wal.append(b"after").unwrap();
+        append(&mut wal, b"after").unwrap();
         drop(wal);
         let (_, rec) = Wal::open(&dir, 4096, DurabilityPolicy::Strict).unwrap();
         assert_eq!(rec.records, vec![b"keep-me".to_vec(), b"after".to_vec()]);
@@ -1074,8 +1073,8 @@ mod tests {
         let dir = tmp("crc-tail");
         {
             let mut wal = Wal::create(&dir, 4096, DurabilityPolicy::Strict).unwrap();
-            wal.append(b"solid").unwrap();
-            wal.append(b"rotten").unwrap();
+            append(&mut wal, b"solid").unwrap();
+            append(&mut wal, b"rotten").unwrap();
         }
         let seg = dir.join(segment_name(0));
         let mut bytes = fs::read(&seg).unwrap();
@@ -1092,8 +1091,8 @@ mod tests {
     fn preallocated_padding_is_not_a_torn_tail() {
         let dir = tmp("padding");
         let mut wal = Wal::create(&dir, 4096, DurabilityPolicy::Strict).unwrap();
-        wal.append(b"one").unwrap();
-        wal.append(b"two").unwrap();
+        append(&mut wal, b"one").unwrap();
+        append(&mut wal, b"two").unwrap();
         wal.sync().unwrap();
         let survived = wal.crash_discard();
         assert_eq!(survived, 2);
@@ -1116,9 +1115,9 @@ mod tests {
         {
             let mut wal = Wal::create(&dir, 24, DurabilityPolicy::Strict).unwrap();
             for i in 1..=6u8 {
-                wal.append(&[i; 16]).unwrap();
+                append(&mut wal, &[i; 16]).unwrap();
             }
-            assert!(wal.segment_count() > 1);
+            assert!(segments(&dir) > 1);
         }
         // Flip a byte in the FIRST (sealed) segment's first record body.
         let seg = dir.join(segment_name(0));
@@ -1149,12 +1148,12 @@ mod tests {
             }
         );
         let mut wal = Wal::create(&dir, 4096, policy).unwrap();
-        wal.append(b"opens-the-window").unwrap();
-        assert_eq!(wal.staged_records(), 1, "a buffered append returns open");
+        append(&mut wal, b"opens-the-window").unwrap();
+        assert_eq!(staged(&wal), 1, "a buffered append returns open");
         // The flusher's own deadline timer forces the sync — no second
         // append is needed.
         wait_for("deadline fsync", || wal.durable_index() == 1);
-        assert_eq!(wal.staged_records(), 0);
+        assert_eq!(staged(&wal), 0);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1183,10 +1182,10 @@ mod tests {
         let mut wal = Wal::create(&dir, 4096, DurabilityPolicy::Strict).unwrap();
         wal.append_lane(b"buffered-1", buffered).unwrap();
         wal.append_lane(b"buffered-2", buffered).unwrap();
-        assert_eq!(wal.staged_records(), 2);
+        assert_eq!(staged(&wal), 2);
         wal.append_lane(b"strict", DurabilityPolicy::Strict)
             .unwrap();
-        assert_eq!(wal.staged_records(), 0);
+        assert_eq!(staged(&wal), 0);
         assert_eq!(
             wal.durable_index(),
             3,
@@ -1216,7 +1215,7 @@ mod tests {
         for _ in 0..BUFFERED_MAX_RECORDS {
             wal.append_lane(b"x", buffered).unwrap();
         }
-        assert_eq!(wal.staged_records(), 0, "the cap closed the window");
+        assert_eq!(staged(&wal), 0, "the cap closed the window");
         wait_for("cap fsync", || {
             wal.durable_index() == u64::from(BUFFERED_MAX_RECORDS)
         });
@@ -1231,7 +1230,7 @@ mod tests {
         };
         let mut wal = Wal::create(&dir, 4096, DurabilityPolicy::Strict).unwrap();
         wal.append_lane(b"hot-path", buffered).unwrap();
-        assert_eq!(wal.staged_records(), 1, "buffered append returns open");
+        assert_eq!(staged(&wal), 1, "buffered append returns open");
         wait_for("flush-window fsync", || wal.durable_index() == 1);
         fs::remove_dir_all(&dir).ok();
     }
@@ -1243,7 +1242,7 @@ mod tests {
             flush_window: Duration::from_secs(3600),
         };
         let mut wal = Wal::create(&dir, u64::MAX, DurabilityPolicy::Strict).unwrap();
-        wal.append(b"written").unwrap();
+        append(&mut wal, b"written").unwrap();
         wal.sync().unwrap();
         wal.append_lane(b"still-staged", buffered).unwrap();
         let survived = wal.crash_discard();
@@ -1262,7 +1261,7 @@ mod tests {
             wal.append_lane(b"x", DurabilityPolicy::InMemory),
             Err(WalError::Io(_))
         ));
-        assert!(matches!(wal.append(b""), Err(WalError::Io(_))));
+        assert!(matches!(append(&mut wal, b""), Err(WalError::Io(_))));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1271,10 +1270,10 @@ mod tests {
         let dir = tmp("spare");
         let mut wal = Wal::create(&dir, 32, DurabilityPolicy::Strict).unwrap();
         for i in 1..=4u8 {
-            wal.append(&[i; 16]).unwrap();
+            append(&mut wal, &[i; 16]).unwrap();
         }
         wal.sync().unwrap();
-        assert!(wal.segment_count() > 1, "rotation happened");
+        assert!(segments(&dir) > 1, "rotation happened");
         let spares = |d: &Path| {
             fs::read_dir(d)
                 .unwrap()
@@ -1298,7 +1297,7 @@ mod tests {
         let dir = tmp("refuse");
         {
             let mut wal = Wal::create(&dir, 4096, DurabilityPolicy::Strict).unwrap();
-            wal.append(b"existing").unwrap();
+            append(&mut wal, b"existing").unwrap();
         }
         assert!(matches!(
             Wal::create(&dir, 4096, DurabilityPolicy::Strict),

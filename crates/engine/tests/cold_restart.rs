@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use tart_engine::{
     ChaosOptions, ChaosPlan, Cluster, ClusterConfig, DeployError, DurabilityConfig,
-    DurabilityPolicy, OutputRecord, Placement, StandbyConfig, BUFFERED_MAX_RECORDS,
+    DurabilityPolicy, OutputRecord, Placement, StandbyConfig,
 };
 use tart_estimator::EstimatorSpec;
 use tart_model::reference::{self, fan_in_app};
@@ -149,6 +149,15 @@ fn recover_and_finish_with(
     (report, cluster.shutdown())
 }
 
+/// `wal.rs`'s `BUFFERED_MAX_RECORDS`, the record cap on one Buffered commit
+/// window, read from the source so this bound cannot drift from it.
+fn buffered_max_records() -> u64 {
+    include_str!("../src/wal.rs")
+        .lines()
+        .find_map(|l| l.strip_prefix("pub(crate) const BUFFERED_MAX_RECORDS: u32 = "))
+        .and_then(|v| v.trim_end_matches(';').parse().ok())
+        .expect("wal.rs defines BUFFERED_MAX_RECORDS")
+}
 #[test]
 fn clean_durable_run_is_transparent() {
     let dir = fresh_dir("clean");
@@ -1035,7 +1044,7 @@ fn mixed_tier_crash_loop_keeps_every_tier_bound() {
         outputs.extend(crash_outputs);
         let lost = |id| report.lost_inputs.get(&id).copied().unwrap_or(0);
         assert_eq!(lost(ledger), 0, "round {round}: Strict lost inputs");
-        let window = u64::from(BUFFERED_MAX_RECORDS);
+        let window = buffered_max_records();
         assert!(lost(ingest) <= window, "round {round}: Buffered lost more");
         let memory_only = report.memory_only_inputs.get(&cache).copied();
         assert_eq!(memory_only, Some(k_cache), "round {round}: InMemory");

@@ -5,15 +5,26 @@
 //! under `crates/`, and a backticked `*.rs` token a file there. Across
 //! README.md, DESIGN.md, EXPERIMENTS.md and DURABILITY.md, every backticked
 //! `file.rs::fn` must name a `fn` in that file, every backticked
-//! `Type::member` a fn, const, field or variant under `crates/`, and every
-//! `--bin name` a `crates/bench/src/bin/name.rs`.
+//! `Type::member` a fn, const, field or variant under `crates/`, every bare
+//! backticked CamelCase name a struct, enum, trait, type alias or enum
+//! variant under `crates/` or `shims/`, and every `--bin name` a
+//! `crates/bench/src/bin/name.rs`.
 
 use std::path::{Path, PathBuf};
 
 const DOCS: &[&str] = &["README.md", "DESIGN.md", "EXPERIMENTS.md", "DURABILITY.md"];
 
-/// Types the docs name from std and the vendored shims, outside `crates/`.
-const EXTERNAL_TYPES: &[&str] = &["BytesMut", "File", "Instant"];
+/// Types the docs name from std, outside `crates/` and `shims/`.
+const EXTERNAL_TYPES: &str = "Arc AtomicBool BTreeMap BTreeSet BytesMut Drop File HashMap HashSet \
+    Instant Ord OsRng RandomState SystemTime Vec";
+
+/// Bare names the docs keep for what is gone: the pre-tier `FsyncPolicy`
+/// variants DURABILITY.md's history of that spelling names.
+const RETIRED_NAMES: &[&str] = &["Always", "Never"];
+
+fn external(name: &str) -> bool {
+    EXTERNAL_TYPES.split_whitespace().any(|t| t == name)
+}
 
 fn root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -40,6 +51,49 @@ fn ident(s: &str) -> &str {
     &s[..end.unwrap_or(s.len())]
 }
 
+/// Whether `source` defines a struct, enum, trait or type alias `ty`.
+fn defines_type(source: &str, ty: &str) -> bool {
+    ["struct", "enum", "trait", "type"].iter().any(|kind| {
+        let head = format!("{kind} {ty}");
+        source
+            .match_indices(&head)
+            .any(|(at, _)| ident(&source[at + kind.len()..]) == ty)
+    })
+}
+
+/// The capitalised names `source` declares besides `defines_type`'s: enum
+/// variants (the identifier opening a line one brace deep inside an `enum`
+/// body) and types a macro declares (the first identifier argument of a
+/// multi-line invocation, such as `id_newtype!`'s).
+fn declared_names(source: &str) -> Vec<&str> {
+    let (mut out, mut depth) = (Vec::new(), None::<i32>);
+    let mut in_macro = false;
+    for line in source.lines() {
+        let code = line.split("//").next().unwrap_or_default();
+        if in_macro && !code.trim().is_empty() && !code.trim_start().starts_with('#') {
+            in_macro = false;
+            out.extend(Some(ident(code)).filter(|n| n.starts_with(char::is_uppercase)));
+        }
+        in_macro |= code.trim_end().ends_with("!(");
+        let braces = code.matches('{').count() as i32 - code.matches('}').count() as i32;
+        let Some(d) = depth else {
+            let decl = code.trim_start();
+            let decl = decl.strip_prefix("pub(crate) ").unwrap_or(decl);
+            let decl = decl.strip_prefix("pub ").unwrap_or(decl);
+            if decl.starts_with("enum ") && braces > 0 {
+                depth = Some(braces);
+            }
+            continue;
+        };
+        let name = ident(code);
+        if d == 1 && name.starts_with(char::is_uppercase) {
+            out.push(name);
+        }
+        depth = Some(d + braces).filter(|d| *d > 0);
+    }
+    out
+}
+
 fn defines_fn(source: &str, name: &str) -> bool {
     source.contains(&format!("fn {name}(")) || source.contains(&format!("fn {name}<"))
 }
@@ -47,17 +101,10 @@ fn defines_fn(source: &str, name: &str) -> bool {
 /// Whether `ty` is defined under `crates/` and `member` is a fn or const
 /// there, or a field or variant line in a file that defines `ty`.
 fn resolves(sources: &[(PathBuf, String)], ty: &str, member: &str) -> bool {
-    let defines_ty = |s: &str| {
-        ["struct", "enum", "trait", "type"].iter().any(|kind| {
-            let head = format!("{kind} {ty}");
-            s.match_indices(&head)
-                .any(|(at, _)| ident(&s[at + kind.len()..]) == ty)
-        })
-    };
     let homes: Vec<&str> = sources
         .iter()
         .map(|(_, s)| s.as_str())
-        .filter(|s| defines_ty(s))
+        .filter(|s| defines_type(s, ty))
         .collect();
     let fn_or_const = |s: &str| defines_fn(s, member) || s.contains(&format!("const {member}:"));
     let field_or_variant = |line: &str| {
@@ -134,13 +181,36 @@ fn every_check_durability_md_names_exists() {
     assert!(checked >= 10, "{checked} checks: did the tables change?");
 }
 
+/// A bare CamelCase name: one identifier, capitalised, with a lowercase
+/// letter (so `EOS` or `TCP` are not type names).
+fn camel(token: &str) -> bool {
+    ident(token) == token
+        && token.starts_with(char::is_uppercase)
+        && token.contains(char::is_lowercase)
+}
+
 #[test]
 fn every_code_path_the_docs_name_exists() {
     let sources = rust_sources(&root().join("crates"));
+    let types: Vec<(PathBuf, String)> =
+        [sources.clone(), rust_sources(&root().join("shims"))].concat();
+    let declared: Vec<&str> = types.iter().flat_map(|(_, s)| declared_names(s)).collect();
     let (mut missing, mut checked) = (Vec::new(), 0);
     for doc in DOCS {
         let text = std::fs::read_to_string(root().join(doc)).expect("doc");
         for token in text.split('`').skip(1).step_by(2) {
+            if camel(token) {
+                if external(token) || RETIRED_NAMES.contains(&token) {
+                    continue;
+                }
+                checked += 1;
+                let found =
+                    declared.contains(&token) || types.iter().any(|(_, s)| defines_type(s, token));
+                if !found {
+                    missing.push(format!("{doc}: `{token}`"));
+                }
+                continue;
+            }
             let Some((head, tail)) = token.split_once("::") else {
                 continue;
             };
@@ -148,7 +218,7 @@ fn every_code_path_the_docs_name_exists() {
                 let mut files = sources.iter().filter(|(path, _)| path.ends_with(head));
                 files.any(|(_, s)| defines_fn(s, ident(tail)))
             } else if head.starts_with(char::is_uppercase) && ident(head) == head {
-                if EXTERNAL_TYPES.contains(&head) {
+                if external(head) {
                     continue;
                 }
                 let mut names = members(tail).into_iter();

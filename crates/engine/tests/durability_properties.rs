@@ -1,24 +1,21 @@
 //! Property tests of the crash-safe durability layer (§II.E's stable
 //! storage, done properly):
 //!
-//! - [`EngineCheckpoint`] survives its canonical encoding exactly — the
-//!   restart point is the bytes, so the bytes must be the checkpoint.
 //! - No truncation of a WAL segment, at *any* byte offset, can surface a
 //!   wrong record: recovery always yields a verified prefix of what was
 //!   appended, and reports exactly the bytes it discarded.
 //! - No single-byte corruption can either: the scan stops at the damaged
 //!   frame and everything before it is intact.
-//! - The checkpoint store indexes nothing but its checkpoint files: a
-//!   stray file beside them must never cost a generation.
+//!
+//! The checkpoint-side properties (codec exactness, a stray file beside
+//! the store) build and seal checkpoints by hand, so they live in
+//! `store.rs`'s unit tests (`tests::properties`).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use tart_codec::{Decode, Encode};
-use tart_engine::{CheckpointStore, DurabilityPolicy, EngineCheckpoint, Wal};
-use tart_model::{Snapshot, StateChunk, Value};
-use tart_vtime::{ComponentId, EngineId, VirtualTime, WireId};
+use tart_engine::{DurabilityPolicy, Wal};
 
 /// A scratch directory unique to this process *and* proptest case.
 fn scratch(tag: &str) -> PathBuf {
@@ -27,101 +24,6 @@ fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tart-durprop-{tag}-{}-{n}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     dir
-}
-
-fn arb_vt() -> impl Strategy<Value = VirtualTime> {
-    (0u64..u64::MAX / 2).prop_map(VirtualTime::from_ticks)
-}
-
-fn arb_payload() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        any::<i64>().prop_map(Value::I64),
-        "[a-z ]{0,16}".prop_map(Value::from),
-    ]
-}
-
-fn arb_chunk() -> impl Strategy<Value = StateChunk> {
-    prop_oneof![
-        proptest::collection::vec(any::<u8>(), 0..48).prop_map(StateChunk::Full),
-        proptest::collection::vec(any::<u8>(), 0..48).prop_map(StateChunk::Delta),
-    ]
-}
-
-fn arb_snapshot() -> impl Strategy<Value = Snapshot> {
-    (
-        arb_vt(),
-        proptest::collection::btree_map("[a-z]{1,8}", arb_chunk(), 0..4),
-    )
-        .prop_map(|(vt, fields)| {
-            let mut s = Snapshot::new(vt);
-            for (k, c) in fields {
-                s.put(&k, c);
-            }
-            s
-        })
-}
-
-/// An [`EngineCheckpoint`] with every field populated arbitrarily,
-/// including the retention capture that cold restart depends on.
-fn arb_checkpoint() -> impl Strategy<Value = EngineCheckpoint> {
-    (
-        (
-            0u32..64,
-            0u64..1_000_000,
-            proptest::collection::btree_map(0u32..64, arb_snapshot(), 0..3),
-            proptest::collection::btree_map(0u32..64, arb_vt(), 0..3),
-        ),
-        (
-            proptest::collection::btree_map(0u32..256, arb_vt(), 0..4),
-            proptest::collection::btree_map(0u32..256, arb_vt(), 0..4),
-            proptest::collection::btree_map(
-                0u32..256,
-                proptest::collection::vec((arb_vt(), arb_payload()), 0..4),
-                0..3,
-            ),
-        ),
-    )
-        .prop_map(
-            |((engine, seq, components, clocks), (consumed, sent, retention))| {
-                let mut c = EngineCheckpoint::new(EngineId::new(engine), seq);
-                c.components = components
-                    .into_iter()
-                    .map(|(k, v)| (ComponentId::new(k), v))
-                    .collect();
-                c.clocks = clocks
-                    .into_iter()
-                    .map(|(k, v)| (ComponentId::new(k), v))
-                    .collect();
-                c.consumed = consumed
-                    .into_iter()
-                    .map(|(k, v)| (WireId::new(k), v))
-                    .collect();
-                c.sent = sent.into_iter().map(|(k, v)| (WireId::new(k), v)).collect();
-                c.retention = retention
-                    .into_iter()
-                    .map(|(k, v)| (WireId::new(k), v))
-                    .collect();
-                c
-            },
-        )
-}
-
-/// Forces every chunk full so the checkpoint persists as a self-contained
-/// generation — the store refuses a delta with no full base. Seals it the
-/// way the live checkpoint path does (self-contained members restart the
-/// seal chain), since the store's loader verifies seals.
-fn self_contained(mut c: EngineCheckpoint) -> EngineCheckpoint {
-    for snap in c.components.values_mut() {
-        let fields: Vec<(String, Vec<u8>)> = snap
-            .iter()
-            .map(|(k, chunk)| (k.to_owned(), chunk.bytes().to_vec()))
-            .collect();
-        for (k, bytes) in fields {
-            snap.put(&k, StateChunk::Full(bytes));
-        }
-    }
-    c.seal(&tart_model::StateHash::ZERO);
-    c
 }
 
 /// Arbitrary WAL record bodies. Never empty: the WAL rejects empty bodies
@@ -140,7 +42,7 @@ fn write_wal(dir: &PathBuf, records: &[Vec<u8>]) -> PathBuf {
     };
     let mut wal = Wal::create(dir, u64::MAX, buffered).expect("create wal");
     for r in records {
-        wal.append(r).expect("append");
+        wal.append_lane(r, buffered).expect("append");
     }
     wal.sync().expect("sync");
     drop(wal);
@@ -153,15 +55,6 @@ fn write_wal(dir: &PathBuf, records: &[Vec<u8>]) -> PathBuf {
 }
 
 proptest! {
-    /// The checkpoint codec is exact: decode(encode(c)) == c for every
-    /// field, including retention frames.
-    #[test]
-    fn checkpoint_round_trips(ckpt in arb_checkpoint()) {
-        let bytes = ckpt.to_bytes();
-        let back = EngineCheckpoint::from_bytes(&bytes).expect("well-formed bytes decode");
-        prop_assert_eq!(back, ckpt);
-    }
-
     /// Chopping the segment at every possible byte offset: recovery never
     /// invents or corrupts a record — it returns an exact prefix and
     /// accounts for every discarded byte.
@@ -324,35 +217,4 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The directory listing is the only index: a stray file beside the
-    /// generations — the generation list an older build kept, say — is
-    /// ignored, and every persisted generation still loads.
-    #[test]
-    fn a_stray_file_never_costs_a_generation(
-        ckpts in proptest::collection::vec(arb_checkpoint(), 1..4),
-        garbage in proptest::collection::vec(any::<u8>(), 0..64),
-    ) {
-        let dir = scratch("stray");
-        let store = CheckpointStore::open(&dir).expect("open store");
-        let mut newest = std::collections::BTreeMap::new();
-        for c in &ckpts {
-            let c = self_contained(c.clone());
-            let generation = store.persist_with(&c, true).expect("persist");
-            newest.insert(c.engine, (generation, c));
-        }
-        drop(store);
-        std::fs::write(dir.join("MANIFEST"), &garbage).expect("stray file");
-
-        let store = CheckpointStore::open(&dir).expect("reopen from the listing");
-        for (engine, (generation, ckpt)) in newest {
-            let loaded = store
-                .load_chain(engine)
-                .expect("load beside a stray file")
-                .expect("generation still present");
-            prop_assert_eq!(loaded.generation, generation);
-            prop_assert!(!loaded.fell_back);
-            prop_assert_eq!(loaded.chain, vec![ckpt]);
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
 }

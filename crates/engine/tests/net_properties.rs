@@ -1,5 +1,5 @@
 //! Property tests of the TCP frame codec: batches of every envelope kind
-//! round-trip through `write_batch`/`read_batch`, and *no* truncation of a
+//! round-trip through `encode_batch_into`/`read_batch`, and *no* truncation of a
 //! valid frame can ever decode into wrong envelopes — the reader either
 //! reports a torn frame (`UnexpectedEof`), corruption (`InvalidData`), or a
 //! clean EOF at a frame boundary. A batch shares one CRC, so damage
@@ -9,7 +9,7 @@ use std::io::ErrorKind;
 
 use bytes::BytesMut;
 use proptest::prelude::*;
-use tart_engine::net::{read_batch, write_batch};
+use tart_engine::net::{encode_batch_into, read_batch};
 use tart_engine::Envelope;
 use tart_estimator::EstimatorSpec;
 use tart_model::{BlockId, Value};
@@ -112,9 +112,8 @@ proptest! {
     /// nothing at all.
     #[test]
     fn batches_round_trip(batch in arb_batch()) {
-        let mut buf = Vec::new();
-        let mut scratch = BytesMut::new();
-        write_batch(&mut buf, &batch, &mut scratch).expect("write to memory");
+        let mut buf = BytesMut::new();
+        encode_batch_into(&mut buf, &batch);
         if batch.is_empty() {
             prop_assert!(buf.is_empty(), "empty batch must touch nothing");
         } else {
@@ -130,9 +129,8 @@ proptest! {
     /// partial batch.
     #[test]
     fn batch_truncation_never_yields_envelopes(batch in arb_batch()) {
-        let mut buf = Vec::new();
-        let mut scratch = BytesMut::new();
-        write_batch(&mut buf, &batch, &mut scratch).expect("write to memory");
+        let mut buf = BytesMut::new();
+        encode_batch_into(&mut buf, &batch);
         for cut in 0..buf.len() {
             let mut cursor = &buf[..cut];
             match read_batch(&mut cursor) {
@@ -164,9 +162,8 @@ proptest! {
         if batch.is_empty() {
             return; // nothing on the wire to corrupt
         }
-        let mut buf = Vec::new();
-        let mut scratch = BytesMut::new();
-        write_batch(&mut buf, &batch, &mut scratch).expect("write to memory");
+        let mut buf = BytesMut::new();
+        encode_batch_into(&mut buf, &batch);
         let pos = (pos_seed % buf.len() as u64) as usize;
         let flip = if flip_byte == 0 { 0xff } else { flip_byte };
         buf[pos] ^= flip;

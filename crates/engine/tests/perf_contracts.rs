@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
-use tart_engine::net::{read_batch, write_batch};
+use tart_engine::net::{encode_batch_into, read_batch};
 use tart_engine::{
     Cluster, ClusterConfig, DurabilityPolicy, Envelope, OutputRecord, Placement, StandbyConfig, Wal,
 };
@@ -30,7 +30,7 @@ use tart_model::{
 use tart_stats::{DetRng, PoissonProcess};
 use tart_vtime::{EngineId, PortId, VirtualTime, WireId};
 
-/// Envelopes/s through `write_batch` → loopback socket → `read_batch`,
+/// Envelopes/s through `encode_batch_into` → loopback socket → `read_batch`,
 /// `per_frame` envelopes per batch frame.
 fn tcp_rate(envelopes: usize, per_frame: usize) -> f64 {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
@@ -59,7 +59,9 @@ fn tcp_rate(envelopes: usize, per_frame: usize) -> f64 {
             };
             batch.push((EngineId::new(1), envelope));
         }
-        write_batch(&mut stream, &batch, &mut scratch).expect("batch write");
+        scratch.clear();
+        encode_batch_into(&mut scratch, &batch);
+        stream.write_all(&scratch).expect("batch write");
     }
     stream.flush().expect("flush");
     drop(stream);
@@ -90,7 +92,7 @@ fn wal_rate(lane: DurabilityPolicy, n: usize, tag: &str) -> f64 {
     let body = [0x5a; 64];
     let start = Instant::now();
     for _ in 0..n {
-        wal.append(&body).expect("append");
+        wal.append_lane(&body, lane).expect("append");
     }
     wal.sync().expect("final sync");
     let rate = n as f64 / start.elapsed().as_secs_f64();

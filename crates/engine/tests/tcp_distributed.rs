@@ -9,7 +9,7 @@
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::unbounded;
-use tart_engine::net::{remote_engine, TcpInbound};
+use tart_engine::net::{remote_engine_with, ReconnectPolicy, RemoteLink, TcpInbound};
 use tart_engine::{
     Cluster, ClusterConfig, EngineCore, Envelope, FaultPlan, Flow, OutputRecord, Placement,
     ReplicaStore, Router,
@@ -102,6 +102,18 @@ fn single_process_reference() -> Vec<(u64, String)> {
     outs
 }
 
+/// Routes `engine`'s traffic in `router` to the loopback port `port`,
+/// reconnecting under the default policy.
+fn link(router: &Router, engine: EngineId, port: u16) -> RemoteLink {
+    remote_engine_with(
+        router,
+        engine,
+        ("127.0.0.1", port),
+        ReconnectPolicy::default(),
+    )
+    .expect("link")
+}
+
 #[test]
 fn fig1_over_real_tcp_matches_in_process_run() {
     let reference = single_process_reference();
@@ -143,10 +155,8 @@ fn fig1_over_real_tcp_matches_in_process_run() {
     // --- The wire between the hosts: real TCP, both directions. ----------
     let inbound_b = TcpInbound::listen("127.0.0.1:0", router_b.clone()).expect("bind B");
     let inbound_a = TcpInbound::listen("127.0.0.1:0", router_a.clone()).expect("bind A");
-    let _out_a_to_b =
-        remote_engine(&router_a, EngineId::new(1), ("127.0.0.1", inbound_b.port())).expect("link");
-    let _out_b_to_a =
-        remote_engine(&router_b, EngineId::new(0), ("127.0.0.1", inbound_a.port())).expect("link");
+    let _out_a_to_b = link(&router_a, EngineId::new(1), inbound_b.port());
+    let _out_b_to_a = link(&router_b, EngineId::new(0), inbound_a.port());
 
     let engine_a = spawn_engine(core_a, a_rx);
     let engine_b = spawn_engine(core_b, b_rx);
@@ -200,8 +210,6 @@ fn fig1_over_real_tcp_matches_in_process_run() {
 
 #[test]
 fn severed_tcp_link_reconnects_and_replay_restores_the_stream() {
-    use tart_engine::net::{remote_engine_with, ReconnectPolicy};
-
     let reference = single_process_reference();
 
     let spec = fan_in_app(2).expect("valid");
@@ -253,8 +261,7 @@ fn severed_tcp_link_reconnects_and_replay_restores_the_stream() {
     )
     .expect("link");
     // The reverse (replay-request) direction stays intact throughout.
-    let _link_b_to_a =
-        remote_engine(&router_b, EngineId::new(0), ("127.0.0.1", inbound_a.port())).expect("link");
+    let _link_b_to_a = link(&router_b, EngineId::new(0), inbound_a.port());
 
     let engine_a = spawn_engine(core_a, a_rx);
     let engine_b = spawn_engine(core_b, b_rx);

@@ -18,7 +18,7 @@ use std::time::Duration;
 use crossbeam::channel::unbounded;
 use tart::prelude::*;
 use tart::reference::{fan_in_app, SENDER_LOOP_BLOCK};
-use tart::tart_engine::net::{remote_engine, TcpInbound};
+use tart::tart_engine::net::{remote_engine_with, ReconnectPolicy, TcpInbound};
 use tart::tart_engine::{EngineCore, Envelope, Flow, ReplicaStore, Router};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -71,14 +71,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- The actual network between them. --------------------------------
     let inbound_b = TcpInbound::listen("127.0.0.1:0", router_b.clone())?;
     let inbound_a = TcpInbound::listen("127.0.0.1:0", router_a.clone())?;
-    println!(
-        "host A listening on {}, host B on {}",
-        inbound_a.local_addr(),
-        inbound_b.local_addr()
-    );
+    let port_a = ("127.0.0.1", inbound_a.port());
+    let port_b = ("127.0.0.1", inbound_b.port());
+    println!("host A listening on {port_a:?}, host B on {port_b:?}");
     // Keep the link handles alive: dropping a RemoteLink stops its writer.
-    let link_a_to_b = remote_engine(&router_a, EngineId::new(1), ("127.0.0.1", inbound_b.port()))?;
-    let link_b_to_a = remote_engine(&router_b, EngineId::new(0), ("127.0.0.1", inbound_a.port()))?;
+    let policy = ReconnectPolicy::default();
+    let link_a_to_b = remote_engine_with(&router_a, EngineId::new(1), port_b, policy.clone())?;
+    let link_b_to_a = remote_engine_with(&router_b, EngineId::new(0), port_a, policy)?;
 
     // ---- Run both engine loops. -------------------------------------------
     let run = |mut core: EngineCore, rx: crossbeam::channel::Receiver<Envelope>| {

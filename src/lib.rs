@@ -75,11 +75,10 @@ pub use tart_vtime;
 
 pub use tart_engine::{
     check_report, write_report, ChaosEvent, ChaosHandle, ChaosOptions, ChaosPlan, ChaosReport,
-    CheckpointStore, Cluster, ClusterConfig, DeployError, DiskFault, DurabilityConfig,
-    DurabilityPolicy, EngineRecovery, FailureDetector, FaultPlan, Injector, LogicalClock,
-    MessageLog, ObsEvent, ObsEventKind, ObsHub, ObsSnapshot, OutputRecord, Placement, RealClock,
-    RecoveryReport, ReplicaStore, ReportRequirements, SupervisionConfig, SupervisionMetrics,
-    TimeSource, Wal,
+    Cluster, ClusterConfig, DeployError, DiskFault, DurabilityConfig, DurabilityPolicy,
+    EngineRecovery, FaultPlan, Injector, LogicalClock, ObsEvent, ObsEventKind, ObsHub, ObsSnapshot,
+    OutputRecord, Placement, RealClock, RecoveryReport, ReportRequirements, SupervisionConfig,
+    SupervisionMetrics, TimeSource,
 };
 pub use tart_estimator::{
     Calibrator, DeterminismFault, Estimator, EstimatorSchedule, EstimatorSpec,
